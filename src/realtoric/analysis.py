@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fan import Fan, fan_to_json
 from .gf2 import Mat2
-from .spectral import betti_real, e1_page, e2_dims, g_pages
+from .spectral import betti_real, e1_page, e2_dims, g_pages, real_complex
 
 __all__ = [
     "AnalysisError",
@@ -305,8 +305,6 @@ def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
     _, rows = e1_page(fan)
     d_top = rows[1].boundaries[2]  # q=1 row, chain degrees 3 -> 2
     kernel_dim = d_top.ncols - d_top.rank()
-
-    from .spectral import real_complex
 
     rc = real_complex(fan)
     top_boundary = rc.chain.boundaries[2]

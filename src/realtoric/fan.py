@@ -5,6 +5,7 @@ rational Fourier-Motzkin elimination for the pairwise intersection check.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -206,6 +207,20 @@ def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool
             raise RuntimeError("Fourier-Motzkin elimination exploded")
 
 
+def _per_fan(fn):
+    """Compute fn(fan, *args) once per Fan object; later calls with the
+    same arguments share the first result, which callers must not mutate."""
+
+    @functools.wraps(fn)
+    def once(fan, *args):
+        key = (once, args)
+        if key not in fan._memo:
+            fan._memo[key] = fn(fan, *args)
+        return fan._memo[key]
+
+    return once
+
+
 class Fan:
     """A rational fan in a lattice of the given rank.
 
@@ -246,9 +261,7 @@ class Fan:
                 if j != i:
                     contained.add(j)
         self._maximal = tuple(i for i in range(len(cones)) if i not in contained)
-        self._complete: Optional[bool] = None
-        self._orbit_cache: Dict[int, object] = {}
-        self._induced_cache: Dict[Tuple[int, int], object] = {}
+        self._memo: Dict[tuple, object] = {}
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -282,12 +295,11 @@ class Fan:
         out.sort()
         return out
 
+    @_per_fan
     def is_complete(self) -> bool:
         """Completeness check: a full-dimensional cone exists, every wall
         bounds exactly two full-dimensional cones, and a fixed sample of
         rational directions is covered."""
-        if self._complete is not None:
-            return self._complete
         n = self.rank
         full = [i for i in self._maximal if self.cones[i].dim == n]
         ok = bool(full)
@@ -320,7 +332,6 @@ class Fan:
                 if not hit:
                     ok = False
                     break
-        self._complete = ok
         return ok
 
     def is_nonsingular(self) -> bool:

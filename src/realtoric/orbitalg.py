@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 from typing import List, Tuple
 
-from .fan import Fan
+from .fan import Fan, _per_fan
 from .gf2 import Mat2
 from .intlin import mat_mul, quotient_with_section
 
@@ -47,26 +47,23 @@ class OrbitLattice:
     mod2: Mat2
 
 
+@_per_fan
 def orbit_lattice(fan: Fan, ci: int) -> OrbitLattice:
     """Projection of the ambient lattice onto the orbit lattice of cone ci."""
-    cached = fan._orbit_cache.get(ci)
-    if cached is not None:
-        return cached
     vectors = fan.cone_vectors(ci)
     proj, sect = quotient_with_section(fan.rank, vectors)
     codim = fan.rank - fan.cones[ci].dim
     assert len(proj) == codim
-    out = OrbitLattice(
+    return OrbitLattice(
         cone=ci,
         codim=codim,
         projection=tuple(tuple(row) for row in proj),
         section=tuple(tuple(row) for row in sect),
         mod2=Mat2.from_rows(proj, ncols=fan.rank),
     )
-    fan._orbit_cache[ci] = out
-    return out
 
 
+@_per_fan
 def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     """Mod-2 matrix of the surjection from the orbit space of cone si onto
     that of cone ti, for si a face of ti.
@@ -74,16 +71,12 @@ def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     Computed integrally (project the section of si through the projection
     of ti) and then reduced, so it is independent of any mod-2 lift choice.
     """
-    cached = fan._induced_cache.get((si, ti))
-    if cached is not None:
-        return cached
     assert set(fan.cones[si].rays) <= set(fan.cones[ti].rays), "si must be a face of ti"
     src = orbit_lattice(fan, si)
     dst = orbit_lattice(fan, ti)
     q = mat_mul([list(r) for r in dst.projection], [list(r) for r in src.section])
     out = Mat2.from_rows(q, ncols=src.codim)
     assert out.rank() == dst.codim, "induced projection must be surjective"
-    fan._induced_cache[(si, ti)] = out
     return out
 
 

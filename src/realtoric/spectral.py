@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .fan import Fan
+from .fan import Fan, _per_fan
 from .gf2 import ChainComplex, Mat2, assemble_blocks, exterior_power
 from .orbitalg import group_algebra_map, induced_projection_mod2, y_basis_change
 
@@ -84,6 +84,7 @@ def _pairs_by_codim(fan: Fan) -> Dict[int, List[Tuple[int, int]]]:
     return out
 
 
+@_per_fan
 def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     """First page of the complex orbit spectral sequence.
 
@@ -121,6 +122,7 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     return PageTable("E1", entries), complexes
 
 
+@_per_fan
 def e2_dims(fan: Fan) -> PageTable:
     """Second page: homology of each E1 row complex."""
     _, complexes = e1_page(fan)
@@ -145,6 +147,7 @@ class RealComplex:
     block_index: Dict[Tuple[int, int], Tuple[int, int]] = field(repr=False)
 
 
+@_per_fan
 def real_complex(fan: Fan) -> RealComplex:
     """Chain complex of 2-torsion group algebras computing the
     closed-support mod-2 homology of the real points."""
@@ -173,6 +176,7 @@ def real_complex(fan: Fan) -> RealComplex:
     return RealComplex(ChainComplex(dims, boundaries), block_index)
 
 
+@_per_fan
 def betti_real(fan: Fan) -> List[int]:
     """Closed-support mod-2 Betti numbers b_0..b_n of the real points."""
     return real_complex(fan).chain.homology_dims()
@@ -190,6 +194,7 @@ def _level_masks(p: int, k: int) -> List[int]:
     return out
 
 
+@_per_fan
 def _conjugated_boundaries(fan: Fan) -> Tuple[List[List[int]], List[Mat2]]:
     """Real-complex boundaries rewritten in the y basis of every group
     algebra block, together with the filtration level (subset size) of
@@ -211,51 +216,52 @@ def _conjugated_boundaries(fan: Fan) -> Tuple[List[List[int]], List[Mat2]]:
     return levels, conj
 
 
-def g_pages(fan: Fan, *, shortcut: bool = False) -> Tuple[PageTable, PageTable]:
+def _entry_levels(fan: Fan) -> Iterator[Tuple[int, int]]:
+    """(row level, column level) of every non-zero entry of every
+    conjugated boundary."""
+    levels, conj = _conjugated_boundaries(fan)
+    for p in range(1, len(levels)):
+        row_levels = levels[p - 1]
+        col_levels = levels[p]
+        for r, bits in enumerate(conj[p - 1].rows):
+            while bits:
+                low = bits & -bits
+                yield row_levels[r], col_levels[low.bit_length() - 1]
+                bits ^= low
+
+
+@_per_fan
+def g_pages(fan: Fan) -> Tuple[PageTable, PageTable]:
     """G0 and G1 pages of the augmentation-ideal filtration on the real
     cellular complex, indexed at (-k, m + k) for filtration level k and
     chain degree m.
 
-    The default path builds the graded complexes directly from the
-    filtered complex (conjugating by the y-basis change and checking
-    that every boundary respects the filtration), so the identity with
-    the complex-side second page stays an independent cross-check.  With
-    shortcut=True the graded complexes are taken to be the E1 row
-    complexes under reindexing, which is faster but not independent.
+    The graded complexes are built directly from the filtered complex
+    (conjugating by the y-basis change and checking that every boundary
+    respects the filtration), so the identity with the complex-side
+    second page stays an independent cross-check.
     """
     n = fan.rank
-    if shortcut:
-        _, complexes = e1_page(fan)
-    else:
-        levels, conj = _conjugated_boundaries(fan)
-        for p in range(1, n + 1):
-            d = conj[p - 1]
-            row_levels = levels[p - 1]
-            col_levels = levels[p]
-            for r, bits in enumerate(d.rows):
-                while bits:
-                    low = bits & -bits
-                    c = low.bit_length() - 1
-                    assert row_levels[r] >= col_levels[c], (
-                        "boundary does not respect the augmentation filtration"
-                    )
-                    bits ^= low
-        complexes = {}
-        for k in range(n + 1):
-            select: List[List[int]] = []
-            for p in range(n + 1):
-                idx = []
-                masks = _level_masks(p, k)
-                for j in range(len(fan.strata[p])):
-                    off = j << p
-                    idx.extend(off + m for m in masks)
-                select.append(idx)
-            dims = [len(ix) for ix in select]
-            boundaries = [
-                conj[p - 1].submatrix(select[p - 1], select[p])
-                for p in range(1, n + 1)
-            ]
-            complexes[k] = ChainComplex(dims, boundaries)
+    assert all(row >= col for row, col in _entry_levels(fan)), (
+        "boundary does not respect the augmentation filtration"
+    )
+    _, conj = _conjugated_boundaries(fan)
+    complexes = {}
+    for k in range(n + 1):
+        select: List[List[int]] = []
+        for p in range(n + 1):
+            idx = []
+            masks = _level_masks(p, k)
+            for j in range(len(fan.strata[p])):
+                off = j << p
+                idx.extend(off + m for m in masks)
+            select.append(idx)
+        dims = [len(ix) for ix in select]
+        boundaries = [
+            conj[p - 1].submatrix(select[p - 1], select[p])
+            for p in range(1, n + 1)
+        ]
+        complexes[k] = ChainComplex(dims, boundaries)
     g0_entries: Dict[Tuple[int, int], int] = {}
     g1_entries: Dict[Tuple[int, int], int] = {}
     for k, cc in complexes.items():
@@ -279,16 +285,4 @@ def rightmost_column_split(fan: Fan) -> bool:
     column to positive-level rows only.  This makes every differential
     leaving the rightmost G column vanish on all pages.
     """
-    levels, conj = _conjugated_boundaries(fan)
-    for p in range(1, len(levels)):
-        d = conj[p - 1]
-        row_levels = levels[p - 1]
-        col_levels = levels[p]
-        for r, bits in enumerate(d.rows):
-            while bits:
-                low = bits & -bits
-                c = low.bit_length() - 1
-                if (row_levels[r] == 0) != (col_levels[c] == 0):
-                    return False
-                bits ^= low
-    return True
+    return all((row == 0) == (col == 0) for row, col in _entry_levels(fan))

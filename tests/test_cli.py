@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import realtoric
-from realtoric import cli
+from realtoric import cli, spectral
 from realtoric.analysis import TheoremViolation
-from realtoric.fan import fan_from_json
+from realtoric.fan import fan_from_json, read_json
+
+FANS = Path(__file__).resolve().parents[1] / "fans"
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +111,27 @@ def test_compute_page_selection(tmp_path, capsys):
     report = json.loads(out)
     assert code == 0 and "e2" not in report
     assert run_cli(capsys, "compute", str(path), "--pages", "e9")[0] == 1
+
+
+def test_compute_builds_each_artifact_once(monkeypatch, capsys):
+    # the real complex costs one group-algebra map per facet pair, the E1
+    # rows one exterior power per facet pair and row
+    path = str(FANS / "p2.json")
+    fan = read_json(path)
+    pairs = fan.facet_pairs()
+    calls = {"group_algebra_map": 0, "exterior_power": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(spectral, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(spectral, name, counted)
+    code, _, _ = run_cli(capsys, "compute", "--json", "--pages", "e1,e2,g0,g1", path)
+    assert code == 0
+    assert calls == {
+        "group_algebra_map": len(pairs),
+        "exterior_power": len(pairs) * (fan.rank + 1),
+    }
 
 
 def test_compute_parse_and_validation_errors(tmp_path, capsys):

@@ -9,6 +9,7 @@ import functools
 import json
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, gcd
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -119,8 +120,6 @@ def _cone_geometry(rank: int, vectors: List[Tuple[int, ...]]) -> _ConeGeometry:
     coord_map = [list(u[i]) for i in range(d)]
     span_eqs = [list(u[i]) for i in range(d, rank)]
     coords = [mat_vec(coord_map, vec) for vec in vectors]
-
-    from itertools import combinations
 
     seen: Dict[FrozenSet[int], Tuple[int, ...]] = {}
     for subset in combinations(range(k), d - 1):
@@ -236,6 +235,7 @@ class Fan:
         cones: Tuple[Cone, ...],
         name: Optional[str],
         hreps: Dict[FrozenSet[int], _ConeGeometry],
+        max_faces: Dict[FrozenSet[int], Set[FrozenSet[int]]],
     ):
         self.rank = rank
         self.rays = rays
@@ -247,20 +247,20 @@ class Fan:
             tuple(i for i, c in enumerate(cones) if rank - c.dim == p)
             for p in range(rank + 1)
         )
-        self._faces = [
-            tuple(
-                j
-                for j, other in enumerate(cones)
-                if set(other.rays) <= set(c.rays)
-            )
-            for c in cones
-        ]
-        contained = set()
-        for i, c in enumerate(cones):
-            for j in self._faces[i]:
-                if j != i:
-                    contained.add(j)
-        self._maximal = tuple(i for i in range(len(cones)) if i not in contained)
+        # The faces of a cone are the faces of any maximal cone holding it
+        # that lie inside it; they come before it in the (dim, rays) order.
+        sets = list(self._index)  # the ray set of each cone, in cone order
+        self._faces: List[Tuple[int, ...]] = [()] * len(cones)
+        proper: Set[int] = set()
+        for mset, faces in max_faces.items():
+            members = sorted(self._index[f] for f in faces)
+            for k, ci in enumerate(members):
+                if not self._faces[ci]:
+                    self._faces[ci] = tuple(
+                        j for j in members[: k + 1] if sets[j] <= sets[ci]
+                    )
+            proper.update(self._index[f] for f in faces if f != mset)
+        self._maximal = tuple(i for i in range(len(cones)) if i not in proper)
         self._memo: Dict[tuple, object] = {}
 
     def __repr__(self) -> str:
@@ -526,7 +526,7 @@ def from_maximal_cones(
                     b, geo_by_set[b], faces_by_set[b],
                 )
 
-    return Fan(rank, tuple(ray_list), cones, name, geo_by_set)
+    return Fan(rank, tuple(ray_list), cones, name, geo_by_set, faces_by_set)
 
 
 def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:

@@ -143,7 +143,7 @@ class Mat2:
         return Mat2(self.nrows, self.ncols, work), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return _rank(self.rows)
 
     def kernel_basis(self) -> "Mat2":
         """Matrix of shape (ncols, nullity) whose columns span the kernel."""
@@ -160,35 +160,44 @@ class Mat2:
         return Mat2.from_cols(self.ncols, cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat2":
+        # spread[j]: the output bits that copy column j (several if j repeats)
+        spread: Dict[int, int] = {}
+        mask = 0
+        for jj, j in enumerate(col_idx):
+            spread[j] = spread.get(j, 0) | 1 << jj
+            mask |= 1 << j
         out = []
         for i in row_idx:
-            r = self.rows[i]
+            r = self.rows[i] & mask
             acc = 0
-            for jj, j in enumerate(col_idx):
-                if r >> j & 1:
-                    acc |= 1 << jj
+            while r:
+                low = r & -r
+                acc |= spread[low.bit_length() - 1]
+                r ^= low
             out.append(acc)
         return Mat2(len(row_idx), len(col_idx), out)
+
+
+def _rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of row bitsets: each row is reduced by the pivot
+    rows found so far, keyed by their leading bit, until it vanishes or
+    its leading bit is new."""
+    pivots: Dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = r
+                break
+            r ^= pivot
+    return len(pivots)
 
 
 def det2(m: Mat2) -> int:
     """Determinant over GF(2) of a square Mat2."""
     assert m.nrows == m.ncols
-    work = list(m.rows)
-    n = m.nrows
-    for c in range(n):
-        sel = -1
-        for i in range(c, n):
-            if work[i] >> c & 1:
-                sel = i
-                break
-        if sel < 0:
-            return 0
-        work[c], work[sel] = work[sel], work[c]
-        for i in range(c + 1, n):
-            if work[i] >> c & 1:
-                work[i] ^= work[c]
-    return 1
+    return int(_rank(m.rows) == m.nrows)
 
 
 def exterior_power(m: Mat2, q: int) -> Mat2:
@@ -196,14 +205,18 @@ def exterior_power(m: Mat2, q: int) -> Mat2:
     subsets of the row and column indices in lexicographic order; each
     entry is the corresponding q x q minor over GF(2)."""
     assert q >= 0
-    row_sets = list(combinations(range(m.nrows), q))
-    col_sets = list(combinations(range(m.ncols), q))
-    out = Mat2(len(row_sets), len(col_sets))
-    for i, rs in enumerate(row_sets):
-        for j, cs in enumerate(col_sets):
-            if q == 0 or det2(m.submatrix(rs, cs)):
-                out.rows[i] |= 1 << j
-    return out
+    bits = [1 << j for j in range(m.ncols)]
+    col_masks = [sum(cs) for cs in combinations(bits, q)]
+    out = []
+    for picked in combinations(m.rows, q):
+        # a minor is 1 exactly when the picked rows, cut down to the
+        # column subset, are independent
+        acc = 0
+        for j, cm in enumerate(col_masks):
+            if _rank([r & cm for r in picked]) == q:
+                acc |= 1 << j
+        out.append(acc)
+    return Mat2(len(out), len(col_masks), out)
 
 
 def assemble_blocks(

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 import realtoric
 from realtoric import cli, spectral
 from realtoric.analysis import TheoremViolation
-from realtoric.fan import fan_from_json, read_json
+from realtoric.constructions import product_fan, projective_space_fan
+from realtoric.fan import fan_from_json, read_json, write_json
 
 FANS = Path(__file__).resolve().parents[1] / "fans"
 
@@ -96,6 +98,19 @@ def test_compute_json_report(tmp_path, capsys):
     # canonical: rerun is byte identical
     _, out2, _ = run_cli(capsys, "compute", str(path), "--json")
     assert out2 == out
+
+
+def test_compute_json_report_on_multiword_boundaries(tmp_path, capsys):
+    # the real complex of P^1 x ... x P^1 (5 factors) has degree-p terms of
+    # 32 * C(5, p) cells, so its boundaries have rows of up to 320 bits
+    path = tmp_path / "p1-5.json"
+    write_json(reduce(product_fan, [projective_space_fan(1)] * 5), str(path))
+    code, out, _ = run_cli(capsys, "compute", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["betti_real"] == [1, 5, 10, 10, 5, 1]
+    assert report["totals"] == {"sum_betti_real": 32, "total_e2": 32, "total_g1": 32}
+    assert report["verdict"]["status"] == "CertifiedM"
 
 
 def test_compute_page_selection(tmp_path, capsys):

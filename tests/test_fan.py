@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from realtoric.constructions import (
     hirzebruch_fan,
     product_fan,
     projective_space_fan,
+    random_fan,
     torus_fan,
 )
 from realtoric.fan import (
@@ -25,6 +28,8 @@ from realtoric.fan import (
     read_json,
     write_json,
 )
+
+FANS = Path(__file__).resolve().parents[1] / "fans"
 
 
 def test_projective_plane_structure():
@@ -54,6 +59,39 @@ def test_cone_index_and_faces():
     faces = fan.faces_of(ci)
     assert {tuple(fan.cones[j].rays) for j in faces} == {(), (0,), (1,), (0, 1)}
     assert fan.cone_vectors(ci) == [(1, 0), (0, 1)]
+
+
+def _brute_face_lattice(fan):
+    """Faces by ray-set containment over all pairs of cones."""
+    sets = [set(c.rays) for c in fan.cones]
+    faces = [tuple(j for j, s in enumerate(sets) if s <= t) for t in sets]
+    proper = {j for i, f in enumerate(faces) for j in f if j != i}
+    maximal = tuple(i for i in range(len(sets)) if i not in proper)
+    pairs = sorted(
+        (si, ti)
+        for ti, f in enumerate(faces)
+        for si in f
+        if fan.cones[si].dim == fan.cones[ti].dim - 1
+    )
+    return faces, pairs, maximal
+
+
+def test_face_lattice_matches_all_pairs_containment():
+    paths = sorted(FANS.glob("*.json"))
+    assert paths
+    fans = [read_json(str(path)) for path in paths]
+    fans += [
+        random_fan(rank, seed, profile)
+        for rank in (1, 2, 3)
+        for profile in ("complete", "subfan", "affine")
+        for seed in range(8)
+    ]
+    fans.append(reduce(product_fan, [projective_space_fan(1)] * 4))
+    for fan in fans:
+        faces, pairs, maximal = _brute_face_lattice(fan)
+        assert [fan.faces_of(i) for i in range(len(fan.cones))] == faces, fan
+        assert fan.facet_pairs() == pairs, fan
+        assert fan.maximal_cones() == maximal, fan
 
 
 def test_zero_cone_is_a_face_of_everything():

@@ -6,7 +6,7 @@ from typing import List, Tuple
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 
 from realtoric.gf2 import ChainComplex, Mat2, assemble_blocks, det2, exterior_power
 from realtoric.intlin import determinant
@@ -19,6 +19,38 @@ def bit_matrix(draw, max_rows: int = 6, max_cols: int = 6):
     n = draw(st.integers(1, max_rows))
     m = draw(st.integers(1, max_cols))
     return [[draw(st.integers(0, 1)) for _ in range(m)] for _ in range(n)]
+
+
+@st.composite
+def wide_matrix(draw, max_rows: int = 40, max_cols: int = 150) -> Mat2:
+    """Multi-word rows: each row sums a random subset of a few random
+    rows, so ranks fall below the row count; a zero row and a repeat of
+    the first row are always included.  The random rows are shifted up by
+    random amounts, so that some have no bit in the lowest word."""
+    ncols = draw(st.integers(1, max_cols))
+    full = (1 << ncols) - 1
+    basis = [
+        (bits << shift) & full
+        for bits, shift in draw(
+            st.lists(
+                st.tuples(st.integers(0, full), st.integers(0, ncols - 1)),
+                min_size=1,
+                max_size=12,
+            )
+        )
+    ]
+    picks = draw(
+        st.lists(st.integers(0, (1 << len(basis)) - 1), min_size=1, max_size=max_rows - 2)
+    )
+    rows = []
+    for pick in picks:
+        acc = 0
+        for k, b in enumerate(basis):
+            if pick >> k & 1:
+                acc ^= b
+        rows.append(acc)
+    rows += [0, rows[0]]
+    return Mat2(len(rows), ncols, rows)
 
 
 def to_lists(m: Mat2) -> List[List[int]]:
@@ -98,13 +130,24 @@ def test_rref_rank_kernel_match_brute(rows):
     assert k.rank() == k.ncols
 
 
-@given(bit_matrix())
-def test_submatrix(rows):
-    m = Mat2.from_rows(rows)
-    ri = list(range(0, m.nrows, 2))
-    ci = list(range(m.ncols - 1, -1, -2))
+@settings(max_examples=40)
+@given(wide_matrix())
+def test_rank_matches_rref_pivots_on_wide_matrices(m):
+    red, pivots = m.rref()
+    assert m.rank() == len(pivots)
+    assert m.transpose().rank() == m.rank()
+    assert m.submatrix(range(m.nrows), pivots).rank() == len(pivots)
+
+
+@given(wide_matrix(max_rows=12), st.data())
+def test_submatrix(m, data):
+    # indices in any order, repeats included
+    ri = data.draw(st.lists(st.integers(0, m.nrows - 1), max_size=15))
+    ci = data.draw(st.lists(st.integers(0, m.ncols - 1), max_size=40))
+    ci += ci[:3]
     sub = m.submatrix(ri, ci)
-    assert to_lists(sub) == [[rows[i][j] for j in ci] for i in ri]
+    assert (sub.nrows, sub.ncols) == (len(ri), len(ci))
+    assert to_lists(sub) == [[m.entry(i, j) for j in ci] for i in ri]
 
 
 @given(bit_matrix(max_rows=5, max_cols=5))
@@ -114,17 +157,21 @@ def test_det2_matches_integer_determinant_mod2(rows):
     assert det2(Mat2.from_rows(sq)) == determinant(sq) % 2
 
 
-@given(bit_matrix(max_rows=5, max_cols=5), st.integers(0, 3))
-def test_exterior_entries_are_minors(rows, q):
+@settings(max_examples=30)
+@given(bit_matrix(max_rows=7, max_cols=7))
+@example([[int(i <= j) for j in range(7)] for i in range(7)])
+@example([[(2 * i + 3 * j + i * j) % 7 % 2 for j in range(7)] for i in range(7)])  # rank 6
+def test_exterior_entries_are_minors(rows):
     m = Mat2.from_rows(rows)
-    ext = exterior_power(m, q)
-    row_sets = list(combinations(range(m.nrows), q))
-    col_sets = list(combinations(range(m.ncols), q))
-    assert (ext.nrows, ext.ncols) == (len(row_sets), len(col_sets))
-    for i, rs in enumerate(row_sets):
-        for j, cs in enumerate(col_sets):
-            minor = [[rows[a][b] for b in cs] for a in rs]
-            assert ext.entry(i, j) == determinant(minor) % 2
+    for q in range(8):
+        ext = exterior_power(m, q)
+        row_sets = list(combinations(range(m.nrows), q))
+        col_sets = list(combinations(range(m.ncols), q))
+        assert (ext.nrows, ext.ncols) == (len(row_sets), len(col_sets))
+        assert to_lists(ext) == [
+            [determinant([[rows[a][b] for b in cs] for a in rs]) % 2 for cs in col_sets]
+            for rs in row_sets
+        ]
 
 
 @given(bit_matrix(max_rows=4, max_cols=4), bit_matrix(max_rows=4, max_cols=4), st.integers(0, 3))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fan import Fan, fan_to_json
-from .gf2 import Mat2
+from .gf2 import CrossCheckFailed, Mat2
 from .spectral import betti_real, e1_page, e2_dims, g_pages, real_complex
 
 __all__ = [
@@ -93,8 +93,10 @@ def m_verdict(fan: Fan) -> MVerdict:
     total_e2 = e2_dims(fan).total()
     _, g1 = g_pages(fan)
     total_g1 = g1.total()
-    assert total_g1 == total_e2, "filtered and orbit page totals must agree"
-    assert sbr <= total_g1, "Betti sum cannot exceed a page total"
+    if total_g1 != total_e2:
+        raise CrossCheckFailed(f"total G1 = {total_g1} != total E2 = {total_e2}")
+    if sbr > total_g1:
+        raise CrossCheckFailed(f"Betti sum {sbr} exceeds the page total {total_g1}")
     gap = total_e2 - sbr
     notes = [
         f"betti_real = {b}, sum = {sbr}",
@@ -165,8 +167,10 @@ def _batch_case(case: Tuple[int, int, str]) -> Tuple[int, str, str, int, str]:
     if rank == 2 and profile == "complete":
         # independent closed-form path for complete surfaces
         rep = surface_betti_oracle(fan)
-        assert rep.betti_real == tuple(betti_real(fan)), fan_to_json(fan)
-        assert sum(rep.betti_complex) == verdict.total_e2, fan_to_json(fan)
+        if rep.betti_real != tuple(betti_real(fan)):
+            raise CrossCheckFailed(f"betti_real != surface closed form: {fan_to_json(fan)}")
+        if sum(rep.betti_complex) != verdict.total_e2:
+            raise CrossCheckFailed(f"total E2 != surface closed form: {fan_to_json(fan)}")
     return (rank, profile, verdict.status, verdict.gap, fan_to_json(fan))
 
 

@@ -29,6 +29,7 @@ from .constructions import (
     weighted_projective_fan,
 )
 from .fan import Fan, ParseError, ValidationError, read_json, write_json, fan_to_json
+from .gf2 import CrossCheckFailed
 from .spectral import (
     PageTable,
     betti_real,
@@ -448,7 +449,11 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CrossCheckFailed as exc:
+        print(f"realtoric {args.command}: cross-check failed: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .fan import Fan, ValidationError, from_maximal_cones
+from .gf2 import CrossCheckFailed
 from .intlin import determinant, lin_rank, primitive_vector, quotient_with_section
 
 __all__ = [
@@ -231,7 +232,7 @@ def cyclic_polytope_normal_fan() -> Fan:
     gale = set(_cyclic_facets_gale())
     hull = _cyclic_facets_hull()
     if {sub for sub, _, _ in hull} != gale:
-        raise AssertionError(
+        raise CrossCheckFailed(
             "facet oracles disagree: Gale evenness and rational hull "
             "produced different facet sets"
         )

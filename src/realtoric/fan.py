@@ -122,7 +122,12 @@ def _cone_geometry(rank: int, vectors: List[Tuple[int, ...]]) -> _ConeGeometry:
     coords = [mat_vec(coord_map, vec) for vec in vectors]
 
     seen: Dict[FrozenSet[int], Tuple[int, ...]] = {}
+    found: List[int] = []  # the zero sets in seen, as bitmasks
     for subset in combinations(range(k), d - 1):
+        # inside a facet found already: its hyperplane, if any, is that facet's
+        mask = sum(1 << j for j in subset)
+        if any(mask & z == mask for z in found):
+            continue
         w = _cross_null([coords[j] for j in subset], d)
         if not any(w):
             continue
@@ -140,6 +145,7 @@ def _cone_geometry(rank: int, vectors: List[Tuple[int, ...]]) -> _ConeGeometry:
             for x in w:
                 g = gcd(g, x)
             seen[zero] = tuple(x // g for x in w)
+            found.append(sum(1 << j for j in zero))
 
     normals_local = list(seen.values())
     pointed = lin_rank(normals_local) == d

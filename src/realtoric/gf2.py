@@ -9,7 +9,12 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["Mat2", "exterior_power", "assemble_blocks", "ChainComplex"]
+__all__ = ["CrossCheckFailed", "Mat2", "exterior_power", "assemble_blocks", "ChainComplex"]
+
+
+class CrossCheckFailed(AssertionError):
+    """A load-bearing invariant does not hold: raised explicitly, so that
+    `python -O` cannot strip the check."""
 
 
 class Mat2:
@@ -257,9 +262,8 @@ class ChainComplex:
                 f"expected {dims[k]}x{dims[k + 1]}"
             )
         for k in range(len(boundaries) - 1):
-            assert (boundaries[k] @ boundaries[k + 1]).is_zero(), (
-                f"d o d != 0 between degrees {k + 2} and {k}"
-            )
+            if not (boundaries[k] @ boundaries[k + 1]).is_zero():
+                raise CrossCheckFailed(f"d o d != 0 between degrees {k + 2} and {k}")
         self.dims = list(dims)
         self.boundaries = list(boundaries)
 

@@ -14,8 +14,8 @@ from math import comb
 from typing import List, Tuple
 
 from .fan import Fan, _per_fan
-from .gf2 import Mat2
-from .intlin import mat_mul, quotient_with_section
+from .gf2 import CrossCheckFailed, Mat2
+from .intlin import quotient_with_section
 
 __all__ = [
     "OrbitLattice",
@@ -38,6 +38,7 @@ class OrbitLattice:
 
     projection maps the ambient lattice onto Z^codim with kernel the
     saturated span of the cone's rays; section is an integer right inverse.
+    mod2 and section_mod2 are the two reduced mod 2.
     """
 
     cone: int
@@ -45,6 +46,7 @@ class OrbitLattice:
     projection: Tuple[Tuple[int, ...], ...]
     section: Tuple[Tuple[int, ...], ...]
     mod2: Mat2
+    section_mod2: Mat2
 
 
 @_per_fan
@@ -60,6 +62,7 @@ def orbit_lattice(fan: Fan, ci: int) -> OrbitLattice:
         projection=tuple(tuple(row) for row in proj),
         section=tuple(tuple(row) for row in sect),
         mod2=Mat2.from_rows(proj, ncols=fan.rank),
+        section_mod2=Mat2.from_rows(sect, ncols=codim),
     )
 
 
@@ -68,15 +71,15 @@ def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     """Mod-2 matrix of the surjection from the orbit space of cone si onto
     that of cone ti, for si a face of ti.
 
-    Computed integrally (project the section of si through the projection
-    of ti) and then reduced, so it is independent of any mod-2 lift choice.
+    The projection of ti composed with the section of si, both reduced
+    mod 2: reduction is a ring map, so this is the integral product
+    reduced, independent of any mod-2 lift choice.
     """
-    assert set(fan.cones[si].rays) <= set(fan.cones[ti].rays), "si must be a face of ti"
-    src = orbit_lattice(fan, si)
-    dst = orbit_lattice(fan, ti)
-    q = mat_mul([list(r) for r in dst.projection], [list(r) for r in src.section])
-    out = Mat2.from_rows(q, ncols=src.codim)
-    assert out.rank() == dst.codim, "induced projection must be surjective"
+    if not set(fan.cones[si].rays) <= set(fan.cones[ti].rays):
+        raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
+    out = orbit_lattice(fan, ti).mod2 @ orbit_lattice(fan, si).section_mod2
+    if out.rank() != out.nrows:
+        raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
     return out
 
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .fan import Fan, _per_fan
-from .gf2 import ChainComplex, Mat2, assemble_blocks, exterior_power
+from .gf2 import ChainComplex, CrossCheckFailed, Mat2, assemble_blocks, exterior_power
 from .orbitalg import group_algebra_map, induced_projection_mod2, y_basis_change
 
 __all__ = [
@@ -75,13 +75,31 @@ def complex_position_of_real(p: int, q: int) -> Tuple[int, int]:
     return (p + q, -p)
 
 
-def _pairs_by_codim(fan: Fan) -> Dict[int, List[Tuple[int, int]]]:
-    """Facet pairs (si, ti) grouped by the codimension of the source si."""
-    out: Dict[int, List[Tuple[int, int]]] = {}
+@_per_fan
+def _projection_groups(fan: Fan) -> List[Dict[Mat2, List[Tuple[int, int]]]]:
+    """For each degree p, the facet pairs (si, ti) with si of codimension
+    p grouped by their induced projection, as (row block, column block)
+    positions: the block of ti in stratum p - 1, of si in stratum p."""
+    pos = {ci: j for stratum in fan.strata for j, ci in enumerate(stratum)}
+    groups: List[Dict[Mat2, List[Tuple[int, int]]]] = [{} for _ in fan.strata]
     for si, ti in fan.facet_pairs():
-        p = fan.rank - fan.cones[si].dim
-        out.setdefault(p, []).append((si, ti))
-    return out
+        m = induced_projection_mod2(fan, si, ti)
+        groups[fan.rank - fan.cones[si].dim].setdefault(m, []).append((pos[ti], pos[si]))
+    return groups
+
+
+def _boundary(
+    fan: Fan, p: int, row_size: int, col_size: int, block: Callable[[Mat2], Mat2]
+) -> Mat2:
+    """Degree-p boundary whose block for each facet pair is block(m) of its
+    induced projection m, evaluated once per distinct m."""
+    blocks = {}
+    for m, where in _projection_groups(fan)[p].items():
+        b = block(m)
+        blocks.update((rc, b) for rc in where)
+    return assemble_blocks(
+        [row_size] * len(fan.strata[p - 1]), [col_size] * len(fan.strata[p]), blocks
+    )
 
 
 @_per_fan
@@ -94,28 +112,14 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     induced projections over facet pairs.
     """
     n = fan.rank
-    pairs = _pairs_by_codim(fan)
     entries: Dict[Tuple[int, int], int] = {}
     complexes: Dict[int, ChainComplex] = {}
     for q in range(n + 1):
         dims = [len(fan.strata[p]) * comb(p, q) for p in range(n + 1)]
-        boundaries = []
-        for p in range(1, n + 1):
-            src = fan.strata[p]
-            dst = fan.strata[p - 1]
-            src_pos = {ci: j for j, ci in enumerate(src)}
-            dst_pos = {ci: i for i, ci in enumerate(dst)}
-            blocks = {
-                (dst_pos[ti], src_pos[si]): exterior_power(
-                    induced_projection_mod2(fan, si, ti), q
-                )
-                for si, ti in pairs.get(p, [])
-            }
-            boundaries.append(
-                assemble_blocks(
-                    [comb(p - 1, q)] * len(dst), [comb(p, q)] * len(src), blocks
-                )
-            )
+        boundaries = [
+            _boundary(fan, p, comb(p - 1, q), comb(p, q), lambda m: exterior_power(m, q))
+            for p in range(1, n + 1)
+        ]
         complexes[q] = ChainComplex(dims, boundaries)
         for p in range(q, n + 1):
             entries[(p, q)] = dims[p]
@@ -148,31 +152,26 @@ class RealComplex:
 
 
 @_per_fan
+def _group_algebra_block(fan: Fan, m: Mat2) -> Mat2:
+    """The real-complex block of every facet pair with induced projection
+    m, shared by the real complex and its y-basis conjugation."""
+    return group_algebra_map(m)
+
+
+@_per_fan
 def real_complex(fan: Fan) -> RealComplex:
     """Chain complex of 2-torsion group algebras computing the
     closed-support mod-2 homology of the real points."""
     n = fan.rank
-    pairs = _pairs_by_codim(fan)
     dims = [len(fan.strata[p]) << p for p in range(n + 1)]
     block_index: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for p in range(n + 1):
         for j, ci in enumerate(fan.strata[p]):
             block_index[(p, ci)] = (j << p, 1 << p)
-    boundaries = []
-    for p in range(1, n + 1):
-        src = fan.strata[p]
-        dst = fan.strata[p - 1]
-        src_pos = {ci: j for j, ci in enumerate(src)}
-        dst_pos = {ci: i for i, ci in enumerate(dst)}
-        blocks = {
-            (dst_pos[ti], src_pos[si]): group_algebra_map(
-                induced_projection_mod2(fan, si, ti)
-            )
-            for si, ti in pairs.get(p, [])
-        }
-        boundaries.append(
-            assemble_blocks([1 << (p - 1)] * len(dst), [1 << p] * len(src), blocks)
-        )
+    boundaries = [
+        _boundary(fan, p, 1 << (p - 1), 1 << p, lambda m: _group_algebra_block(fan, m))
+        for p in range(1, n + 1)
+    ]
     return RealComplex(ChainComplex(dims, boundaries), block_index)
 
 
@@ -198,21 +197,22 @@ def _level_masks(p: int, k: int) -> List[int]:
 def _conjugated_boundaries(fan: Fan) -> Tuple[List[List[int]], List[Mat2]]:
     """Real-complex boundaries rewritten in the y basis of every group
     algebra block, together with the filtration level (subset size) of
-    each coordinate per degree."""
-    rc = real_complex(fan)
+    each coordinate per degree.  Each block is conjugated on its own:
+    y_basis_change(p - 1) @ G @ y_basis_change(p) for the shared
+    real-complex block G."""
     n = fan.rank
-    levels: List[List[int]] = []
-    zetas: List[Mat2] = []
-    for p in range(n + 1):
-        count = len(fan.strata[p])
-        z = y_basis_change(p)
-        blocks = {(j, j): z for j in range(count)}
-        zetas.append(assemble_blocks([1 << p] * count, [1 << p] * count, blocks))
-        levels.append([(m & ((1 << p) - 1)).bit_count() for m in range(1 << p)] * count)
-    conj = []
-    for p in range(1, n + 1):
-        d = rc.chain.boundaries[p - 1]
-        conj.append(zetas[p - 1] @ d @ zetas[p])
+    zetas = [y_basis_change(p) for p in range(n + 1)]
+    levels = [
+        [m.bit_count() for m in range(1 << p)] * len(fan.strata[p])
+        for p in range(n + 1)
+    ]
+    conj = [
+        _boundary(
+            fan, p, 1 << (p - 1), 1 << p,
+            lambda m: zetas[p - 1] @ _group_algebra_block(fan, m) @ zetas[p],
+        )
+        for p in range(1, n + 1)
+    ]
     return levels, conj
 
 
@@ -242,9 +242,8 @@ def g_pages(fan: Fan) -> Tuple[PageTable, PageTable]:
     second page stays an independent cross-check.
     """
     n = fan.rank
-    assert all(row >= col for row, col in _entry_levels(fan)), (
-        "boundary does not respect the augmentation filtration"
-    )
+    if not all(row >= col for row, col in _entry_levels(fan)):
+        raise CrossCheckFailed("boundary does not respect the augmentation filtration")
     _, conj = _conjugated_boundaries(fan)
     complexes = {}
     for k in range(n + 1):

@@ -2,13 +2,20 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from pathlib import Path
 from typing import List
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from realtoric.constructions import cyclic_polytope_normal_fan
-from realtoric.fan import Fan, from_maximal_cones
+from realtoric.constructions import (
+    cyclic_polytope_normal_fan,
+    product_fan,
+    projective_space_fan,
+    random_fan,
+)
+from realtoric.fan import Fan, from_maximal_cones, read_json
 from realtoric.intlin import mat_vec
 
 settings.register_profile(
@@ -42,6 +49,24 @@ def cube_fan() -> Fan:
         [1, 3, 5, 7],
     ]
     return from_maximal_cones(3, rays, maximal, name="cubefan")
+
+
+FANS = Path(__file__).resolve().parents[1] / "fans"
+
+
+def oracle_fans() -> List[Fan]:
+    """Every fans/*.json, 72 seeded random fans of rank 1-3 in all three
+    profiles, and P^1 x P^1 x P^1 x P^1."""
+    fans = [read_json(str(path)) for path in sorted(FANS.glob("*.json"))]
+    assert fans
+    fans += [
+        random_fan(rank, seed, profile)
+        for rank in (1, 2, 3)
+        for profile in ("complete", "subfan", "affine")
+        for seed in range(8)
+    ]
+    fans.append(reduce(product_fan, [projective_space_fan(1)] * 4))
+    return fans
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 8) -> List[List[int]]:

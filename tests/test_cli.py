@@ -17,6 +17,7 @@ from realtoric import cli, spectral
 from realtoric.analysis import TheoremViolation
 from realtoric.constructions import product_fan, projective_space_fan
 from realtoric.fan import fan_from_json, read_json, write_json
+from realtoric.orbitalg import induced_projection_mod2
 
 FANS = Path(__file__).resolve().parents[1] / "fans"
 
@@ -129,11 +130,16 @@ def test_compute_page_selection(tmp_path, capsys):
 
 
 def test_compute_builds_each_artifact_once(monkeypatch, capsys):
-    # the real complex costs one group-algebra map per facet pair, the E1
-    # rows one exterior power per facet pair and row
+    # blocks are built once per distinct induced projection of each
+    # codimension: one group-algebra map each, shared by the real complex
+    # and its y-basis conjugation, and one exterior power each per E1 row
     path = str(FANS / "p2.json")
     fan = read_json(path)
-    pairs = fan.facet_pairs()
+    distinct = {
+        (fan.rank - fan.cones[si].dim, induced_projection_mod2(fan, si, ti))
+        for si, ti in fan.facet_pairs()
+    }
+    assert (len(fan.facet_pairs()), len(distinct)) == (9, 4)
     calls = {"group_algebra_map": 0, "exterior_power": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(spectral, name)):
@@ -144,8 +150,8 @@ def test_compute_builds_each_artifact_once(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "compute", "--json", "--pages", "e1,e2,g0,g1", path)
     assert code == 0
     assert calls == {
-        "group_algebra_map": len(pairs),
-        "exterior_power": len(pairs) * (fan.rank + 1),
+        "group_algebra_map": len(distinct),
+        "exterior_power": len(distinct) * (fan.rank + 1),
     }
 
 
@@ -326,3 +332,43 @@ def test_installed_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 2
+
+
+FLIP_ONE_BIT_OF_EVERY_BLOCK = """
+import sys
+import realtoric.cli, realtoric.orbitalg, realtoric.spectral
+assert False, "unreachable: python -O strips assert statements"
+real_map = realtoric.orbitalg.group_algebra_map
+def corrupted(m):
+    out = real_map(m)
+    out.rows[0] ^= 1
+    return out
+for module in (realtoric.orbitalg, realtoric.spectral):
+    module.group_algebra_map = corrupted
+sys.exit(realtoric.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--json", str(FANS / "p2.json")],
+        ["reference-tables"],
+        ["search", "--count", "3", "--dim", "2"],
+    ],
+)
+def test_cross_check_failure_exits_four_under_optimize(tmp_path, argv):
+    # one bad group-algebra block, shared by every facet pair with its
+    # induced projection, must still be caught with assert statements off
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FLIP_ONE_BIT_OF_EVERY_BLOCK, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"realtoric {argv[0]}: cross-check failed: ")
+    assert len(proc.stderr.splitlines()) == 1

@@ -2,17 +2,19 @@
 from __future__ import annotations
 
 import json
-from functools import reduce
-from pathlib import Path
+import random
+from itertools import combinations
+from math import gcd
 
 import pytest
+from conftest import oracle_fans
+from sympy import Matrix, eye
 
 from realtoric.constructions import (
     affine_fan,
     hirzebruch_fan,
     product_fan,
     projective_space_fan,
-    random_fan,
     torus_fan,
 )
 from realtoric.fan import (
@@ -22,14 +24,13 @@ from realtoric.fan import (
     NotPointed,
     ParseError,
     ValidationError,
+    _cone_geometry,
     fan_from_json,
     fan_to_json,
     from_maximal_cones,
     read_json,
     write_json,
 )
-
-FANS = Path(__file__).resolve().parents[1] / "fans"
 
 
 def test_projective_plane_structure():
@@ -77,21 +78,83 @@ def _brute_face_lattice(fan):
 
 
 def test_face_lattice_matches_all_pairs_containment():
-    paths = sorted(FANS.glob("*.json"))
-    assert paths
-    fans = [read_json(str(path)) for path in paths]
-    fans += [
-        random_fan(rank, seed, profile)
-        for rank in (1, 2, 3)
-        for profile in ("complete", "subfan", "affine")
-        for seed in range(8)
-    ]
-    fans.append(reduce(product_fan, [projective_space_fan(1)] * 4))
-    for fan in fans:
+    for fan in oracle_fans():
         faces, pairs, maximal = _brute_face_lattice(fan)
         assert [fan.faces_of(i) for i in range(len(fan.cones))] == faces, fan
         assert fan.facet_pairs() == pairs, fan
         assert fan.maximal_cones() == maximal, fan
+
+
+def _brute_cone_faces(vectors):
+    """Facet zero sets, faces and non-extreme rays of the cone on the given
+    vectors: a facet from every (d-1)-subset of rank d - 1 whose hyperplane
+    (a sympy nullspace vector not vanishing on the cone) supports the cone,
+    and a face from every subset that equals the intersection of the
+    facets containing it."""
+    k = len(vectors)
+    d = Matrix(vectors).rank()
+    facets = set()
+    for subset in combinations(range(k), d - 1):
+        rows = Matrix([vectors[j] for j in subset]) if subset else None
+        if rows is not None and rows.rank() != d - 1:
+            continue
+        basis = rows.nullspace() if rows is not None else eye(len(vectors[0])).columnspace()
+        for w in basis:
+            vals = [sum(a * b for a, b in zip(w, v)) for v in vectors]
+            if any(vals):
+                break
+        if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
+            facets.add(frozenset(j for j in range(k) if vals[j] == 0))
+    faces = set()
+    for size in range(k + 1):
+        for subset in combinations(range(k), size):
+            closure = set(range(k))
+            for z in facets:
+                if z >= set(subset):
+                    closure &= z
+            if closure == set(subset):
+                faces.add(frozenset(subset))
+    nonextreme = [j for j in range(k) if frozenset((j,)) not in faces]
+    return sorted(facets, key=sorted), faces, nonextreme
+
+
+def _random_cone(rng, rank):
+    """Primitive vectors in the open half-space x_0 > 0, more of them than
+    the rank; every third cone lies in the hyperplane x_{rank-1} = 0."""
+    flat = rng.randrange(3) == 0
+    vectors = set()
+    while len(vectors) < rank + rng.randint(1, 4):
+        v = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(rank - 1)]
+        if flat:
+            v[-1] = 0
+        g = 0
+        for x in v:
+            g = gcd(g, x)
+        vectors.add(tuple(x // g for x in v))
+    return sorted(vectors)
+
+
+def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
+    rng = random.Random(4417)
+    cones = [(5, cyclic_fan.cone_vectors(ci)) for ci in cyclic_fan.maximal_cones()]
+    cones += [(rank, _random_cone(rng, rank)) for rank in (3, 4, 5) for _ in range(10)]
+    # not pointed: the cones hold the line through (1, 0, 0), resp. (1, 0)
+    cones += [
+        (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
+        (2, [(1, 0), (-1, 0), (0, 1)]),
+    ]
+    assert sum(len(vs) > rank for rank, vs in cones) >= 30
+    for rank, vectors in cones:
+        geo = _cone_geometry(rank, vectors)
+        facets, faces, nonextreme = _brute_cone_faces(vectors)
+        assert [zero for _, zero in geo.facets] == facets, vectors
+        for normal, zero in geo.facets:
+            vals = [sum(a * b for a, b in zip(normal, v)) for v in vectors]
+            assert all(x >= 0 for x in vals), vectors
+            assert {j for j, x in enumerate(vals) if x == 0} == zero, vectors
+        assert geo.faces == faces, vectors
+        assert geo.nonextreme == nonextreme, vectors
+    assert not _cone_geometry(2, [(1, 0), (-1, 0), (0, 1)]).pointed
 
 
 def test_zero_cone_is_a_face_of_everything():

@@ -7,6 +7,7 @@ from math import comb
 from typing import List
 
 import hypothesis.strategies as st
+from conftest import oracle_fans
 from hypothesis import given
 
 from realtoric.constructions import projective_space_fan, weighted_projective_fan
@@ -120,6 +121,14 @@ def test_induced_projection_is_cached_and_surjective():
     m = induced_projection_mod2(fan, si, ti)
     assert m is induced_projection_mod2(fan, si, ti)
     assert m.rank() == m.nrows == 1
+
+
+def test_induced_projection_matches_integer_product():
+    for fan in oracle_fans():
+        for si, ti in fan.facet_pairs():
+            src, dst = orbit_lattice(fan, si), orbit_lattice(fan, ti)
+            want = Mat2.from_rows(mat_mul(dst.projection, src.section), ncols=src.codim)
+            assert induced_projection_mod2(fan, si, ti) == want, (fan, si, ti)
 
 
 def test_torus_homology_dims():

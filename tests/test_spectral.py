@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from math import comb
 
-from conftest import apply_unimodular, relabel_rays
+from conftest import apply_unimodular, oracle_fans, relabel_rays
 
 from realtoric.constructions import (
     affine_fan,
@@ -16,7 +16,11 @@ from realtoric.constructions import (
     torus_fan,
     weighted_projective_fan,
 )
+from realtoric.gf2 import Mat2, exterior_power
+from realtoric.intlin import mat_mul
+from realtoric.orbitalg import group_algebra_map, orbit_lattice, y_basis_change
 from realtoric.spectral import (
+    _conjugated_boundaries,
     betti_real,
     complex_position_of_real,
     e1_page,
@@ -202,3 +206,48 @@ def test_page_table_interface():
     assert all(d for _, _, d in e2.nonzero())
     g0, _ = g_pages(fan)
     assert g0.complexes is not None and set(g0.complexes) == {0, 1, 2}
+
+
+def per_pair_boundary(fan, p, row_size, col_size, block):
+    """Degree-p boundary built entry by entry from block(m) of every facet
+    pair, with m the integer induced projection reduced mod 2."""
+    src, dst = fan.strata[p], fan.strata[p - 1]
+    out = Mat2(row_size * len(dst), col_size * len(src))
+    for si, ti in fan.facet_pairs():
+        if si not in src:
+            continue
+        lo, hi = orbit_lattice(fan, si), orbit_lattice(fan, ti)
+        m = Mat2.from_rows(mat_mul(hi.projection, lo.section), ncols=lo.codim)
+        b = block(m)
+        row0, col0 = dst.index(ti) * row_size, src.index(si) * col_size
+        for i in range(b.nrows):
+            for j in range(b.ncols):
+                if b.entry(i, j):
+                    out.rows[row0 + i] |= 1 << (col0 + j)
+    return out
+
+
+def block_diagonal(m, count):
+    out = Mat2(m.nrows * count, m.ncols * count)
+    for c in range(count):
+        for i, r in enumerate(m.rows):
+            out.rows[c * m.nrows + i] = r << (c * m.ncols)
+    return out
+
+
+def test_shared_blocks_match_per_pair_assembly():
+    for fan in oracle_fans():
+        n = fan.rank
+        _, rows = e1_page(fan)
+        rc = real_complex(fan)
+        _, conj = _conjugated_boundaries(fan)
+        zeta = [block_diagonal(y_basis_change(p), len(fan.strata[p])) for p in range(n + 1)]
+        for p in range(1, n + 1):
+            for q in range(n + 1):
+                want = per_pair_boundary(
+                    fan, p, comb(p - 1, q), comb(p, q), lambda m: exterior_power(m, q)
+                )
+                assert rows[q].boundaries[p - 1] == want, (fan, p, q)
+            d = per_pair_boundary(fan, p, 1 << (p - 1), 1 << p, group_algebra_map)
+            assert rc.chain.boundaries[p - 1] == d, (fan, p)
+            assert conj[p - 1] == zeta[p - 1] @ d @ zeta[p], (fan, p)

@@ -1,0 +1,196 @@
+#!/usr/bin/env python3
+"""Stage-by-stage timings of the pipeline on a fixed corpus of fans.
+
+    python3 scripts/bench.py --side NAME --out BENCH_N.json
+
+The corpus is cyclic57, p6, p7, p2xp2xp1, p1^6 and p1^7.  Each fan is
+written once as canonical JSON; then, REPEATS (7) times per fan, a fresh
+interpreter parses it and calls the public functions in pipeline order,
+timing each:
+
+  build            fan_from_json (cone geometry, face lattice, and pair
+                   validation at rank <= 4)
+  orbit_lattices   orbit_lattice of every cone
+  projections      _projection_groups: every facet pair's induced
+                   projection mod 2 with its face and surjectivity checks
+  e1_e2            e2_dims (E1 assembly and its row homology)
+  real_complex     betti_real (the real complex and its homology)
+  g_pages          g_pages (y-basis conjugation, filtration check, G0/G1)
+  m_verdict        m_verdict, whose pages are cached by then: the E2 = G1
+                   cross-check and the verdict
+
+Each stage is reported as its median over those runs, in milliseconds.
+The script also times `python -m realtoric.cli compute --json FILE` as a
+cold subprocess REPEATS times per fan (median), and records the number of
+distinct induced projections per fan, the machine and the Python version.
+
+The package is imported from `src/` of the checkout holding this script.
+The results are stored under `sides.NAME` of the output file; other sides
+already in the file are kept, so running it on two checkouts with the same
+--out puts both in one file.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+CORPUS = ("cyclic57", "p6", "p7", "p2xp2xp1", "p1^6", "p1^7")
+STAGES = (
+    "build", "orbit_lattices", "projections", "e1_e2",
+    "real_complex", "g_pages", "m_verdict",
+)
+REPEATS = 7
+
+
+def run_stages(path: str) -> dict:
+    """Time the pipeline stages on the fan in `path`, in this process."""
+    from realtoric.analysis import m_verdict
+    from realtoric.fan import fan_from_json
+    from realtoric.orbitalg import orbit_lattice
+    from realtoric.spectral import _projection_groups, betti_real, e2_dims, g_pages
+
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    ms = {}
+    t = time.perf_counter()
+    fan = fan_from_json(text)
+    ms["build"] = time.perf_counter() - t
+    steps = (
+        ("orbit_lattices", lambda: [orbit_lattice(fan, ci) for ci in range(len(fan.cones))]),
+        ("projections", lambda: _projection_groups(fan)),
+        ("e1_e2", lambda: e2_dims(fan)),
+        ("real_complex", lambda: betti_real(fan)),
+        ("g_pages", lambda: g_pages(fan)),
+        ("m_verdict", lambda: m_verdict(fan)),
+    )
+    for name, step in steps:
+        t = time.perf_counter()
+        step()
+        ms[name] = time.perf_counter() - t
+    return {
+        "ms": {k: 1000 * v for k, v in ms.items()},
+        "distinct_projections": sum(len(g) for g in _projection_groups(fan)),
+        "facet_pairs": len(fan.facet_pairs()),
+        "cones": len(fan.cones),
+        "status": m_verdict(fan).status,
+    }
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    return env
+
+
+def machine() -> dict:
+    model = ""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "platform": platform.platform(),
+        "cpu": model or platform.processor(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+
+
+def commit() -> str:
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return head + ("+dirty" if dirty else "")
+
+
+def measure(path: str) -> dict:
+    """Stage medians of REPEATS fresh runs on the fan in `path`, and the
+    median of as many cold `compute --json` subprocesses."""
+    env = child_env()
+    runs = []
+    compute_ms = []
+    for _ in range(REPEATS):
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--child", path],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        runs.append(json.loads(out.splitlines()[-1]))
+        t = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "realtoric.cli", "compute", "--json", path],
+            env=env, capture_output=True, check=True,
+        )
+        compute_ms.append(1000 * (time.perf_counter() - t))
+    stages = {s: round(statistics.median(r["ms"][s] for r in runs), 1) for s in STAGES}
+    first = runs[0]
+    return {
+        "stages_ms": stages,
+        "stages_total_ms": round(sum(stages.values()), 1),
+        "compute_json_ms": round(statistics.median(compute_ms), 1),
+        "distinct_projections": first["distinct_projections"],
+        "facet_pairs": first["facet_pairs"],
+        "cones": first["cones"],
+        "status": first["status"],
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", help="name of this checkout's entry in the file")
+    parser.add_argument("--out", help="JSON file to add the results to")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        sys.path.insert(0, SRC)
+        print(json.dumps(run_stages(args.child)))
+        return 0
+    if not args.side or not args.out:
+        parser.error("--side and --out are required")
+    # the corpus is built as perfbench builds its large fans
+    sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
+    from inputs import build_fan
+    from realtoric.fan import fan_to_json
+
+    fans = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, label in enumerate(CORPUS):
+            path = os.path.join(tmp, f"{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(fan_to_json(build_fan(label)))
+            fans[label] = measure(path)
+            print(label, json.dumps(fans[label]), file=sys.stderr)
+    result = {"commit": commit(), "machine": machine(), "repeats": REPEATS, "fans": fans}
+    data = {"corpus": list(CORPUS), "stages": list(STAGES), "sides": {}}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            data = json.load(fh)
+    data["sides"][args.side] = result
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -38,6 +38,7 @@ from .fan import (
     NonPrimitiveRay,
     NotPointed,
     ParseError,
+    ResourceLimitExceeded,
     ValidationError,
     fan_from_json,
     fan_to_json,
@@ -71,6 +72,7 @@ __all__ = [
     "PageTable",
     "ParseError",
     "RealComplex",
+    "ResourceLimitExceeded",
     "SurfaceReport",
     "ValidationError",
     "affine_fan",

@@ -9,7 +9,7 @@ Subcommands:
   gen               write fan JSON for the named constructions
 
 Exit codes: 0 success, 1 usage error, 2 fan validation error, 3 parse
-error, 4 self-check failure.
+error, 4 self-check failure, 5 input exceeds a resource limit.
 """
 from __future__ import annotations
 
@@ -28,7 +28,15 @@ from .constructions import (
     torus_fan,
     weighted_projective_fan,
 )
-from .fan import Fan, ParseError, ValidationError, read_json, write_json, fan_to_json
+from .fan import (
+    Fan,
+    ParseError,
+    ResourceLimitExceeded,
+    ValidationError,
+    fan_to_json,
+    read_json,
+    write_json,
+)
 from .gf2 import CrossCheckFailed
 from .spectral import (
     PageTable,
@@ -454,6 +462,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CrossCheckFailed as exc:
         print(f"realtoric {args.command}: cross-check failed: {exc}", file=sys.stderr)
         return 4
+    except ResourceLimitExceeded as exc:
+        print(f"realtoric {args.command}: resource limit: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -10,15 +10,17 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from math import comb, gcd, lcm
+from operator import mul
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .intlin import (
-    _snf_full,
-    determinant,
+    IntMatrix,
+    identity,
     lin_rank,
-    mat_vec,
+    quotient_with_section,
     saturation_index,
+    span_elimination,
 )
 
 __all__ = [
@@ -28,6 +30,8 @@ __all__ = [
     "NonPrimitiveRay",
     "NotPointed",
     "BadIntersection",
+    "ResourceLimitExceeded",
+    "FM_ROW_LIMIT",
     "Cone",
     "Fan",
     "from_maximal_cones",
@@ -48,6 +52,10 @@ class ParseError(FanError):
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{message}{f' (at {location})' if location else ''}")
         self.location = location
+
+
+class ResourceLimitExceeded(FanError):
+    """An exact computation on the input would outgrow a fixed limit."""
 
 
 class ValidationError(FanError):
@@ -76,6 +84,11 @@ class BadIntersection(ValidationError):
         self.pair = (tuple(sorted(first)), tuple(sorted(second)))
 
 
+# Largest number of constraint rows a Fourier-Motzkin elimination of the
+# pair check may hold before the input is rejected as too large.
+FM_ROW_LIMIT = 200000
+
+
 @dataclass(frozen=True)
 class Cone:
     """A cone of the fan, identified by its set of ray indices."""
@@ -87,95 +100,154 @@ class Cone:
         return f"Cone(rays={list(self.rays)}, dim={self.dim})"
 
 
+# (P, R) of a cone: its orbit projection and an integer section of it
+_Quotient = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
+
+
 @dataclass
 class _ConeGeometry:
     dim: int
     pointed: bool
     coord_map: List[List[int]]          # dim x rank: ambient -> span coordinates
-    span_eqs: List[List[int]]           # (rank - dim) x rank: vanish on the span
+    span_eqs: List[List[int]]           # (rank - dim) x rank: orbit projection, zero on the span
+    section: List[List[int]]            # rank x (rank - dim): integer right inverse of span_eqs
     facets: List[Tuple[Tuple[int, ...], FrozenSet[int]]]  # (ambient normal, local zero set)
-    faces: Set[FrozenSet[int]]          # local ray index sets
+    face_masks: Set[int]                # faces as bitmasks over the ray labels
     nonextreme: List[int]               # listed rays that are not extreme
 
+    @property
+    def faces(self) -> Set[FrozenSet[int]]:
+        """The faces as sets of ray labels."""
+        return {frozenset(_bits(m)) for m in self.face_masks}
 
-def _cross_null(rows: List[List[int]], d: int) -> List[int]:
-    """Integer generator of the null space of a (d-1) x d matrix of rank d-1
-    (the generalized cross product); zero vector if the rank is lower."""
+
+def _bits(mask: int) -> List[int]:
+    """Indices of the set bits of mask, in increasing order."""
     out = []
-    for i in range(d):
-        sub = [[row[j] for j in range(d) if j != i] for row in rows]
-        out.append((-1) ** i * determinant(sub))
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
-def _cone_geometry(rank: int, vectors: List[Tuple[int, ...]]) -> _ConeGeometry:
-    """Exact face data for the cone spanned by the given integer vectors."""
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _cross_null(rows: List[List[int]], d: int) -> List[int]:
+    """Integer generator of the null space of a (d-1) x d matrix of rank d-1,
+    proportional to its signed cofactors (the generalized cross product);
+    zero vector if the rank is lower.
+
+    One fraction-free Gauss-Jordan elimination: each pivot clears its
+    column from the other rows by integer row combinations, which leave a
+    row with a zero there as it is; a combined row is divided by the gcd
+    of its entries to keep them small.  At the end row i reads
+    a_i x_(pivot i) + c_i x_free = 0, solved with x_free = lcm(a_i).
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    pivots: List[int] = []
+    free = -1
+    for c in range(d):
+        r = len(pivots)
+        piv = r
+        while piv < n and not m[piv][c]:
+            piv += 1
+        if piv == n:
+            if free >= 0:
+                return [0] * d
+            free = c
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(n):
+            f = m[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    scale = lcm(*(m[i][c] for i, c in enumerate(pivots)))
+    out = [0] * d
+    out[free] = scale
+    for i, c in enumerate(pivots):
+        out[c] = -m[i][free] * scale // m[i][c]
+    return out
+
+
+def _cone_geometry(
+    rank: int, vectors: List[Tuple[int, ...]], labels: Optional[Sequence[int]] = None
+) -> _ConeGeometry:
+    """Exact face data for the cone spanned by the given integer vectors;
+    the faces are bitmasks over labels, the ray indices of the vectors
+    (default: their positions).
+
+    One `span_elimination` of the vectors gives the dimension d, the span
+    coordinates (rows ..d of U, in which the vectors are the columns of H),
+    the orbit projection and its section.
+    """
     k = len(vectors)
     if k == 0:
-        eye = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        return _ConeGeometry(0, True, [], eye, [], {frozenset()}, [])
-    cols = [[vec[i] for vec in vectors] for i in range(rank)]
-    s, u, _, _, _ = _snf_full(cols, rank, k)
-    d = sum(1 for i in range(min(rank, k)) if s[i][i] != 0)
-    coord_map = [list(u[i]) for i in range(d)]
-    span_eqs = [list(u[i]) for i in range(d, rank)]
-    coords = [mat_vec(coord_map, vec) for vec in vectors]
+        return _ConeGeometry(0, True, [], identity(rank), identity(rank), [], {0}, [])
+    bit = [1 << j for j in (range(k) if labels is None else labels)]
+    h, u, proj, sect, d = span_elimination(rank, vectors)
+    coord_map = u[:d]
+    coords = [list(col) for col in zip(*h[:d])]
 
-    seen: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-    found: List[int] = []  # the zero sets in seen, as bitmasks
+    # facet zero set bitmask -> (local normal, zero set as local indices)
+    seen: Dict[int, Tuple[Tuple[int, ...], FrozenSet[int]]] = {}
     for subset in combinations(range(k), d - 1):
         # inside a facet found already: its hyperplane, if any, is that facet's
-        mask = sum(1 << j for j in subset)
-        if any(mask & z == mask for z in found):
+        mask = sum(bit[j] for j in subset)
+        if any(mask & z == mask for z in seen):
             continue
-        w = _cross_null([coords[j] for j in subset], d)
-        if not any(w):
+        w_loc = _cross_null([coords[j] for j in subset], d)
+        if not any(w_loc):
             continue
-        vals = [sum(a * b for a, b in zip(w, coords[j])) for j in range(k)]
+        vals = [sum(map(mul, w_loc, coords[j])) for j in range(k)]
         if all(v >= 0 for v in vals):
             pass
         elif all(v <= 0 for v in vals):
-            w = [-x for x in w]
+            w_loc = [-x for x in w_loc]
             vals = [-v for v in vals]
         else:
             continue
         zero = frozenset(j for j in range(k) if vals[j] == 0)
-        if zero not in seen:
+        zero_mask = sum(bit[j] for j in zero)
+        if zero_mask not in seen:
             g = 0
-            for x in w:
+            for x in w_loc:
                 g = gcd(g, x)
-            seen[zero] = tuple(x // g for x in w)
-            found.append(sum(1 << j for j in zero))
+            seen[zero_mask] = (tuple(x // g for x in w_loc), zero)
 
-    normals_local = list(seen.values())
-    pointed = lin_rank(normals_local) == d
-    faces: Set[FrozenSet[int]] = {frozenset(range(k))}
-    zero_sets = list(seen.keys())
-    frontier = set(zero_sets)
+    pointed = lin_rank([normal for normal, _ in seen.values()]) == d
+    faces = {sum(bit)}
+    frontier = set(seen)
     while frontier:
         faces |= frontier
-        nxt: Set[FrozenSet[int]] = set()
-        for f in frontier:
-            for z in zero_sets:
-                g = f & z
-                if g not in faces:
-                    nxt.add(g)
-        frontier = nxt
-    nonextreme = [j for j in range(k) if frozenset((j,)) not in faces]
+        frontier = {f & z for f in frontier for z in seen} - faces
+    nonextreme = [j for j in range(k) if bit[j] not in faces]
 
     facets = []
-    for zero, w in sorted(seen.items(), key=lambda item: sorted(item[0])):
-        w_amb = tuple(
-            sum(w[i] * coord_map[i][t] for i in range(d)) for t in range(rank)
-        )
-        facets.append((w_amb, zero))
-    return _ConeGeometry(d, pointed, coord_map, span_eqs, facets, faces, nonextreme)
+    coord_cols = list(zip(*coord_map))
+    for w_loc, zero in sorted(seen.values(), key=lambda item: sorted(item[1])):
+        facets.append((tuple(sum(map(mul, w_loc, col)) for col in coord_cols), zero))
+    return _ConeGeometry(
+        d, pointed, coord_map, proj, sect, facets, faces, nonextreme
+    )
 
 
 def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool:
     """Fourier-Motzkin on integer constraints a.x >= c."""
     rows = constraints
-    limit = 200000
     while True:
         live = [v for v in range(nvars) if any(a[v] for a, _ in rows)]
         consts = [(a, c) for a, c in rows if not any(a)]
@@ -208,8 +280,11 @@ def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool
                     d //= g
                 new_rows[(b, d)] = None
         rows = list(new_rows.keys())
-        if len(rows) > limit:
-            raise RuntimeError("Fourier-Motzkin elimination exploded")
+        if len(rows) > FM_ROW_LIMIT:
+            raise ResourceLimitExceeded(
+                f"Fourier-Motzkin elimination needs more than {FM_ROW_LIMIT} "
+                "constraint rows"
+            )
 
 
 def _per_fan(fn):
@@ -240,32 +315,36 @@ class Fan:
         rays: Tuple[Tuple[int, ...], ...],
         cones: Tuple[Cone, ...],
         name: Optional[str],
-        hreps: Dict[FrozenSet[int], _ConeGeometry],
-        max_faces: Dict[FrozenSet[int], Set[FrozenSet[int]]],
+        hreps: Dict[int, _ConeGeometry],
+        max_faces: Dict[int, Set[int]],
+        quotients: Tuple[_Quotient, ...],
     ):
         self.rank = rank
         self.rays = rays
         self.cones = cones
         self.name = name
         self._hreps = hreps
-        self._index = {frozenset(c.rays): i for i, c in enumerate(cones)}
+        self._quotients = quotients
+        masks = [_mask(c.rays) for c in cones]  # the ray set of each cone
+        self._index = {m: i for i, m in enumerate(masks)}
         self.strata: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(i for i, c in enumerate(cones) if rank - c.dim == p)
             for p in range(rank + 1)
         )
         # The faces of a cone are the faces of any maximal cone holding it
         # that lie inside it; they come before it in the (dim, rays) order.
-        sets = list(self._index)  # the ray set of each cone, in cone order
         self._faces: List[Tuple[int, ...]] = [()] * len(cones)
         proper: Set[int] = set()
-        for mset, faces in max_faces.items():
+        for mmask, faces in max_faces.items():
             members = sorted(self._index[f] for f in faces)
+            member_masks = [masks[j] for j in members]
             for k, ci in enumerate(members):
                 if not self._faces[ci]:
-                    self._faces[ci] = tuple(
-                        j for j in members[: k + 1] if sets[j] <= sets[ci]
-                    )
-            proper.update(self._index[f] for f in faces if f != mset)
+                    mc = masks[ci]
+                    self._faces[ci] = tuple([
+                        j for j, m in zip(members[: k + 1], member_masks) if m | mc == mc
+                    ])
+            proper.update(self._index[f] for f in faces if f != mmask)
         self._maximal = tuple(i for i in range(len(cones)) if i not in proper)
         self._memo: Dict[tuple, object] = {}
 
@@ -277,13 +356,20 @@ class Fan:
         )
 
     def cone_index(self, ray_indices: Sequence[int]) -> int:
-        return self._index[frozenset(ray_indices)]
+        return self._index[_mask(ray_indices)]
 
     def cone_vectors(self, ci: int) -> List[Tuple[int, ...]]:
         return [self.rays[i] for i in self.cones[ci].rays]
 
     def faces_of(self, ci: int) -> Tuple[int, ...]:
         return self._faces[ci]
+
+    def orbit_quotient(self, ci: int) -> _Quotient:
+        """(P, R) for cone ci: P maps the lattice onto Z^codim with kernel
+        the saturated span of the cone's rays, R is an integer right
+        inverse (P @ R = I).  Both come from the cone's one elimination at
+        build time."""
+        return self._quotients[ci]
 
     def maximal_cones(self) -> Tuple[int, ...]:
         return self._maximal
@@ -293,11 +379,13 @@ class Fan:
 
     def facet_pairs(self) -> List[Tuple[int, int]]:
         """Pairs (si, ti) where cone si is a codimension-one face of cone ti."""
-        out = []
-        for ti, c in enumerate(self.cones):
-            for si in self._faces[ti]:
-                if self.cones[si].dim == c.dim - 1:
-                    out.append((si, ti))
+        dims = [c.dim for c in self.cones]
+        out = [
+            (si, ti)
+            for ti, faces in enumerate(self._faces)
+            for si in faces
+            if dims[si] == dims[ti] - 1
+        ]
         out.sort()
         return out
 
@@ -328,7 +416,7 @@ class Fan:
             for v in samples:
                 hit = False
                 for i in full:
-                    geo = self._hreps[frozenset(self.cones[i].rays)]
+                    geo = self._hreps[_mask(self.cones[i].rays)]
                     if all(
                         sum(w * x for w, x in zip(normal, v)) >= 0
                         for normal, _ in geo.facets
@@ -391,29 +479,27 @@ class Fan:
 def _check_pair(
     rank: int,
     rays: Sequence[Tuple[int, ...]],
-    set_a: FrozenSet[int],
+    mask_a: int,
     geo_a: _ConeGeometry,
-    faces_a: Set[FrozenSet[int]],
-    set_b: FrozenSet[int],
-    geo_b: _ConeGeometry,
-    faces_b: Set[FrozenSet[int]],
+    faces_a: Set[int],
+    mask_b: int,
+    faces_b: Set[int],
 ) -> None:
-    common = set_a & set_b
+    common = mask_a & mask_b
+    order_a, order_b = _bits(mask_a), _bits(mask_b)
     if common not in faces_a:
-        raise BadIntersection(set_a, set_b, "shared rays are not a face of the first")
+        raise BadIntersection(order_a, order_b, "shared rays are not a face of the first")
     if common not in faces_b:
-        raise BadIntersection(set_a, set_b, "shared rays are not a face of the second")
-    if common == set_a or common == set_b:
+        raise BadIntersection(order_a, order_b, "shared rays are not a face of the second")
+    if common == mask_a or common == mask_b:
         return
     # Supporting functional for the common face inside cone A: the sum of
     # the inward normals of the facets of A containing it.
-    order_a = sorted(set_a)
-    local_common = frozenset(order_a.index(i) for i in common)
+    local_common = frozenset(j for j, i in enumerate(order_a) if common >> i & 1)
     support = [
         normal for normal, zero in geo_a.facets if local_common <= zero
     ]
     w = tuple(sum(col) for col in zip(*support))
-    order_b = sorted(set_b)
     gens_b = [rays[i] for i in order_b]
     nb = len(gens_b)
     ineqs: List[Tuple[List[int], int]] = []
@@ -436,7 +522,7 @@ def _check_pair(
         rows.append((tuple(-x for x in a), -c))
     if _fm_core(nb, rows):
         raise BadIntersection(
-            set_a, set_b, "intersection is strictly larger than the shared face"
+            order_a, order_b, "intersection is strictly larger than the shared face"
         )
 
 
@@ -451,8 +537,11 @@ def from_maximal_cones(
     """Build a fan from ray vectors and maximal cones given as ray index sets.
 
     The zero cone is implicit.  Face closure is computed by exact facet
-    enumeration per cone.  Pairwise intersection validation runs by default
-    for rank <= 4 and can be forced either way with `validate_pairs`.
+    enumeration per maximal cone; every cone's dimension, orbit projection
+    and section come from one integer elimination of its rays.  Pairwise
+    intersection validation runs by default for rank <= 4 and can be
+    forced either way with `validate_pairs`.  An intersection too large to
+    decide within FM_ROW_LIMIT raises ResourceLimitExceeded.
     """
     if not isinstance(rank, int) or rank < 1:
         raise ValidationError(f"rank must be a positive integer, got {rank!r}")
@@ -490,13 +579,13 @@ def from_maximal_cones(
         if i not in used:
             raise ValidationError(f"ray {ray_list[i]} not used by any maximal cone")
 
-    geo_by_set: Dict[FrozenSet[int], _ConeGeometry] = {}
-    faces_by_set: Dict[FrozenSet[int], Set[FrozenSet[int]]] = {}
-    all_sets: Set[FrozenSet[int]] = {frozenset()}
+    geo_by_mask: Dict[int, _ConeGeometry] = {}
+    faces_by_mask: Dict[int, Set[int]] = {}
+    quotients: Dict[int, Tuple[IntMatrix, IntMatrix]] = {}
     for mset in max_sets:
         order = sorted(mset)
         vectors = [ray_list[i] for i in order]
-        geo = _cone_geometry(rank, vectors)
+        geo = _cone_geometry(rank, vectors, order)
         if not geo.pointed:
             raise NotPointed(order)
         if geo.nonextreme:
@@ -504,35 +593,41 @@ def from_maximal_cones(
             raise BadIntersection(
                 (order[j],), order, "listed ray is not an extreme ray of the cone"
             )
-        global_faces = {
-            frozenset(order[j] for j in face) for face in geo.faces
-        }
-        geo_by_set[mset] = geo
-        faces_by_set[mset] = global_faces
-        all_sets |= global_faces
+        mask = _mask(order)
+        geo_by_mask[mask] = geo
+        faces_by_mask[mask] = geo.face_masks
+        quotients[mask] = (geo.span_eqs, geo.section)
+    for faces in faces_by_mask.values():
+        for face in faces:
+            if face not in quotients:
+                vectors = [ray_list[i] for i in _bits(face)]
+                quotients[face] = quotient_with_section(rank, vectors)
 
-    dim_cache: Dict[FrozenSet[int], int] = {}
-
-    def set_dim(s: FrozenSet[int]) -> int:
-        if s not in dim_cache:
-            dim_cache[s] = lin_rank([ray_list[i] for i in s])
-        return dim_cache[s]
-
-    cone_list = sorted(all_sets, key=lambda s: (set_dim(s), tuple(sorted(s))))
-    cones = tuple(Cone(tuple(sorted(s)), set_dim(s)) for s in cone_list)
+    # (dimension, rays) of each cone: the codimension is the number of rows
+    # of its projection
+    dim_rays = {m: (rank - len(q[0]), tuple(_bits(m))) for m, q in quotients.items()}
+    cone_list = sorted(dim_rays, key=dim_rays.__getitem__)
+    cones = tuple(Cone(rays, dim) for dim, rays in map(dim_rays.__getitem__, cone_list))
+    cone_quotients = tuple(
+        (tuple(map(tuple, quotients[m][0])), tuple(map(tuple, quotients[m][1])))
+        for m in cone_list
+    )
 
     if validate_pairs is None:
         validate_pairs = rank <= 4
     if validate_pairs:
-        for ai in range(len(max_sets)):
-            for bi in range(ai + 1, len(max_sets)):
-                a, b = max_sets[ai], max_sets[bi]
+        masks = list(geo_by_mask)
+        for ai in range(len(masks)):
+            for bi in range(ai + 1, len(masks)):
+                a, b = masks[ai], masks[bi]
                 _check_pair(
-                    rank, ray_list, a, geo_by_set[a], faces_by_set[a],
-                    b, geo_by_set[b], faces_by_set[b],
+                    rank, ray_list, a, geo_by_mask[a], faces_by_mask[a],
+                    b, faces_by_mask[b],
                 )
 
-    return Fan(rank, tuple(ray_list), cones, name, geo_by_set, faces_by_set)
+    return Fan(
+        rank, tuple(ray_list), cones, name, geo_by_mask, faces_by_mask, cone_quotients
+    )
 
 
 def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:

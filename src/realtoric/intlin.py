@@ -24,12 +24,18 @@ __all__ = [
     "saturation_index",
     "quotient_projection",
     "quotient_with_section",
+    "span_elimination",
     "primitive_vector",
 ]
 
 
 def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        out.append(row)
+    return out
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -94,6 +100,62 @@ def _add_col(m: IntMatrix, dst: int, src: int, c: int) -> None:
         row[dst] += c * row[src]
 
 
+def _echelon(
+    a: Sequence[Sequence[int]], inverse: bool
+) -> Tuple[IntMatrix, IntMatrix, IntMatrix, int]:
+    """Unimodular row elimination of the matrix a (a list of rows).
+
+    Returns (H, U, W, r) with U @ a = H, U unimodular and H in row echelon
+    form whose first r rows are its non-zero ones, so r is the rank of a.
+    Each column is cleared below its pivot by Euclid's algorithm on the
+    entry of least magnitude.  With inverse set, W is the transpose of
+    U^-1 (row i of W is column i of U^-1); otherwise W is empty.
+    """
+    h = [list(row) for row in a]
+    nrows = len(h)
+    ncols = len(h[0]) if h else 0
+    u = identity(nrows)
+    w = identity(nrows) if inverse else []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        while True:
+            piv, val = -1, 0
+            for i in range(r, nrows):
+                x = h[i][c]
+                if x and (not val or abs(x) < abs(val)):
+                    piv, val = i, x
+            if piv < 0:
+                break
+            if piv != r:
+                # move the pivot row up, keeping the order of the others:
+                # rows no pivot touches stay in input order, so cones on
+                # coordinate vectors get the same projection rows whatever
+                # the order of their rays, and induced projections repeat
+                h.insert(r, h.pop(piv))
+                u.insert(r, u.pop(piv))
+                if inverse:
+                    w.insert(r, w.pop(piv))
+            hr, ur = h[r], u[r]
+            done = True
+            for i in range(r + 1, nrows):
+                q = h[i][c] // val
+                if q:
+                    # row i -= q * row r, so column r of U^-1 += q * column i
+                    h[i] = [x - q * y for x, y in zip(h[i], hr)]
+                    u[i] = [x - q * y for x, y in zip(u[i], ur)]
+                    if inverse:
+                        w[r] = [x + q * y for x, y in zip(w[r], w[i])]
+                if h[i][c]:
+                    done = False
+            if done:
+                break
+        if piv >= 0:
+            r += 1
+    return h, u, w, r
+
+
 def hermite_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
     """Row-style Hermite normal form.
 
@@ -101,56 +163,25 @@ def hermite_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatri
     form, pivots are positive, and entries above each pivot are reduced
     into [0, pivot).
     """
-    h = [list(row) for row in a]
-    nrows = len(h)
-    ncols = len(h[0]) if h else 0
-    u = identity(nrows)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        # Euclid on the column: leave a single nonzero entry at row r.
-        while True:
-            piv, val = -1, 0
-            for i in range(r, nrows):
-                x = h[i][c]
-                if x != 0 and (val == 0 or abs(x) < abs(val)):
-                    piv, val = i, x
-            if piv < 0:
-                break
-            if piv != r:
-                _swap_rows(h, r, piv)
-                _swap_rows(u, r, piv)
-            done = True
-            for i in range(r + 1, nrows):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    _add_row(h, i, r, -q)
-                    _add_row(u, i, r, -q)
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if h[r][c] == 0:
-            continue
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
+    h, u, _, r = _echelon(a, False)
+    c = 0
+    for i in range(r):
+        while not h[i][c]:
+            c += 1
+        if h[i][c] < 0:
+            h[i] = [-x for x in h[i]]
+            u[i] = [-x for x in u[i]]
+        for j in range(i):
+            q = h[j][c] // h[i][c]
             if q:
-                _add_row(h, i, r, -q)
-                _add_row(u, i, r, -q)
-        r += 1
+                _add_row(h, j, i, -q)
+                _add_row(u, j, i, -q)
     return h, u
 
 
 def lin_rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank over Q of a list of integer vectors."""
-    if not vectors:
-        return 0
-    h, _ = hermite_normal_form(vectors)
-    return sum(1 for row in h if any(row))
+    return _echelon(vectors, False)[3]
 
 
 def _snf_full(
@@ -252,9 +283,9 @@ def smith_normal_form(
 
 
 def _column_matrix(rank: int, vectors: Sequence[Sequence[int]]) -> IntMatrix:
-    for vec in vectors:
-        assert len(vec) == rank, "vector length must match ambient rank"
-    return [[vec[i] for vec in vectors] for i in range(rank)]
+    """The rank x len(vectors) matrix whose columns are the vectors."""
+    assert all(len(vec) == rank for vec in vectors), "vector length must match ambient rank"
+    return [list(col) for col in zip(*vectors)] if vectors else [[] for _ in range(rank)]
 
 
 def saturation(rank: int, vectors: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
@@ -281,6 +312,23 @@ def saturation_index(rank: int, vectors: Sequence[Sequence[int]]) -> int:
     return idx
 
 
+def span_elimination(
+    rank: int, vectors: Sequence[Sequence[int]]
+) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, int]:
+    """One unimodular elimination U @ A = [H; 0] of the rank x len(vectors)
+    matrix A whose columns are the vectors.
+
+    Returns (H, U, P, R, r): r is the rank of the vectors, rows ..r of U
+    are coordinates on their span (in which the vectors are the columns of
+    H), P is rows r.. of U (the left kernel of A, whose kernel is exactly
+    the saturation of the span) and R is columns r.. of U^-1, an integer
+    right inverse of P.
+    """
+    h, u, w, r = _echelon(_column_matrix(rank, vectors), True)
+    sect = [list(col) for col in zip(*w[r:])] if r < rank else [[] for _ in range(rank)]
+    return h, u, u[r:], sect, r
+
+
 def quotient_with_section(
     rank: int, vectors: Sequence[Sequence[int]]
 ) -> Tuple[IntMatrix, IntMatrix]:
@@ -289,12 +337,9 @@ def quotient_with_section(
 
     P has shape (rank - r) x rank, R has shape rank x (rank - r), and
     P @ R is the identity; the kernel of P is exactly the saturation.
+    Both come from `span_elimination`.
     """
-    cols = _column_matrix(rank, vectors) if vectors else [[] for _ in range(rank)]
-    s, u, _, uinv, _ = _snf_full(cols, rank, len(vectors))
-    r = sum(1 for i in range(min(rank, len(vectors))) if s[i][i] != 0)
-    proj = [list(u[i]) for i in range(r, rank)]
-    sect = [[uinv[i][j] for j in range(r, rank)] for i in range(rank)]
+    _, _, proj, sect, _ = span_elimination(rank, vectors)
     return proj, sect
 
 

@@ -15,7 +15,6 @@ from typing import List, Tuple
 
 from .fan import Fan, _per_fan
 from .gf2 import CrossCheckFailed, Mat2
-from .intlin import quotient_with_section
 
 __all__ = [
     "OrbitLattice",
@@ -51,16 +50,15 @@ class OrbitLattice:
 
 @_per_fan
 def orbit_lattice(fan: Fan, ci: int) -> OrbitLattice:
-    """Projection of the ambient lattice onto the orbit lattice of cone ci."""
-    vectors = fan.cone_vectors(ci)
-    proj, sect = quotient_with_section(fan.rank, vectors)
+    """Projection of the ambient lattice onto the orbit lattice of cone ci:
+    the cone's projection and section from the fan build, reduced mod 2."""
+    proj, sect = fan.orbit_quotient(ci)
     codim = fan.rank - fan.cones[ci].dim
-    assert len(proj) == codim
     return OrbitLattice(
         cone=ci,
         codim=codim,
-        projection=tuple(tuple(row) for row in proj),
-        section=tuple(tuple(row) for row in sect),
+        projection=proj,
+        section=sect,
         mod2=Mat2.from_rows(proj, ncols=fan.rank),
         section_mod2=Mat2.from_rows(sect, ncols=codim),
     )
@@ -75,7 +73,7 @@ def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     mod 2: reduction is a ring map, so this is the integral product
     reduced, independent of any mod-2 lift choice.
     """
-    if not set(fan.cones[si].rays) <= set(fan.cones[ti].rays):
+    if not set(fan.cones[si].rays).issubset(fan.cones[ti].rays):
         raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
     out = orbit_lattice(fan, ti).mod2 @ orbit_lattice(fan, si).section_mod2
     if out.rank() != out.nrows:

@@ -72,6 +72,20 @@ def test_gen_validation_errors(capsys):
     assert run_cli(capsys, "gen", "pn", "0")[0] == 2
 
 
+def test_gen_weighted_pins_the_elimination_basis(capsys):
+    # the rays are the quotient basis that intlin.span_elimination picks;
+    # a change to that elimination shows here before it reaches users
+    code, out, _ = run_cli(capsys, "gen", "weighted", "3", "5", "7")
+    assert code == 0
+    assert json.loads(out)["rays"] == [[7, 3], [0, 1], [-3, -2]]
+    code, out, err = run_cli(capsys, "gen", "weighted", "4", "6", "9")
+    assert code == 2 and out == ""
+    assert err == (
+        "validation error: weight vector (4, 6, 9) gives non-primitive ray "
+        "image (9, 3) for basis vector 0\n"
+    )
+
+
 def test_compute_pretty_report(tmp_path, capsys):
     path = tmp_path / "p2.json"
     run_cli(capsys, "gen", "pn", "2", "--out", str(path))
@@ -185,6 +199,17 @@ def test_compute_no_validate_skips_pair_checks(tmp_path, capsys):
     )
     assert run_cli(capsys, "compute", str(bad))[0] == 2
     assert run_cli(capsys, "compute", str(bad), "--no-validate")[0] == 0
+
+
+def test_fourier_motzkin_limit_exits_five(monkeypatch, capsys):
+    # p4 has rank 4, so its cone pairs are validated by default
+    monkeypatch.setattr(realtoric.fan, "FM_ROW_LIMIT", 1)
+    code, out, err = run_cli(capsys, "compute", "--json", str(FANS / "p4.json"))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("realtoric compute: resource limit: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_compute_json_pretty_conflict(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import random
+from functools import reduce
 from itertools import combinations
 from math import gcd
 
@@ -25,12 +26,14 @@ from realtoric.fan import (
     ParseError,
     ValidationError,
     _cone_geometry,
+    _cross_null,
     fan_from_json,
     fan_to_json,
     from_maximal_cones,
     read_json,
     write_json,
 )
+from realtoric.intlin import determinant, lin_rank, mat_mul, mat_vec, saturation
 
 
 def test_projective_plane_structure():
@@ -155,6 +158,58 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
         assert geo.faces == faces, vectors
         assert geo.nonextreme == nonextreme, vectors
     assert not _cone_geometry(2, [(1, 0), (-1, 0), (0, 1)]).pointed
+
+
+def _random_deficient_rows(rng, d):
+    """d - 1 random rows of length d with entries in [-9, 9].  In a third
+    of the cases (d >= 3) the last row repeats an earlier one, in another
+    third (d >= 4) it sums two earlier ones: the rank is then below d - 1."""
+    rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d - 1)]
+    kind = rng.randrange(3)
+    if kind == 1 and d >= 3:
+        rows[-1] = list(rows[rng.randrange(d - 2)])
+    elif kind == 2 and d >= 4:
+        i, j = rng.sample(range(d - 2), 2)
+        rows[-1] = [a + b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def test_cross_null_is_proportional_to_signed_cofactors():
+    rng = random.Random(6607)
+    zero = 0
+    for d in range(2, 9):
+        for _ in range(60):
+            rows = _random_deficient_rows(rng, d)
+            cof = [
+                (-1) ** i * determinant([row[:i] + row[i + 1 :] for row in rows])
+                for i in range(d)
+            ]
+            w = _cross_null(rows, d)
+            assert any(w) == any(cof), (rows, w, cof)
+            # proportional: every 2x2 minor of the pair vanishes
+            assert all(w[i] * cof[j] == w[j] * cof[i] for i in range(d) for j in range(d))
+            assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in rows)
+            zero += not any(cof)
+    assert zero >= 60  # the rank-deficient cases are really exercised
+
+
+def test_cone_elimination_gives_dimension_projection_and_section():
+    """Each cone's one elimination at build time: its rank is the cone's
+    dimension, P @ R = I, P kills the cone's rays, and ker P is exactly
+    the saturation of their span."""
+    fans = oracle_fans() + [reduce(product_fan, [projective_space_fan(1)] * 6)]
+    for fan in fans:
+        n = fan.rank
+        for ci, cone in enumerate(fan.cones):
+            vectors = fan.cone_vectors(ci)
+            proj, sect = fan.orbit_quotient(ci)
+            assert cone.dim == lin_rank(vectors), (fan, cone)
+            assert len(proj) == n - cone.dim and len(sect) == n
+            eye = [[int(i == j) for j in range(n - cone.dim)] for i in range(n - cone.dim)]
+            assert mat_mul(proj, sect) == eye, (fan, cone)
+            assert all(not any(mat_vec(proj, v)) for v in vectors), (fan, cone)
+            sat = [list(v) for v in saturation(n, vectors)]
+            assert lin_rank([list(row) for row in proj] + sat) == n, (fan, cone)
 
 
 def test_zero_cone_is_a_face_of_everything():

@@ -349,10 +349,11 @@ def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
             note="q=1 differential out of the deepest column is injective; "
             "no dangerous higher differential",
         )
-    assert len(images) == 1, (
-        "non-injective q=1 differential but codimension-2 cones carry "
-        "distinct mod-2 images; kernel reasoning is broken"
-    )
+    if len(images) != 1:
+        raise CrossCheckFailed(
+            "non-injective q=1 differential but codimension-2 cones carry "
+            "distinct mod-2 images; kernel reasoning is broken"
+        )
     return Dim3KernelReport(
         has_codim2_cones=True,
         injective=False,

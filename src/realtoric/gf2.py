@@ -9,7 +9,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = ["CrossCheckFailed", "Mat2", "exterior_power", "assemble_blocks", "ChainComplex"]
+__all__ = [
+    "CrossCheckFailed", "Mat2", "subset_masks", "exterior_power", "assemble_blocks", "ChainComplex",
+]
 
 
 class CrossCheckFailed(AssertionError):
@@ -205,13 +207,19 @@ def det2(m: Mat2) -> int:
     return int(_rank(m.rows) == m.nrows)
 
 
+def subset_masks(n: int, k: int) -> List[int]:
+    """Bitmasks of the k-subsets of range(n), in the lexicographic order of
+    combinations(range(n), k): the row and column order of exterior
+    powers and of the level-k coordinates of a y basis."""
+    return [sum(1 << i for i in c) for c in combinations(range(n), k)]
+
+
 def exterior_power(m: Mat2, q: int) -> Mat2:
     """q-th exterior power: rows and columns are indexed by the q-element
     subsets of the row and column indices in lexicographic order; each
     entry is the corresponding q x q minor over GF(2)."""
     assert q >= 0
-    bits = [1 << j for j in range(m.ncols)]
-    col_masks = [sum(cs) for cs in combinations(bits, q)]
+    col_masks = subset_masks(m.ncols, q)
     out = []
     for picked in combinations(m.rows, q):
         # a minor is 1 exactly when the picked rows, cut down to the

@@ -9,12 +9,11 @@ the 2^p group elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import List, Tuple
 
 from .fan import Fan, _per_fan
-from .gf2 import CrossCheckFailed, Mat2
+from .gf2 import CrossCheckFailed, Mat2, subset_masks
 
 __all__ = [
     "OrbitLattice",
@@ -218,10 +217,7 @@ def graded_piece_basis(rank: int, k: int) -> Mat2:
     """Point-basis coordinates of the y-basis elements y^S with |S| = k,
     as columns in lexicographic order of the subsets."""
     cols = []
-    for subset in combinations(range(rank), k):
-        s_mask = 0
-        for i in subset:
-            s_mask |= 1 << i
+    for s_mask in subset_masks(rank, k):
         acc = 0
         sub = s_mask
         while True:

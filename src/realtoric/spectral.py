@@ -14,12 +14,13 @@ page under reindexing, and the match is tested rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .fan import Fan, _per_fan
-from .gf2 import ChainComplex, CrossCheckFailed, Mat2, assemble_blocks, exterior_power
+from .gf2 import (
+    ChainComplex, CrossCheckFailed, Mat2, assemble_blocks, exterior_power, subset_masks,
+)
 from .orbitalg import group_algebra_map, induced_projection_mod2, y_basis_change
 
 __all__ = [
@@ -154,7 +155,7 @@ class RealComplex:
 @_per_fan
 def _group_algebra_block(fan: Fan, m: Mat2) -> Mat2:
     """The real-complex block of every facet pair with induced projection
-    m, shared by the real complex and its y-basis conjugation."""
+    m, shared by the real complex and its y-basis block."""
     return group_algebra_map(m)
 
 
@@ -181,52 +182,29 @@ def betti_real(fan: Fan) -> List[int]:
     return real_complex(fan).chain.homology_dims()
 
 
-def _level_masks(p: int, k: int) -> List[int]:
-    """Bitmasks of the k-subsets of a p-element set, in the order of
-    combinations(range(p), k): the column order of exterior powers."""
-    out = []
-    for c in combinations(range(p), k):
-        m = 0
-        for i in c:
-            m |= 1 << i
-        out.append(m)
-    return out
-
-
 @_per_fan
-def _conjugated_boundaries(fan: Fan) -> Tuple[List[List[int]], List[Mat2]]:
-    """Real-complex boundaries rewritten in the y basis of every group
-    algebra block, together with the filtration level (subset size) of
-    each coordinate per degree.  Each block is conjugated on its own:
-    y_basis_change(p - 1) @ G @ y_basis_change(p) for the shared
-    real-complex block G."""
-    n = fan.rank
-    zetas = [y_basis_change(p) for p in range(n + 1)]
-    levels = [
-        [m.bit_count() for m in range(1 << p)] * len(fan.strata[p])
-        for p in range(n + 1)
-    ]
-    conj = [
-        _boundary(
-            fan, p, 1 << (p - 1), 1 << p,
-            lambda m: zetas[p - 1] @ _group_algebra_block(fan, m) @ zetas[p],
-        )
-        for p in range(1, n + 1)
-    ]
-    return levels, conj
+def _y_blocks(fan: Fan) -> Dict[Mat2, Mat2]:
+    """Each distinct induced projection m mapped to its real-complex block
+    in the y basis, y_basis_change(p - 1) @ G @ y_basis_change(p) for the
+    shared block G of degree p.  Coordinate i of a block is y^S for the
+    subset S with bitmask i, so its filtration level is i.bit_count()."""
+    zetas = [y_basis_change(p) for p in range(fan.rank + 1)]
+    return {
+        m: zetas[p - 1] @ _group_algebra_block(fan, m) @ zetas[p]
+        for p, groups in enumerate(_projection_groups(fan))
+        for m in groups
+    }
 
 
 def _entry_levels(fan: Fan) -> Iterator[Tuple[int, int]]:
-    """(row level, column level) of every non-zero entry of every
-    conjugated boundary."""
-    levels, conj = _conjugated_boundaries(fan)
-    for p in range(1, len(levels)):
-        row_levels = levels[p - 1]
-        col_levels = levels[p]
-        for r, bits in enumerate(conj[p - 1].rows):
+    """(row level, column level) of every non-zero entry of every distinct
+    y-basis block; these are the levels of every entry of the y-basis
+    boundaries, since a level depends only on the position in a block."""
+    for b in _y_blocks(fan).values():
+        for r, bits in enumerate(b.rows):
             while bits:
                 low = bits & -bits
-                yield row_levels[r], col_levels[low.bit_length() - 1]
+                yield r.bit_count(), (low.bit_length() - 1).bit_count()
                 bits ^= low
 
 
@@ -236,31 +214,34 @@ def g_pages(fan: Fan) -> Tuple[PageTable, PageTable]:
     cellular complex, indexed at (-k, m + k) for filtration level k and
     chain degree m.
 
-    The graded complexes are built directly from the filtered complex
-    (conjugating by the y-basis change and checking that every boundary
-    respects the filtration), so the identity with the complex-side
-    second page stays an independent cross-check.
+    The graded complexes are built directly from the filtered complex,
+    so the identity with the complex-side second page stays an
+    independent cross-check.  The filtration gate and every level-k
+    boundary read the distinct y-basis blocks: each block is checked to
+    respect the filtration, and its level-k slice is placed at every
+    facet pair sharing its projection.  No y-basis boundary is assembled.
     """
     n = fan.rank
     if not all(row >= col for row, col in _entry_levels(fan)):
         raise CrossCheckFailed("boundary does not respect the augmentation filtration")
-    _, conj = _conjugated_boundaries(fan)
-    complexes = {}
-    for k in range(n + 1):
-        select: List[List[int]] = []
-        for p in range(n + 1):
-            idx = []
-            masks = _level_masks(p, k)
-            for j in range(len(fan.strata[p])):
-                off = j << p
-                idx.extend(off + m for m in masks)
-            select.append(idx)
-        dims = [len(ix) for ix in select]
-        boundaries = [
-            conj[p - 1].submatrix(select[p - 1], select[p])
-            for p in range(1, n + 1)
-        ]
-        complexes[k] = ChainComplex(dims, boundaries)
+    y_blocks = _y_blocks(fan)
+    masks = [[subset_masks(p, k) for k in range(n + 1)] for p in range(n + 1)]
+
+    def level(p: int, k: int) -> Mat2:
+        rows, cols = masks[p - 1][k], masks[p][k]
+        if not rows:  # k >= p: degree p - 1 has no level-k coordinates
+            return Mat2(0, len(fan.strata[p]) * len(cols))
+        return _boundary(
+            fan, p, len(rows), len(cols), lambda m: y_blocks[m].submatrix(rows, cols)
+        )
+
+    complexes = {
+        k: ChainComplex(
+            [len(fan.strata[p]) * comb(p, k) for p in range(n + 1)],
+            [level(p, k) for p in range(1, n + 1)],
+        )
+        for k in range(n + 1)
+    }
     g0_entries: Dict[Tuple[int, int], int] = {}
     g1_entries: Dict[Tuple[int, int], int] = {}
     for k, cc in complexes.items():
@@ -282,6 +263,8 @@ def rightmost_column_split(fan: Fan) -> bool:
     coordinate, so the split holds exactly when every boundary entry
     couples a level-0 column to level-0 rows only and a positive-level
     column to positive-level rows only.  This makes every differential
-    leaving the rightmost G column vanish on all pages.
+    leaving the rightmost G column vanish on all pages.  The entries are
+    read from the distinct y-basis blocks; no y-basis boundary is
+    assembled.
     """
     return all((row == 0) == (col == 0) for row, col in _entry_levels(fan))

@@ -17,6 +17,7 @@ from realtoric import cli, spectral
 from realtoric.analysis import TheoremViolation
 from realtoric.constructions import product_fan, projective_space_fan
 from realtoric.fan import fan_from_json, read_json, write_json
+from realtoric.gf2 import CrossCheckFailed, Mat2
 from realtoric.orbitalg import induced_projection_mod2
 
 FANS = Path(__file__).resolve().parents[1] / "fans"
@@ -397,3 +398,46 @@ def test_cross_check_failure_exits_four_under_optimize(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"realtoric {argv[0]}: cross-check failed: ")
     assert len(proc.stderr.splitlines()) == 1
+
+
+# the unit's point coordinate flipped in one row: in the y basis the
+# level-0 row gains entries in every column level, which the augmentation
+# filtration forbids
+UNFILTERED_UNIT_BLOCK = """
+import sys
+import realtoric.cli, realtoric.spectral
+from realtoric.gf2 import Mat2
+assert False, "unreachable: python -O strips assert statements"
+real_block = realtoric.spectral._group_algebra_block
+def unfiltered(fan, m):
+    b = real_block(fan, m)
+    return Mat2(b.nrows, b.ncols, [b.rows[0] ^ 1, *b.rows[1:]])
+realtoric.spectral._group_algebra_block = unfiltered
+sys.exit(realtoric.cli.main(sys.argv[1:]))
+"""
+
+
+def test_filtration_gate_fires_under_optimize(monkeypatch, tmp_path):
+    gate = "boundary does not respect the augmentation filtration"
+    real_block = spectral._group_algebra_block
+
+    def unfiltered(fan, m):
+        b = real_block(fan, m)
+        return Mat2(b.nrows, b.ncols, [b.rows[0] ^ 1, *b.rows[1:]])
+
+    monkeypatch.setattr(spectral, "_group_algebra_block", unfiltered)
+    for fan in (projective_space_fan(1), projective_space_fan(2)):
+        with pytest.raises(CrossCheckFailed, match=gate):
+            spectral.g_pages(fan)
+    # p1 has a single boundary, so no d o d check can fire before the gate
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", UNFILTERED_UNIT_BLOCK,
+         "compute", "--json", str(FANS / "p1.json")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"realtoric compute: cross-check failed: {gate}\n"

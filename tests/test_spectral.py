@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb
 
 from conftest import apply_unimodular, oracle_fans, relabel_rays
@@ -20,7 +21,6 @@ from realtoric.gf2 import Mat2, exterior_power
 from realtoric.intlin import mat_mul
 from realtoric.orbitalg import group_algebra_map, orbit_lattice, y_basis_change
 from realtoric.spectral import (
-    _conjugated_boundaries,
     betti_real,
     complex_position_of_real,
     e1_page,
@@ -235,12 +235,22 @@ def block_diagonal(m, count):
     return out
 
 
+def level_coordinates(fan, p, k):
+    """Coordinates of the level-k y-basis elements in the degree-p term,
+    cone by cone, each cone's subsets in combinations order."""
+    return [
+        (j << p) + sum(1 << i for i in c)
+        for j in range(len(fan.strata[p]))
+        for c in combinations(range(p), k)
+    ]
+
+
 def test_shared_blocks_match_per_pair_assembly():
     for fan in oracle_fans():
         n = fan.rank
         _, rows = e1_page(fan)
         rc = real_complex(fan)
-        _, conj = _conjugated_boundaries(fan)
+        g0, _ = g_pages(fan)
         zeta = [block_diagonal(y_basis_change(p), len(fan.strata[p])) for p in range(n + 1)]
         for p in range(1, n + 1):
             for q in range(n + 1):
@@ -250,4 +260,9 @@ def test_shared_blocks_match_per_pair_assembly():
                 assert rows[q].boundaries[p - 1] == want, (fan, p, q)
             d = per_pair_boundary(fan, p, 1 << (p - 1), 1 << p, group_algebra_map)
             assert rc.chain.boundaries[p - 1] == d, (fan, p)
-            assert conj[p - 1] == zeta[p - 1] @ d @ zeta[p], (fan, p)
+            conj = zeta[p - 1] @ d @ zeta[p]
+            for k in range(n + 1):
+                want = conj.submatrix(
+                    level_coordinates(fan, p - 1, k), level_coordinates(fan, p, k)
+                )
+                assert g0.complexes[k].boundaries[p - 1] == want, (fan, p, k)

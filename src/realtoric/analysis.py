@@ -320,52 +320,42 @@ def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
         top_graded_kernel += b.ncols - b.rank()
 
     codim2 = fan.strata[2]
-    if not codim2:
-        return Dim3KernelReport(
-            has_codim2_cones=False,
-            injective=None,
-            kernel_dim=kernel_dim,
-            all_same_image=None,
-            common_image=None,
-            top_chain_kernel_dim=top_chain_kernel,
-            top_graded_kernel_dim=top_graded_kernel,
-            top_degeneration=top_chain_kernel == top_graded_kernel,
-            note="no codimension-2 cones: the target vanishes and "
-            "injectivity is moot",
-        )
     images = {
         tuple(c & 1 for c in fan.rays[fan.cones[ci].rays[0]]) for ci in codim2
     }
-    if kernel_dim == 0:
-        return Dim3KernelReport(
-            has_codim2_cones=True,
-            injective=True,
-            kernel_dim=0,
-            all_same_image=len(images) == 1,
-            common_image=next(iter(images)) if len(images) == 1 else None,
-            top_chain_kernel_dim=top_chain_kernel,
-            top_graded_kernel_dim=top_graded_kernel,
-            top_degeneration=top_chain_kernel == top_graded_kernel,
-            note="q=1 differential out of the deepest column is injective; "
-            "no dangerous higher differential",
+    top_degeneration = top_chain_kernel == top_graded_kernel
+    if not codim2:
+        injective = all_same_image = common_image = None
+        note = "no codimension-2 cones: the target vanishes and injectivity is moot"
+    elif kernel_dim == 0:
+        injective, all_same_image = True, len(images) == 1
+        common_image = next(iter(images)) if all_same_image else None
+        note = (
+            "q=1 differential out of the deepest column is injective; "
+            "no dangerous higher differential"
         )
-    if len(images) != 1:
+    elif len(images) != 1:
         raise CrossCheckFailed(
             "non-injective q=1 differential but codimension-2 cones carry "
             "distinct mod-2 images; kernel reasoning is broken"
         )
+    else:
+        injective, all_same_image, common_image = False, True, next(iter(images))
+        note = (
+            "all codimension-2 cones share one mod-2 image; the graded "
+            "and unfiltered top kernels agree, so the dangerous "
+            "differential vanishes"
+            if top_degeneration
+            else "graded and unfiltered top kernels differ"
+        )
     return Dim3KernelReport(
-        has_codim2_cones=True,
-        injective=False,
+        has_codim2_cones=bool(codim2),
+        injective=injective,
         kernel_dim=kernel_dim,
-        all_same_image=True,
-        common_image=next(iter(images)),
+        all_same_image=all_same_image,
+        common_image=common_image,
         top_chain_kernel_dim=top_chain_kernel,
         top_graded_kernel_dim=top_graded_kernel,
-        top_degeneration=top_chain_kernel == top_graded_kernel,
-        note="all codimension-2 cones share one mod-2 image; the graded "
-        "and unfiltered top kernels agree, so the dangerous "
-        "differential vanishes"
-        if top_chain_kernel == top_graded_kernel
-        else "graded and unfiltered top kernels differ",
+        top_degeneration=top_degeneration,
+        note=note,
     )

@@ -19,7 +19,6 @@ from .intlin import (
     identity,
     lin_rank,
     quotient_with_section,
-    saturation_index,
     span_elimination,
 )
 
@@ -429,14 +428,19 @@ class Fan:
         return ok
 
     def is_nonsingular(self) -> bool:
-        """True iff every cone's rays form part of a lattice basis."""
-        for c in self.cones:
-            if not c.rays:
-                continue
+        """True iff every cone's rays form part of a lattice basis.
+
+        A subset of a basis is part of a basis, so only the maximal cones
+        are checked.  Independent rays span a lattice of index
+        |prod of the pivots| in its saturation, read off the diagonal of H
+        in their `span_elimination` U @ A = [H; 0].
+        """
+        for ci in self._maximal:
+            c = self.cones[ci]
             if len(c.rays) != c.dim:
                 return False
-            vectors = [self.rays[i] for i in c.rays]
-            if saturation_index(self.rank, vectors) != 1:
+            h = span_elimination(self.rank, self.cone_vectors(ci))[0]
+            if any(abs(h[i][i]) != 1 for i in range(c.dim)):
                 return False
         return True
 
@@ -636,6 +640,8 @@ def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), f"line {exc.lineno} column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nested too deeply") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     for key in ("rank", "rays", "maximal_cones"):
@@ -675,8 +681,13 @@ def fan_to_json(fan: Fan) -> str:
 
 
 def read_json(path: str, *, validate_pairs: Optional[bool] = None) -> Fan:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fan_from_json(fh.read(), validate_pairs=validate_pairs)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason}", f"byte {exc.start}") from exc
+    return fan_from_json(text, validate_pairs=validate_pairs)
 
 
 def write_json(fan: Fan, path: str) -> None:

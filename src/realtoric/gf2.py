@@ -60,9 +60,6 @@ class Mat2:
     def identity(cls, n: int) -> "Mat2":
         return cls(n, n, [1 << i for i in range(n)])
 
-    def copy(self) -> "Mat2":
-        return Mat2(self.nrows, self.ncols, list(self.rows))
-
     def entry(self, i: int, j: int) -> int:
         return self.rows[i] >> j & 1
 
@@ -126,45 +123,8 @@ class Mat2:
                 rr ^= low
         return Mat2(self.ncols, self.nrows, out)
 
-    def rref(self) -> Tuple["Mat2", List[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        work = list(self.rows)
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.ncols):
-            sel = -1
-            for i in range(r, self.nrows):
-                if work[i] >> c & 1:
-                    sel = i
-                    break
-            if sel < 0:
-                continue
-            work[r], work[sel] = work[sel], work[r]
-            for i in range(self.nrows):
-                if i != r and work[i] >> c & 1:
-                    work[i] ^= work[r]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return Mat2(self.nrows, self.ncols, work), pivots
-
     def rank(self) -> int:
         return _rank(self.rows)
-
-    def kernel_basis(self) -> "Mat2":
-        """Matrix of shape (ncols, nullity) whose columns span the kernel."""
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        cols = []
-        for f in free:
-            vec = 1 << f
-            for r, c in enumerate(pivots):
-                if red.rows[r] >> f & 1:
-                    vec |= 1 << c
-            cols.append(vec)
-        return Mat2.from_cols(self.ncols, cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat2":
         # spread[j]: the output bits that copy column j (several if j repeats)
@@ -199,12 +159,6 @@ def _rank(rows: Iterable[int]) -> int:
                 break
             r ^= pivot
     return len(pivots)
-
-
-def det2(m: Mat2) -> int:
-    """Determinant over GF(2) of a square Mat2."""
-    assert m.nrows == m.ncols
-    return int(_rank(m.rows) == m.nrows)
 
 
 def subset_masks(n: int, k: int) -> List[int]:

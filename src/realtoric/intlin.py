@@ -18,11 +18,6 @@ __all__ = [
     "transpose",
     "determinant",
     "lin_rank",
-    "hermite_normal_form",
-    "smith_normal_form",
-    "saturation",
-    "saturation_index",
-    "quotient_projection",
     "quotient_with_section",
     "span_elimination",
     "primitive_vector",
@@ -77,27 +72,6 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _swap_rows(m: IntMatrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _add_row(m: IntMatrix, dst: int, src: int, c: int) -> None:
-    row_s = m[src]
-    row_d = m[dst]
-    for k in range(len(row_d)):
-        row_d[k] += c * row_s[k]
-
-
-def _swap_cols(m: IntMatrix, i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(m: IntMatrix, dst: int, src: int, c: int) -> None:
-    for row in m:
-        row[dst] += c * row[src]
 
 
 def _echelon(
@@ -156,160 +130,15 @@ def _echelon(
     return h, u, w, r
 
 
-def hermite_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (H, U) with U unimodular and H = U @ a: H is in row echelon
-    form, pivots are positive, and entries above each pivot are reduced
-    into [0, pivot).
-    """
-    h, u, _, r = _echelon(a, False)
-    c = 0
-    for i in range(r):
-        while not h[i][c]:
-            c += 1
-        if h[i][c] < 0:
-            h[i] = [-x for x in h[i]]
-            u[i] = [-x for x in u[i]]
-        for j in range(i):
-            q = h[j][c] // h[i][c]
-            if q:
-                _add_row(h, j, i, -q)
-                _add_row(u, j, i, -q)
-    return h, u
-
-
 def lin_rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank over Q of a list of integer vectors."""
     return _echelon(vectors, False)[3]
-
-
-def _snf_full(
-    a: Sequence[Sequence[int]], nrows: int, ncols: int
-) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, IntMatrix]:
-    """Smith decomposition with transform inverses.
-
-    Returns (S, U, V, Uinv, Vinv) with S = U @ a @ V, U and V unimodular,
-    S diagonal with positive entries d_1 | d_2 | ... .
-    """
-    s = [list(row) for row in a]
-    u, uinv = identity(nrows), identity(nrows)
-    v, vinv = identity(ncols), identity(ncols)
-
-    def row_op(dst: int, src: int, c: int) -> None:
-        _add_row(s, dst, src, c)
-        _add_row(u, dst, src, c)
-        _add_col(uinv, src, dst, -c)
-
-    def col_op(dst: int, src: int, c: int) -> None:
-        _add_col(s, dst, src, c)
-        _add_col(v, dst, src, c)
-        _add_row(vinv, src, dst, -c)
-
-    t = 0
-    while t < min(nrows, ncols):
-        # Pick the entry of least magnitude in the trailing block.
-        piv, val = None, 0
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = s[i][j]
-                if x != 0 and (val == 0 or abs(x) < abs(val)):
-                    piv, val = (i, j), x
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            _swap_rows(s, t, i)
-            _swap_rows(u, t, i)
-            _swap_cols(uinv, t, i)
-        if j != t:
-            _swap_cols(s, t, j)
-            _swap_cols(v, t, j)
-            _swap_rows(vinv, t, j)
-        while True:
-            for i in range(t + 1, nrows):
-                if s[i][t] != 0:
-                    row_op(i, t, -(s[i][t] // s[t][t]))
-            if any(s[i][t] for i in range(t + 1, nrows)):
-                # A remainder became the new, smaller pivot candidate.
-                for i in range(t + 1, nrows):
-                    if s[i][t] != 0:
-                        _swap_rows(s, t, i)
-                        _swap_rows(u, t, i)
-                        _swap_cols(uinv, t, i)
-                        break
-                continue
-            for j in range(t + 1, ncols):
-                if s[t][j] != 0:
-                    col_op(j, t, -(s[t][j] // s[t][t]))
-            if any(s[t][j] for j in range(t + 1, ncols)):
-                for j in range(t + 1, ncols):
-                    if s[t][j] != 0:
-                        _swap_cols(s, t, j)
-                        _swap_cols(v, t, j)
-                        _swap_rows(vinv, t, j)
-                        break
-                continue
-            break
-        # Divisibility: the pivot must divide the rest of the block.
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if s[i][j] % s[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, 1)
-            continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-            for row in uinv:
-                row[t] = -row[t]
-        t += 1
-    return s, u, v, uinv, vinv
-
-
-def smith_normal_form(
-    a: Sequence[Sequence[int]],
-) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: (S, U, V) with S = U @ a @ V diagonal, d_1 | d_2 | ..."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    s, u, v, _, _ = _snf_full(a, nrows, ncols)
-    return s, u, v
 
 
 def _column_matrix(rank: int, vectors: Sequence[Sequence[int]]) -> IntMatrix:
     """The rank x len(vectors) matrix whose columns are the vectors."""
     assert all(len(vec) == rank for vec in vectors), "vector length must match ambient rank"
     return [list(col) for col in zip(*vectors)] if vectors else [[] for _ in range(rank)]
-
-
-def saturation(rank: int, vectors: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """Basis of the saturation (Q-span intersected with Z^rank) of the
-    lattice generated by the given vectors."""
-    if not vectors:
-        return []
-    cols = _column_matrix(rank, vectors)
-    s, _, _, uinv, _ = _snf_full(cols, rank, len(vectors))
-    r = sum(1 for i in range(min(rank, len(vectors))) if s[i][i] != 0)
-    return [tuple(uinv[i][j] for i in range(rank)) for j in range(r)]
-
-
-def saturation_index(rank: int, vectors: Sequence[Sequence[int]]) -> int:
-    """Index of the lattice generated by the vectors inside its saturation."""
-    if not vectors:
-        return 1
-    cols = _column_matrix(rank, vectors)
-    s, _, _, _, _ = _snf_full(cols, rank, len(vectors))
-    idx = 1
-    for i in range(min(rank, len(vectors))):
-        if s[i][i]:
-            idx *= s[i][i]
-    return idx
 
 
 def span_elimination(
@@ -341,11 +170,6 @@ def quotient_with_section(
     """
     _, _, proj, sect, _ = span_elimination(rank, vectors)
     return proj, sect
-
-
-def quotient_projection(rank: int, vectors: Sequence[Sequence[int]]) -> IntMatrix:
-    """Projection of Z^rank onto the quotient by the saturated span of the vectors."""
-    return quotient_with_section(rank, vectors)[0]
 
 
 def primitive_vector(vec: Sequence[int]) -> Tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 
 from realtoric.analysis import (
     BatchReport,
+    Dim3KernelReport,
     Inapplicable,
     NotComplete,
     PreconditionFailed,
@@ -177,6 +178,18 @@ def test_isolated_singularities_shape_needs_complete():
 
 def test_kernel_analysis_on_projective_space():
     rep = dim3_kernel_analysis(projective_space_fan(3))
+    assert rep == Dim3KernelReport(
+        has_codim2_cones=True,
+        injective=True,
+        kernel_dim=0,
+        all_same_image=False,
+        common_image=None,
+        top_chain_kernel_dim=1,
+        top_graded_kernel_dim=1,
+        top_degeneration=True,
+        note="q=1 differential out of the deepest column is injective; "
+        "no dangerous higher differential",
+    )
     assert rep.has_codim2_cones
     assert rep.injective is True
     assert rep.kernel_dim == 0
@@ -186,12 +199,36 @@ def test_kernel_analysis_on_projective_space():
 
 def test_kernel_analysis_on_pyramid(pyramid_fan):
     rep = dim3_kernel_analysis(pyramid_fan)
+    assert rep == Dim3KernelReport(
+        has_codim2_cones=True,
+        injective=True,
+        kernel_dim=0,
+        all_same_image=False,
+        common_image=None,
+        top_chain_kernel_dim=1,
+        top_graded_kernel_dim=1,
+        top_degeneration=True,
+        note="q=1 differential out of the deepest column is injective; "
+        "no dangerous higher differential",
+    )
     assert rep.injective is True
     assert rep.top_chain_kernel_dim == rep.top_graded_kernel_dim == 1
 
 
 def test_kernel_analysis_on_cube(cubefan):
     rep = dim3_kernel_analysis(cubefan)
+    assert rep == Dim3KernelReport(
+        has_codim2_cones=True,
+        injective=False,
+        kernel_dim=1,
+        all_same_image=True,
+        common_image=(1, 1, 1),
+        top_chain_kernel_dim=4,
+        top_graded_kernel_dim=4,
+        top_degeneration=True,
+        note="all codimension-2 cones share one mod-2 image; the graded "
+        "and unfiltered top kernels agree, so the dangerous differential vanishes",
+    )
     assert rep.injective is False
     assert rep.kernel_dim == 1
     assert rep.all_same_image is True
@@ -206,6 +243,17 @@ def test_kernel_analysis_on_cube(cubefan):
 
 def test_kernel_analysis_on_torus():
     rep = dim3_kernel_analysis(torus_fan(3))
+    assert rep == Dim3KernelReport(
+        has_codim2_cones=False,
+        injective=None,
+        kernel_dim=3,
+        all_same_image=None,
+        common_image=None,
+        top_chain_kernel_dim=8,
+        top_graded_kernel_dim=8,
+        top_degeneration=True,
+        note="no codimension-2 cones: the target vanishes and injectivity is moot",
+    )
     assert not rep.has_codim2_cones
     assert rep.injective is None
     assert rep.top_degeneration

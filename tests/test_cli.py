@@ -186,6 +186,30 @@ def test_compute_parse_and_validation_errors(tmp_path, capsys):
     assert code == 2 and "validation error" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "parse error: not UTF-8"),
+        (b"[" * 200_000, "parse error: JSON nested too deeply"),
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_compute_unreadable_json_exits_three(tmp_path, content, message):
+    path = tmp_path / "fan.json"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "realtoric.cli", "compute", str(path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(message), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_compute_no_validate_skips_pair_checks(tmp_path, capsys):
     # overlapping cones: rejected with validation, accepted without
     bad = tmp_path / "overlap.json"

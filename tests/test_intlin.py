@@ -1,9 +1,7 @@
 """Exact integer linear algebra, checked against sympy and brute force."""
 from __future__ import annotations
 
-import itertools
 from math import gcd
-from typing import List, Sequence
 
 import hypothesis.strategies as st
 from hypothesis import given
@@ -12,16 +10,12 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from realtoric.intlin import (
     determinant,
-    hermite_normal_form,
     identity,
     lin_rank,
     mat_mul,
     mat_vec,
     primitive_vector,
     quotient_with_section,
-    saturation,
-    saturation_index,
-    smith_normal_form,
     transpose,
 )
 
@@ -41,23 +35,6 @@ def square_matrix(draw, max_n: int = 5, bound: int = 9):
     n = draw(st.integers(1, max_n))
     box = st.integers(min_value=-bound, max_value=bound)
     return [[draw(box) for _ in range(n)] for _ in range(n)]
-
-
-def _unimodular_from_ops(n: int, ops: Sequence) -> List[List[int]]:
-    u = identity(n)
-    for i, j, c in ops:
-        i, j = i % n, j % n
-        if i == j:
-            u[i] = [-x for x in u[i]]
-        else:
-            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-    return u
-
-
-unimod_ops = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-2, 2)),
-    max_size=8,
-)
 
 
 @given(square_matrix())
@@ -82,139 +59,6 @@ def test_lin_rank_matches_sympy(a):
     assert lin_rank(a) == Matrix(a).rank()
 
 
-@given(int_matrix())
-def test_hnf_factorization_and_shape(a):
-    h, u = hermite_normal_form(a)
-    assert h == mat_mul(u, a)
-    assert abs(determinant(u)) == 1
-    # echelon: pivot columns strictly increase, zero rows at the bottom
-    pivots = []
-    seen_zero = False
-    for row in h:
-        nz = [j for j, x in enumerate(row) if x]
-        if not nz:
-            seen_zero = True
-            continue
-        assert not seen_zero, "zero row above a nonzero row"
-        pivots.append(nz[0])
-    assert pivots == sorted(pivots) and len(set(pivots)) == len(pivots)
-    rank = len(pivots)
-    for r, c in enumerate(pivots):
-        assert h[r][c] > 0
-        for i in range(r):
-            assert 0 <= h[i][c] < h[r][c]
-
-
-@given(int_matrix(max_rows=4, max_cols=4, bound=6), unimod_ops)
-def test_hnf_canonical_under_unimodular_row_changes(a, ops):
-    u = _unimodular_from_ops(len(a), ops)
-    h1, _ = hermite_normal_form(a)
-    h2, _ = hermite_normal_form(mat_mul(u, a))
-    assert h1 == h2
-
-
-def test_hnf_frozen_examples():
-    assert hermite_normal_form([[2, 4], [6, 8]])[0] == [[2, 0], [0, 4]]
-    assert hermite_normal_form([[1, 2], [2, 4]])[0] == [[1, 2], [0, 0]]
-    assert hermite_normal_form([[3, 6, 9]])[0] == [[3, 6, 9]]
-    assert hermite_normal_form([[0, 0], [0, 0]])[0] == [[0, 0], [0, 0]]
-    assert hermite_normal_form(identity(3))[0] == identity(3)
-
-
-@given(int_matrix())
-def test_hnf_idempotent(a):
-    h, _ = hermite_normal_form(a)
-    again, _ = hermite_normal_form(h)
-    assert again == h
-
-
-@given(int_matrix())
-def test_snf_matches_sympy(a):
-    s, u, v = smith_normal_form(a)
-    assert s == mat_mul(mat_mul(u, a), v)
-    assert abs(determinant(u)) == 1
-    assert abs(determinant(v)) == 1
-    n, m = len(a), len(a[0])
-    diag = [s[i][i] for i in range(min(n, m))]
-    for i in range(n):
-        for j in range(m):
-            if i != j:
-                assert s[i][j] == 0
-    nz = [d for d in diag if d]
-    assert all(d > 0 for d in nz)
-    for x, y in zip(nz, nz[1:]):
-        assert y % x == 0
-    ref = sympy_snf(Matrix(a))
-    ref_diag = [abs(ref[i, i]) for i in range(min(ref.shape))]
-    assert nz == [d for d in ref_diag if d]
-
-
-def _lattice_canon(rank: int, vectors) -> List[tuple]:
-    if not vectors:
-        return []
-    h, _ = hermite_normal_form([list(v) for v in vectors])
-    return [tuple(r) for r in h if any(r)]
-
-
-def _in_lattice(rank: int, v, basis) -> bool:
-    return _lattice_canon(rank, list(basis) + [list(v)]) == _lattice_canon(rank, basis)
-
-
-@given(
-    st.integers(1, 3).flatmap(
-        lambda r: st.tuples(
-            st.just(r),
-            st.lists(
-                st.lists(st.integers(-3, 3), min_size=r, max_size=r),
-                min_size=1,
-                max_size=3,
-            ),
-        )
-    )
-)
-def test_saturation_matches_brute_box(case):
-    rank, vectors = case
-    sat = saturation(rank, vectors)
-    r0 = lin_rank(vectors)
-    assert len(sat) == r0
-    box = itertools.product(range(-3, 4), repeat=rank)
-    for x in box:
-        in_qspan = lin_rank(list(vectors) + [list(x)]) == r0
-        assert in_qspan == _in_lattice(rank, x, sat)
-    for v in vectors:
-        assert _in_lattice(rank, v, sat)
-
-
-@given(
-    st.integers(1, 4).flatmap(
-        lambda r: st.tuples(
-            st.just(r),
-            st.lists(
-                st.lists(st.integers(-6, 6), min_size=r, max_size=r),
-                min_size=1,
-                max_size=4,
-            ),
-        )
-    )
-)
-def test_saturation_index_matches_sympy_invariants(case):
-    rank, vectors = case
-    cols = [[v[i] for v in vectors] for i in range(rank)]
-    ref = sympy_snf(Matrix(cols))
-    prod = 1
-    for i in range(min(ref.shape)):
-        if ref[i, i]:
-            prod *= abs(ref[i, i])
-    assert saturation_index(rank, vectors) == prod
-
-
-@given(square_matrix(max_n=4, bound=6))
-def test_saturation_index_of_independent_vectors_is_determinant(a):
-    d = determinant(a)
-    if d != 0:
-        assert saturation_index(len(a), a) == abs(d)
-
-
 @given(
     st.integers(1, 5).flatmap(
         lambda r: st.tuples(
@@ -227,6 +71,9 @@ def test_saturation_index_of_independent_vectors_is_determinant(a):
     )
 )
 def test_quotient_with_section(case):
+    """P @ R = I makes P onto Z^k, so ker P is saturated of rank
+    rank - k = r; P kills the vectors, so ker P holds their span.  A
+    saturated lattice of rank r holding the span is its saturation."""
     rank, vectors = case
     proj, sect = quotient_with_section(rank, vectors)
     r = lin_rank(vectors) if vectors else 0
@@ -236,9 +83,6 @@ def test_quotient_with_section(case):
     assert mat_mul(proj, sect) == identity(k)
     for v in vectors:
         assert mat_vec(proj, v) == [0] * k
-    # the kernel of proj is exactly the saturation: together they fill the rank
-    sat = saturation(rank, vectors)
-    assert lin_rank([list(row) for row in proj] + [list(v) for v in sat]) == rank
     if k:
         ref = sympy_snf(Matrix(proj))
         assert [abs(ref[i, i]) for i in range(min(ref.shape))] == [1] * k

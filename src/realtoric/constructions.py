@@ -142,16 +142,20 @@ def same_mod2_surface_fan(s: int = 4) -> Fan:
     return from_maximal_cones(2, rays, maximal, name=f"samemod2-{s}")
 
 
-def _angle_key(v: Vector) -> Tuple[int, Fraction]:
-    """Exact counterclockwise sort key starting at the positive x-axis."""
+def _angle_key(v: Vector) -> Tuple[int, int, Fraction]:
+    """Exact counterclockwise sort key starting at the positive x-axis.
+
+    The key is (half, quarter, slope).  half is 0 for angles in [0, pi)
+    and 1 for [pi, 2 pi).  A half turn runs through the quarter turn it
+    starts in (quarter 0: x > 0 in half 0, x < 0 in half 1), the y-axis
+    (quarter 1) and the quarter turn before the next half (quarter 2).
+    Inside quarters 0 and 2 the angle grows with the slope y/x.
+    """
     x, y = v
     if y > 0 or (y == 0 and x > 0):
         half = 0
     else:
         half = 1
-    # within a half turn, slope y/x decreasing in x.. use cross-product order
-    # via the projective slope: atan monotone in y/x on each open halfplane,
-    # anchored so (1,0) comes first
     if x == 0:
         slope = Fraction(0)
         quarter = 1
@@ -383,23 +387,16 @@ def random_fan(rank: int, seed: int, profile: str = "complete") -> Fan:
     if profile not in ("complete", "subfan", "affine"):
         raise ValueError(f"unknown profile {profile!r}")
     rng = random.Random(f"{seed}:{rank}:{profile}")
-    name = f"random-{profile}-r{rank}-s{seed}"
     if profile == "affine":
         fan = _random_affine(rng, rank)
     else:
         if rank == 1:
-            fan = from_maximal_cones(1, [(1,), (-1,)], [[0], [1]])
+            fan = projective_space_fan(1)
         elif rank == 2:
             fan = _random_rank2_complete(rng)
         else:
             fan = _random_rank3_complete(rng)
         if profile == "subfan":
             fan = _subfan_of(fan, rng)
-    # rename only: the cone set was already validated during generation
-    return from_maximal_cones(
-        fan.rank,
-        fan.rays,
-        [list(fan.cones[ci].rays) for ci in fan.maximal_cones()],
-        name=name,
-        validate_pairs=False,
-    )
+    fan.name = f"random-{profile}-r{rank}-s{seed}"
+    return fan

@@ -7,10 +7,9 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -107,7 +106,6 @@ _Quotient = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 class _ConeGeometry:
     dim: int
     pointed: bool
-    coord_map: List[List[int]]          # dim x rank: ambient -> span coordinates
     span_eqs: List[List[int]]           # (rank - dim) x rank: orbit projection, zero on the span
     section: List[List[int]]            # rank x (rank - dim): integer right inverse of span_eqs
     facets: List[Tuple[Tuple[int, ...], FrozenSet[int]]]  # (ambient normal, local zero set)
@@ -137,51 +135,6 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
-def _cross_null(rows: List[List[int]], d: int) -> List[int]:
-    """Integer generator of the null space of a (d-1) x d matrix of rank d-1,
-    proportional to its signed cofactors (the generalized cross product);
-    zero vector if the rank is lower.
-
-    One fraction-free Gauss-Jordan elimination: each pivot clears its
-    column from the other rows by integer row combinations, which leave a
-    row with a zero there as it is; a combined row is divided by the gcd
-    of its entries to keep them small.  At the end row i reads
-    a_i x_(pivot i) + c_i x_free = 0, solved with x_free = lcm(a_i).
-    """
-    m = [list(row) for row in rows]
-    n = len(m)
-    pivots: List[int] = []
-    free = -1
-    for c in range(d):
-        r = len(pivots)
-        piv = r
-        while piv < n and not m[piv][c]:
-            piv += 1
-        if piv == n:
-            if free >= 0:
-                return [0] * d
-            free = c
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        p = top[c]
-        for i in range(n):
-            f = m[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                row = [a * x - b * y for x, y in zip(m[i], top)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-    scale = lcm(*(m[i][c] for i, c in enumerate(pivots)))
-    out = [0] * d
-    out[free] = scale
-    for i, c in enumerate(pivots):
-        out[c] = -m[i][free] * scale // m[i][c]
-    return out
-
-
 def _cone_geometry(
     rank: int, vectors: List[Tuple[int, ...]], labels: Optional[Sequence[int]] = None
 ) -> _ConeGeometry:
@@ -191,11 +144,13 @@ def _cone_geometry(
 
     One `span_elimination` of the vectors gives the dimension d, the span
     coordinates (rows ..d of U, in which the vectors are the columns of H),
-    the orbit projection and its section.
+    the orbit projection and its section.  The hyperplane through d - 1 of
+    them, when they are independent, is the one row of the orbit
+    projection of their own elimination in those coordinates.
     """
     k = len(vectors)
     if k == 0:
-        return _ConeGeometry(0, True, [], identity(rank), identity(rank), [], {0}, [])
+        return _ConeGeometry(0, True, identity(rank), identity(rank), [], {0}, [])
     bit = [1 << j for j in (range(k) if labels is None else labels)]
     h, u, proj, sect, d = span_elimination(rank, vectors)
     coord_map = u[:d]
@@ -208,9 +163,10 @@ def _cone_geometry(
         mask = sum(bit[j] for j in subset)
         if any(mask & z == mask for z in seen):
             continue
-        w_loc = _cross_null([coords[j] for j in subset], d)
-        if not any(w_loc):
+        _, _, null, _, r = span_elimination(d, [coords[j] for j in subset])
+        if r < d - 1:
             continue
+        w_loc = null[0]
         vals = [sum(map(mul, w_loc, coords[j])) for j in range(k)]
         if all(v >= 0 for v in vals):
             pass
@@ -239,9 +195,7 @@ def _cone_geometry(
     coord_cols = list(zip(*coord_map))
     for w_loc, zero in sorted(seen.values(), key=lambda item: sorted(item[1])):
         facets.append((tuple(sum(map(mul, w_loc, col)) for col in coord_cols), zero))
-    return _ConeGeometry(
-        d, pointed, coord_map, proj, sect, facets, faces, nonextreme
-    )
+    return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme)
 
 
 def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool:
@@ -314,7 +268,6 @@ class Fan:
         rays: Tuple[Tuple[int, ...], ...],
         cones: Tuple[Cone, ...],
         name: Optional[str],
-        hreps: Dict[int, _ConeGeometry],
         max_faces: Dict[int, Set[int]],
         quotients: Tuple[_Quotient, ...],
     ):
@@ -322,7 +275,6 @@ class Fan:
         self.rays = rays
         self.cones = cones
         self.name = name
-        self._hreps = hreps
         self._quotients = quotients
         masks = [_mask(c.rays) for c in cones]  # the ray set of each cone
         self._index = {m: i for i, m in enumerate(masks)}
@@ -390,42 +342,31 @@ class Fan:
 
     @_per_fan
     def is_complete(self) -> bool:
-        """Completeness check: a full-dimensional cone exists, every wall
-        bounds exactly two full-dimensional cones, and a fixed sample of
-        rational directions is covered."""
-        n = self.rank
-        full = [i for i in self._maximal if self.cones[i].dim == n]
-        ok = bool(full)
-        if ok:
-            full_sets = [set(self.cones[i].rays) for i in full]
-            for c in self.cones:
-                if c.dim != n - 1:
-                    continue
-                count = sum(1 for s in full_sets if set(c.rays) <= s)
-                if count != 2:
-                    ok = False
-                    break
-        if ok:
-            rng = random.Random(7509131)
-            samples = []
-            while len(samples) < 2 * n + 5:
-                v = tuple(rng.randint(-9, 9) for _ in range(n))
-                if any(v):
-                    samples.append(v)
-            for v in samples:
-                hit = False
-                for i in full:
-                    geo = self._hreps[_mask(self.cones[i].rays)]
-                    if all(
-                        sum(w * x for w, x in zip(normal, v)) >= 0
-                        for normal, _ in geo.facets
-                    ):
-                        hit = True
-                        break
-                if not hit:
-                    ok = False
-                    break
-        return ok
+        """True iff the cones cover the whole space, decided exactly.
+
+        The rule (Cox, Little & Schenck, *Toric Varieties*, sections 1.2
+        and 3.4): (a) every maximal cone is full-dimensional, and (b) every
+        wall (a cone of codimension one) is a facet of exactly two full
+        cones, which lie on opposite sides of it.  The side of a full cone
+        is the sign of the wall's orbit projection, one row whose kernel is
+        the wall's span, on any ray of the cone outside the wall.
+
+        The rule is sufficient on any input, validated or not: the union
+        of the full cones is closed, and off the codimension-2 skeleton it
+        is also open, since near a point inside a wall the two facets'
+        half-balls cover both sides.  For rank >= 2 that skeleton cannot
+        disconnect the sphere; for rank 1 the rule reads "rays (1) and
+        (-1)".  On a fan it is also necessary, so it is exact.
+        """
+        if any(self.cones[ci].dim != self.rank for ci in self._maximal):
+            return False
+        sides: Dict[int, List[int]] = {wi: [] for wi in self.strata[1]}
+        for wi, ci in self.facet_pairs():
+            if wi in sides:
+                wall = self.cones[wi].rays
+                v = next(self.rays[i] for i in self.cones[ci].rays if i not in wall)
+                sides[wi].append(sum(map(mul, self.orbit_quotient(wi)[0][0], v)))
+        return all(len(s) == 2 and s[0] * s[1] < 0 for s in sides.values())
 
     def is_nonsingular(self) -> bool:
         """True iff every cone's rays form part of a lattice basis.
@@ -629,9 +570,7 @@ def from_maximal_cones(
                     b, faces_by_mask[b],
                 )
 
-    return Fan(
-        rank, tuple(ray_list), cones, name, geo_by_mask, faces_by_mask, cone_quotients
-    )
+    return Fan(rank, tuple(ray_list), cones, name, faces_by_mask, cone_quotients)
 
 
 def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:
@@ -642,6 +581,8 @@ def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:
         raise ParseError(str(exc), f"line {exc.lineno} column {exc.colno}") from exc
     except RecursionError as exc:
         raise ParseError("JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"unreadable number: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     for key in ("rank", "rays", "maximal_cones"):

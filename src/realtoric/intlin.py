@@ -13,9 +13,6 @@ IntMatrix = List[List[int]]
 
 __all__ = [
     "identity",
-    "mat_mul",
-    "mat_vec",
-    "transpose",
     "determinant",
     "lin_rank",
     "quotient_with_section",
@@ -31,21 +28,6 @@ def identity(n: int) -> IntMatrix:
         row[i] = 1
         out.append(row)
     return out
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    if a and b:
-        assert len(a[0]) == len(b), "inner dimensions must agree"
-    bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def transpose(a: Sequence[Sequence[int]]) -> IntMatrix:
-    return [list(col) for col in zip(*a)] if a else []
 
 
 def determinant(a: Sequence[Sequence[int]]) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from pathlib import Path
-from typing import List
+from typing import List, Sequence
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,7 +16,6 @@ from realtoric.constructions import (
     random_fan,
 )
 from realtoric.fan import Fan, from_maximal_cones, read_json
-from realtoric.intlin import mat_vec
 
 settings.register_profile(
     "suite",
@@ -26,6 +25,19 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Integer matrix product, the tests' reference for compositions."""
+    if a and b:
+        assert len(a[0]) == len(b), "inner dimensions must agree"
+    bt = list(zip(*b)) if b else []
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
+    """Integer matrix times vector."""
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def square_pyramid_fan() -> Fan:

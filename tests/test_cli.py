@@ -191,8 +191,12 @@ def test_compute_parse_and_validation_errors(tmp_path, capsys):
     [
         (b"\xff\xfe{}", "parse error: not UTF-8"),
         (b"[" * 200_000, "parse error: JSON nested too deeply"),
+        (
+            b'{"rank": 2, "rays": [[1' + b"0" * 5000 + b', 1]], "maximal_cones": [[0]]}',
+            "parse error: unreadable number",
+        ),
     ],
-    ids=["not-utf8", "deep-nesting"],
+    ids=["not-utf8", "deep-nesting", "huge-int"],
 )
 def test_compute_unreadable_json_exits_three(tmp_path, content, message):
     path = tmp_path / "fan.json"

@@ -4,6 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+from pathlib import Path
 from typing import List, Set, Tuple
 
 import pytest
@@ -249,11 +250,27 @@ def test_random_fan_profiles():
             assert len(affine.maximal_cones()) == 1
             sub = random_fan(rank, seed, "subfan")
             assert len(sub.maximal_cones()) >= 1
+            # at least one maximal cone of the complete fan is dropped
+            assert not sub.is_complete()
             # every ray is used after pruning
             used = {
                 i for ci in sub.maximal_cones() for i in sub.cones[ci].rays
             }
             assert used == set(range(len(sub.rays)))
+
+
+def test_random_fan_canonical_json_is_pinned():
+    """Canonical JSON, name included, of every rank, profile and seed
+    0..9, recorded from the generator when it still rebuilt each fan to
+    set its name: naming the fan it built returns the same fans."""
+    want = (Path(__file__).parent / "data" / "random_fans.txt").read_text().splitlines()
+    got = [
+        fan_to_json(random_fan(rank, seed, profile))
+        for rank in (1, 2, 3)
+        for profile in ("complete", "subfan", "affine")
+        for seed in range(10)
+    ]
+    assert got == want
 
 
 def test_random_fan_rejections():

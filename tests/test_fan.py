@@ -9,7 +9,7 @@ from math import gcd
 from operator import mul
 
 import pytest
-from conftest import oracle_fans
+from conftest import mat_mul, mat_vec, oracle_fans
 from sympy import ZZ, Matrix, eye
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -18,6 +18,7 @@ from realtoric.constructions import (
     hirzebruch_fan,
     product_fan,
     projective_space_fan,
+    random_fan,
     torus_fan,
     weighted_projective_fan,
 )
@@ -29,14 +30,13 @@ from realtoric.fan import (
     ParseError,
     ValidationError,
     _cone_geometry,
-    _cross_null,
     fan_from_json,
     fan_to_json,
     from_maximal_cones,
     read_json,
     write_json,
 )
-from realtoric.intlin import determinant, lin_rank, mat_mul, mat_vec
+from realtoric.intlin import determinant, lin_rank, span_elimination
 
 
 def test_projective_plane_structure():
@@ -177,7 +177,11 @@ def _random_deficient_rows(rng, d):
     return rows
 
 
-def test_cross_null_is_proportional_to_signed_cofactors():
+def test_span_elimination_null_row_is_proportional_to_signed_cofactors():
+    """The facet normal of `_cone_geometry`: for d - 1 vectors in Z^d the
+    elimination has full rank d - 1 exactly when their signed cofactors
+    (the generalized cross product) are not all zero, and then its P is
+    one primitive row, proportional to the cofactors, killing every row."""
     rng = random.Random(6607)
     zero = 0
     for d in range(2, 9):
@@ -187,12 +191,17 @@ def test_cross_null_is_proportional_to_signed_cofactors():
                 (-1) ** i * determinant([row[:i] + row[i + 1 :] for row in rows])
                 for i in range(d)
             ]
-            w = _cross_null(rows, d)
-            assert any(w) == any(cof), (rows, w, cof)
+            _, _, null, _, r = span_elimination(d, rows)
+            assert (r == d - 1) == any(cof), (rows, r, cof)
+            zero += not any(cof)
+            if r < d - 1:
+                continue
+            assert len(null) == 1
+            w = null[0]
+            assert gcd(*w) == 1, (rows, w)
             # proportional: every 2x2 minor of the pair vanishes
             assert all(w[i] * cof[j] == w[j] * cof[i] for i in range(d) for j in range(d))
             assert all(sum(a * b for a, b in zip(row, w)) == 0 for row in rows)
-            zero += not any(cof)
     assert zero >= 60  # the rank-deficient cases are really exercised
 
 
@@ -297,6 +306,53 @@ def test_completeness_examples():
     # half plane: a wall bounds only one full-dimensional cone
     half = from_maximal_cones(2, [(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
     assert not half.is_complete()
+
+
+def _complete_by_sampling(fan) -> bool:
+    """The earlier completeness rule, kept as a reference: a full cone
+    exists, every wall lies in exactly two full cones, and the full cones
+    cover a fixed seeded sample of 2n + 5 directions."""
+    n = fan.rank
+    full = [ci for ci in fan.maximal_cones() if fan.cones[ci].dim == n]
+    if not full:
+        return False
+    full_sets = [set(fan.cones[ci].rays) for ci in full]
+    for cone in fan.cones:
+        if cone.dim == n - 1 and sum(set(cone.rays) <= s for s in full_sets) != 2:
+            return False
+    rng = random.Random(7509131)
+    samples = []
+    while len(samples) < 2 * n + 5:
+        v = tuple(rng.randint(-9, 9) for _ in range(n))
+        if any(v):
+            samples.append(v)
+    normals = [
+        [normal for normal, _ in _cone_geometry(n, fan.cone_vectors(ci)).facets]
+        for ci in full
+    ]
+    return all(
+        any(all(sum(map(mul, w, v)) >= 0 for w in cone) for cone in normals)
+        for v in samples
+    )
+
+
+def test_completeness_matches_sampling_reference(cyclic_fan):
+    fans = oracle_fans() + [
+        random_fan(rank, seed, profile)
+        for rank in (1, 2, 3)
+        for profile in ("complete", "subfan", "affine")
+        for seed in range(8, 40)
+    ]
+    fans += [cyclic_fan, weighted_projective_fan(1, 2, 3)]
+    verdicts = [fan.is_complete() for fan in fans]
+    assert verdicts == [_complete_by_sampling(fan) for fan in fans]
+    assert True in verdicts and False in verdicts
+    # the fold: every wall lies in two full cones, but at the rays (1, 0)
+    # and (0, 1) both lie on the same side, so only the side check rejects it
+    fold = from_maximal_cones(
+        2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [1, 2], [2, 0]], validate_pairs=False
+    )
+    assert not fold.is_complete()
 
 
 def test_nonsingular_and_simplicial_flags():

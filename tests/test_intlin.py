@@ -4,6 +4,7 @@ from __future__ import annotations
 from math import gcd
 
 import hypothesis.strategies as st
+from conftest import mat_mul, mat_vec
 from hypothesis import given
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -12,11 +13,8 @@ from realtoric.intlin import (
     determinant,
     identity,
     lin_rank,
-    mat_mul,
-    mat_vec,
     primitive_vector,
     quotient_with_section,
-    transpose,
 )
 
 entries = st.integers(min_value=-9, max_value=9)
@@ -103,8 +101,3 @@ def test_primitive_vector(v):
         for c, d in zip(v, p):
             assert a * d == c * b
     assert primitive_vector(p) == p
-
-
-@given(int_matrix(max_rows=4, max_cols=4))
-def test_transpose_involution(a):
-    assert transpose(transpose(a)) == [list(r) for r in a]

@@ -7,12 +7,12 @@ from math import comb
 from typing import List
 
 import hypothesis.strategies as st
-from conftest import oracle_fans
+from conftest import mat_mul, mat_vec, oracle_fans
 from hypothesis import given
 
 from realtoric.constructions import projective_space_fan, weighted_projective_fan
 from realtoric.gf2 import Mat2, exterior_power
-from realtoric.intlin import identity, mat_mul, mat_vec
+from realtoric.intlin import identity
 from realtoric.orbitalg import (
     GroupAlgebraElement,
     augmentation_filtration_dims,

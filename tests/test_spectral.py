@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 from math import comb
 
-from conftest import apply_unimodular, oracle_fans, relabel_rays
+from conftest import apply_unimodular, mat_mul, oracle_fans, relabel_rays
 
 from realtoric.constructions import (
     affine_fan,
@@ -18,7 +18,6 @@ from realtoric.constructions import (
     weighted_projective_fan,
 )
 from realtoric.gf2 import Mat2, exterior_power
-from realtoric.intlin import mat_mul
 from realtoric.orbitalg import group_algebra_map, orbit_lattice, y_basis_change
 from realtoric.spectral import (
     betti_real,

@@ -18,11 +18,18 @@ timing each:
   g_pages          g_pages (y-basis conjugation, filtration check, G0/G1)
   m_verdict        m_verdict, whose pages are cached by then: the E2 = G1
                    cross-check and the verdict
+  build_validated  fan_from_json(text, validate_pairs=True): the build with
+                   every cone pair validated (separation certificate, then
+                   Fourier-Motzkin), whatever the rank
 
-Each stage is reported as its median over those runs, in milliseconds.
+Each stage is reported as its median over those runs, in milliseconds;
+their total leaves out build_validated, a second build of the same fan.
 The script also times `python -m realtoric.cli compute --json FILE` as a
 cold subprocess REPEATS times per fan (median), and records the number of
 distinct induced projections per fan, the machine and the Python version.
+Last, it times the rank <= 3 batch of 300 random fans,
+`python -m realtoric.cli search --count 300 --seed 20098 --dim 3`, as a
+cold subprocess REPEATS times (median).
 
 The package is imported from `src/` of the checkout holding this script.
 The results are stored under `sides.NAME` of the output file; other sides
@@ -46,9 +53,10 @@ SRC = os.path.join(ROOT, "src")
 CORPUS = ("cyclic57", "p6", "p7", "p2xp2xp1", "p1^6", "p1^7")
 STAGES = (
     "build", "orbit_lattices", "projections", "e1_e2",
-    "real_complex", "g_pages", "m_verdict",
+    "real_complex", "g_pages", "m_verdict", "build_validated",
 )
 REPEATS = 7
+SEARCH = ("search", "--count", "300", "--seed", "20098", "--dim", "3")
 
 
 def run_stages(path: str) -> dict:
@@ -71,6 +79,7 @@ def run_stages(path: str) -> dict:
         ("real_complex", lambda: betti_real(fan)),
         ("g_pages", lambda: g_pages(fan)),
         ("m_verdict", lambda: m_verdict(fan)),
+        ("build_validated", lambda: fan_from_json(text, validate_pairs=True)),
     )
     for name, step in steps:
         t = time.perf_counter()
@@ -124,30 +133,37 @@ def commit() -> str:
     return head + ("+dirty" if dirty else "")
 
 
+def cold_ms(args) -> float:
+    """Median wall time of REPEATS `python -m realtoric.cli ARGS` runs, in ms."""
+    env = child_env()
+    times = []
+    for _ in range(REPEATS):
+        t = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "realtoric.cli", *args],
+            env=env, capture_output=True, check=True,
+        )
+        times.append(1000 * (time.perf_counter() - t))
+    return round(statistics.median(times), 1)
+
+
 def measure(path: str) -> dict:
     """Stage medians of REPEATS fresh runs on the fan in `path`, and the
     median of as many cold `compute --json` subprocesses."""
     env = child_env()
     runs = []
-    compute_ms = []
     for _ in range(REPEATS):
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--child", path],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         runs.append(json.loads(out.splitlines()[-1]))
-        t = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "realtoric.cli", "compute", "--json", path],
-            env=env, capture_output=True, check=True,
-        )
-        compute_ms.append(1000 * (time.perf_counter() - t))
     stages = {s: round(statistics.median(r["ms"][s] for r in runs), 1) for s in STAGES}
     first = runs[0]
     return {
         "stages_ms": stages,
-        "stages_total_ms": round(sum(stages.values()), 1),
-        "compute_json_ms": round(statistics.median(compute_ms), 1),
+        "stages_total_ms": round(sum(stages[s] for s in STAGES[:-1]), 1),
+        "compute_json_ms": cold_ms(("compute", "--json", path)),
         "distinct_projections": first["distinct_projections"],
         "facet_pairs": first["facet_pairs"],
         "cones": first["cones"],
@@ -180,7 +196,12 @@ def main() -> int:
                 fh.write(fan_to_json(build_fan(label)))
             fans[label] = measure(path)
             print(label, json.dumps(fans[label]), file=sys.stderr)
-    result = {"commit": commit(), "machine": machine(), "repeats": REPEATS, "fans": fans}
+    search_ms = cold_ms(SEARCH)
+    print("search", search_ms, file=sys.stderr)
+    result = {
+        "commit": commit(), "machine": machine(), "repeats": REPEATS, "fans": fans,
+        "search_cmd": " ".join(SEARCH), "search_ms": search_ms,
+    }
     data = {"corpus": list(CORPUS), "stages": list(STAGES), "sides": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

@@ -1,7 +1,8 @@
 """Rational fans: construction, validation, combinatorics, JSON input and output.
 
-All geometry is exact: integer arithmetic for cone face enumeration,
-rational Fourier-Motzkin elimination for the pairwise intersection check.
+All geometry is exact: integer arithmetic for cone face enumeration; the
+pairwise intersection check tries a separation certificate, then
+Fourier-Motzkin elimination for the pairs it cannot certify.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .intlin import (
     IntMatrix,
+    _column_matrix,
+    _echelon,
     identity,
     lin_rank,
     quotient_with_section,
@@ -145,8 +148,8 @@ def _cone_geometry(
     One `span_elimination` of the vectors gives the dimension d, the span
     coordinates (rows ..d of U, in which the vectors are the columns of H),
     the orbit projection and its section.  The hyperplane through d - 1 of
-    them, when they are independent, is the one row of the orbit
-    projection of their own elimination in those coordinates.
+    them, when they are independent, is row d - 1 of the U of their own
+    elimination in those coordinates.
     """
     k = len(vectors)
     if k == 0:
@@ -163,10 +166,10 @@ def _cone_geometry(
         mask = sum(bit[j] for j in subset)
         if any(mask & z == mask for z in seen):
             continue
-        _, _, null, _, r = span_elimination(d, [coords[j] for j in subset])
+        _, u_sub, _, r = _echelon(_column_matrix(d, [coords[j] for j in subset]), False)
         if r < d - 1:
             continue
-        w_loc = null[0]
+        w_loc = u_sub[d - 1]
         vals = [sum(map(mul, w_loc, coords[j])) for j in range(k)]
         if all(v >= 0 for v in vals):
             pass
@@ -421,30 +424,48 @@ class Fan:
         return out
 
 
+def _supporting(geo: _ConeGeometry, order: Sequence[int], face: int) -> Tuple[int, ...]:
+    """The sum of the inward normals of the facets containing the face
+    (a ray bitmask) of the cone on the rays `order`: >= 0 on the cone, and
+    zero on it exactly along that face."""
+    local = frozenset(j for j, i in enumerate(order) if face >> i & 1)
+    support = [normal for normal, zero in geo.facets if local <= zero]
+    return tuple(sum(col) for col in zip(*support))
+
+
 def _check_pair(
-    rank: int,
     rays: Sequence[Tuple[int, ...]],
     mask_a: int,
     geo_a: _ConeGeometry,
-    faces_a: Set[int],
     mask_b: int,
-    faces_b: Set[int],
+    geo_b: _ConeGeometry,
 ) -> None:
+    """Raise BadIntersection unless the cones A and B (ray bitmasks, with
+    their geometry) meet in the face F spanned by their shared rays.
+
+    F must be a face of both.  Then a separation certificate is tried
+    first (Cox, Little & Schenck, *Toric Varieties*, Lemma 1.2.13): w, the
+    sum of the inward normals of the facets of A containing F, is >= 0 on A
+    and zero on A exactly along F.  If w <= 0 on every ray of B, then A and
+    B meet inside w-perp, so in F; F lies in both, so they meet in F.  Any
+    extension of w off the span of A will do.  The same test is tried with
+    A and B swapped.  Only when neither certifies does Fourier-Motzkin
+    decide exactly whether B holds a point of A with w >= 1.
+    """
     common = mask_a & mask_b
     order_a, order_b = _bits(mask_a), _bits(mask_b)
-    if common not in faces_a:
+    if common not in geo_a.face_masks:
         raise BadIntersection(order_a, order_b, "shared rays are not a face of the first")
-    if common not in faces_b:
+    if common not in geo_b.face_masks:
         raise BadIntersection(order_a, order_b, "shared rays are not a face of the second")
     if common == mask_a or common == mask_b:
         return
-    # Supporting functional for the common face inside cone A: the sum of
-    # the inward normals of the facets of A containing it.
-    local_common = frozenset(j for j, i in enumerate(order_a) if common >> i & 1)
-    support = [
-        normal for normal, zero in geo_a.facets if local_common <= zero
-    ]
-    w = tuple(sum(col) for col in zip(*support))
+    w = _supporting(geo_a, order_a, common)
+    if all(sum(map(mul, w, rays[i])) <= 0 for i in order_b):
+        return
+    w_b = _supporting(geo_b, order_b, common)
+    if all(sum(map(mul, w_b, rays[i])) <= 0 for i in order_a):
+        return
     gens_b = [rays[i] for i in order_b]
     nb = len(gens_b)
     ineqs: List[Tuple[List[int], int]] = []
@@ -484,9 +505,10 @@ def from_maximal_cones(
     The zero cone is implicit.  Face closure is computed by exact facet
     enumeration per maximal cone; every cone's dimension, orbit projection
     and section come from one integer elimination of its rays.  Pairwise
-    intersection validation runs by default for rank <= 4 and can be
-    forced either way with `validate_pairs`.  An intersection too large to
-    decide within FM_ROW_LIMIT raises ResourceLimitExceeded.
+    intersection validation (a separation certificate, then Fourier-Motzkin
+    for the pairs it cannot certify) runs by default for rank <= 4 and can
+    be forced either way with `validate_pairs`.  An intersection too large
+    to decide within FM_ROW_LIMIT raises ResourceLimitExceeded.
     """
     if not isinstance(rank, int) or rank < 1:
         raise ValidationError(f"rank must be a positive integer, got {rank!r}")
@@ -561,14 +583,8 @@ def from_maximal_cones(
     if validate_pairs is None:
         validate_pairs = rank <= 4
     if validate_pairs:
-        masks = list(geo_by_mask)
-        for ai in range(len(masks)):
-            for bi in range(ai + 1, len(masks)):
-                a, b = masks[ai], masks[bi]
-                _check_pair(
-                    rank, ray_list, a, geo_by_mask[a], faces_by_mask[a],
-                    b, faces_by_mask[b],
-                )
+        for (a, geo_a), (b, geo_b) in combinations(geo_by_mask.items(), 2):
+            _check_pair(ray_list, a, geo_a, b, geo_b)
 
     return Fan(rank, tuple(ray_list), cones, name, faces_by_mask, cone_quotients)
 

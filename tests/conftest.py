@@ -9,6 +9,7 @@ from typing import List, Sequence
 import pytest
 from hypothesis import HealthCheck, settings
 
+import realtoric.fan
 from realtoric.constructions import (
     cyclic_polytope_normal_fan,
     product_fan,
@@ -25,6 +26,22 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def fm_verdicts(monkeypatch):
+    """The verdicts of the pair check's Fourier-Motzkin runs during the
+    test, in order; a run that raised leaves None."""
+    verdicts = []
+    fm_core = realtoric.fan._fm_core
+
+    def recorded(*args):
+        verdicts.append(None)
+        verdicts[-1] = fm_core(*args)
+        return verdicts[-1]
+
+    monkeypatch.setattr(realtoric.fan, "_fm_core", recorded)
+    return verdicts
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:

@@ -230,10 +230,23 @@ def test_compute_no_validate_skips_pair_checks(tmp_path, capsys):
     assert run_cli(capsys, "compute", str(bad), "--no-validate")[0] == 0
 
 
-def test_fourier_motzkin_limit_exits_five(monkeypatch, capsys):
-    # p4 has rank 4, so its cone pairs are validated by default
+def test_fourier_motzkin_limit_exits_five(tmp_path, monkeypatch, capsys, fm_verdicts):
+    # two cones of rank 2 that meet only in 0, but the sum of the inward
+    # facet normals of neither is <= 0 on every ray of the other, so the
+    # pair escapes the separation certificate and reaches Fourier-Motzkin
+    path = tmp_path / "gap.json"
+    path.write_text(
+        json.dumps(
+            {
+                "rank": 2,
+                "rays": [[-2, -1], [-1, 1], [0, 1], [1, 1]],
+                "maximal_cones": [[0, 1], [2, 3]],
+            }
+        )
+    )
     monkeypatch.setattr(realtoric.fan, "FM_ROW_LIMIT", 1)
-    code, out, err = run_cli(capsys, "compute", "--json", str(FANS / "p4.json"))
+    code, out, err = run_cli(capsys, "compute", "--json", str(path))
+    assert fm_verdicts == [None]
     assert code == 5
     assert out == ""
     assert err.startswith("realtoric compute: resource limit: ")

@@ -9,6 +9,7 @@ from math import gcd
 from operator import mul
 
 import pytest
+import realtoric.fan
 from conftest import mat_mul, mat_vec, oracle_fans
 from sympy import ZZ, Matrix, eye
 from sympy.matrices.normalforms import smith_normal_form
@@ -29,7 +30,9 @@ from realtoric.fan import (
     NotPointed,
     ParseError,
     ValidationError,
+    _check_pair,
     _cone_geometry,
+    _mask,
     fan_from_json,
     fan_to_json,
     from_maximal_cones,
@@ -286,6 +289,77 @@ def test_rejects_cones_meeting_off_a_face():
     rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 1), (-1, 1, 0)]
     with pytest.raises(BadIntersection):
         from_maximal_cones(3, rays, [[0, 1, 2], [1, 3, 4]])
+
+
+@pytest.mark.parametrize(
+    "rank, rays, cones",
+    [
+        (2, [(1, 0), (0, 1), (1, 2), (2, 1)], [[0, 1], [2, 3]]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 1), (-1, 1, 0)], [[0, 1, 2], [1, 3, 4]]),
+    ],
+)
+def test_bad_intersections_come_from_exact_checks(fm_verdicts, rank, rays, cones):
+    # the inputs of the two rejection tests above: the separation
+    # certificate can only accept a pair, so each rejection must come from
+    # a face check or from a Fourier-Motzkin run that found a larger meet
+    with pytest.raises(BadIntersection) as exc:
+        from_maximal_cones(rank, rays, cones)
+    assert "not a face" in str(exc.value) or fm_verdicts[-1:] == [True]
+
+
+def _meets_off_face(rays, a, b, shared):
+    """Whether cones a and b (ray index lists) share a point outside the
+    face on the shared rays, by Fourier-Motzkin on the generators: some
+    sum(l_i a_i) = sum(m_j b_j) with l, m >= 0 puts weight >= 1 on rays of
+    a outside the face (a point of a face of a has weight only on it)."""
+    n = len(a) + len(b)
+    rows = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+    for t in range(len(rays[0])):
+        row = tuple([rays[i][t] for i in a] + [-rays[i][t] for i in b])
+        rows += [(row, 0), (tuple(-x for x in row), 0)]
+    rows.append((tuple([int(i not in shared) for i in a] + [0] * len(b)), 1))
+    return realtoric.fan._fm_core(n, rows)
+
+
+def test_separation_certificate_never_accepts_a_larger_meet(fm_verdicts):
+    # seeded random cone pairs of rank 2-4 whose shared rays span a face of
+    # both; _check_pair must agree with the generator-side oracle
+    rng = random.Random(20251)
+    outcomes = {}
+    while sum(outcomes.values()) < 300:
+        rank = rng.choice((2, 3, 4))
+        rays = []
+        while len(rays) < 2 * rank + 1:
+            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if reduce(gcd, v) == 1 and v not in rays:
+                rays.append(v)
+        shared = list(range(rng.randint(0, rank - 1)))
+        rest = list(range(len(shared), len(rays)))
+        rng.shuffle(rest)
+        ka = rng.randint(max(1, rank - len(shared) - 1), rank - len(shared))
+        kb = rng.randint(1, rank - len(shared))
+        a, b = shared + rest[:ka], shared + rest[ka : ka + kb]
+        geo_a, geo_b = (_cone_geometry(rank, [rays[i] for i in c], c) for c in (a, b))
+        face = _mask(shared)
+        if any(
+            not g.pointed or g.nonextreme or face not in g.face_masks for g in (geo_a, geo_b)
+        ):
+            continue
+        larger = _meets_off_face(rays, a, b, shared)
+        fm_verdicts.clear()
+        try:
+            _check_pair(rays, _mask(a), geo_a, _mask(b), geo_b)
+            rejected = False
+        except BadIntersection:
+            rejected = True
+        if fm_verdicts:
+            assert rejected == fm_verdicts[-1] == larger, (rays, a, b)
+        else:  # the certificate accepted the pair
+            assert not rejected and not larger, (rays, a, b)
+        key = ("fm" if fm_verdicts else "certificate", larger)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # both Fourier-Motzkin outcomes occur, and the certificate is exercised
+    assert set(outcomes) == {("fm", True), ("fm", False), ("certificate", False)}
 
 
 def test_rank_must_be_positive():

@@ -11,7 +11,6 @@ might still vanish for reasons the dimension count cannot see.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -158,7 +157,7 @@ def betti_complex_nonsingular_complete(fan: Fan) -> List[int]:
 _PROFILES = ("complete", "subfan", "affine")
 
 
-def _batch_case(case: Tuple[int, int, str]) -> Tuple[int, str, str, int, str]:
+def _batch_case(case: Tuple[int, int, str]) -> Tuple[int, str, str, int, Optional[str]]:
     from .constructions import random_fan
 
     rank, seed, profile = case
@@ -171,7 +170,8 @@ def _batch_case(case: Tuple[int, int, str]) -> Tuple[int, str, str, int, str]:
             raise CrossCheckFailed(f"betti_real != surface closed form: {fan_to_json(fan)}")
         if sum(rep.betti_complex) != verdict.total_e2:
             raise CrossCheckFailed(f"total E2 != surface closed form: {fan_to_json(fan)}")
-    return (rank, profile, verdict.status, verdict.gap, fan_to_json(fan))
+    fan_json = None if verdict.status == "CertifiedM" else fan_to_json(fan)
+    return (rank, profile, verdict.status, verdict.gap, fan_json)
 
 
 @dataclass
@@ -184,33 +184,22 @@ class BatchReport:
     per_profile: Dict[str, int] = field(default_factory=dict)
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("TORHOM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def dim3_theorem_batch(
     count: int,
     seed: int,
     *,
     ranks: Sequence[int] = (1, 2, 3),
     profiles: Sequence[str] = _PROFILES,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> BatchReport:
     """Generate `count` seeded random fans across the given ranks (all
     <= 3) and profiles and certify every one.
 
     Any non-certified verdict raises TheoremViolation carrying the fan's
     JSON: maximality is a theorem in dimension <= 3, so a failure here
-    means a bug, not a finding.  Worker count comes from the `workers`
-    argument or the TORHOM_THREADS environment variable (default 1).
+    means a bug, not a finding.  Each fan is built once, and only a failing
+    fan is serialized.  With `workers` > 1 the fans run in a process pool
+    of that size, otherwise serially; no environment variable is read.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -221,11 +210,10 @@ def dim3_theorem_batch(
         rank = ranks[i % len(ranks)]
         profile = profiles[(i // len(ranks)) % len(profiles)]
         cases.append((rank, seed + i, profile))
-    nworkers = _worker_count(workers)
-    if nworkers > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_case, cases, chunksize=8))
     else:
         results = [_batch_case(s) for s in cases]

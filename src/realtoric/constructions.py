@@ -256,7 +256,8 @@ def _primitive_nonzero(rng: random.Random, rank: int, bound: int = 9) -> Vector:
             return tuple(primitive_vector(v))
 
 
-def _random_rank2_complete(rng: random.Random) -> Fan:
+def _random_rank2_complete(rng: random.Random) -> Tuple[List[Vector], List[List[int]]]:
+    """Rays and maximal cones of a random complete surface fan."""
     for _ in range(200):
         count = rng.randint(3, 7)
         rays = []
@@ -277,12 +278,12 @@ def _random_rank2_complete(rng: random.Random) -> Fan:
         ]
         if any(c <= 0 for c in cross):
             continue
-        maximal = [[order[i], order[(i + 1) % m]] for i in range(m)]
-        return from_maximal_cones(2, rays, maximal)
+        return rays, [[order[i], order[(i + 1) % m]] for i in range(m)]
     raise RuntimeError("random surface generator failed to converge")
 
 
-def _random_rank3_complete(rng: random.Random) -> Fan:
+def _random_rank3_complete(rng: random.Random) -> Tuple[List[Vector], List[List[int]]]:
+    """Rays and maximal cones of a random complete simplicial rank-3 fan."""
     for _ in range(500):
         count = rng.randint(4, 8)
         rays: List[Vector] = []
@@ -298,7 +299,7 @@ def _random_rank3_complete(rng: random.Random) -> Fan:
         used = sorted({i for f in facets for i in f})
         if len(used) < len(rays):
             continue
-        return from_maximal_cones(3, rays, [list(f) for f in facets])
+        return rays, [list(f) for f in facets]
     raise RuntimeError("random rank-3 generator failed to converge")
 
 
@@ -361,17 +362,22 @@ def _random_affine(rng: random.Random, rank: int) -> Fan:
     raise RuntimeError("random affine generator failed to converge")
 
 
-def _subfan_of(fan: Fan, rng: random.Random) -> Fan:
-    """Drop a random nonempty-complement subset of maximal cones, prune
-    unused rays, and rebuild."""
-    maximal = list(fan.maximal_cones())
+def _subfan_of(
+    rays: Sequence[Vector], cones: Sequence[Sequence[int]], rng: random.Random
+) -> Tuple[List[Vector], List[List[int]]]:
+    """Keep a random proper, nonempty subset of the given full-dimensional
+    maximal cones and prune the unused rays.
+
+    The cones are sampled in the order of their sorted ray tuples, the
+    order `Fan.maximal_cones()` gives full-dimensional cones, so no fan
+    has to be built for the complete fan they come from.
+    """
+    maximal = sorted(tuple(sorted(c)) for c in cones)
     keep_count = rng.randint(1, max(1, len(maximal) - 1))
     keep = rng.sample(maximal, keep_count)
-    used = sorted({i for ci in keep for i in fan.cones[ci].rays})
+    used = sorted({i for c in keep for i in c})
     remap = {old: new for new, old in enumerate(used)}
-    rays = [fan.rays[i] for i in used]
-    cones = [[remap[i] for i in fan.cones[ci].rays] for ci in keep]
-    return from_maximal_cones(fan.rank, rays, cones)
+    return [rays[i] for i in used], [[remap[i] for i in c] for c in keep]
 
 
 def random_fan(rank: int, seed: int, profile: str = "complete") -> Fan:
@@ -380,7 +386,8 @@ def random_fan(rank: int, seed: int, profile: str = "complete") -> Fan:
     Profiles: "complete" (complete fan), "subfan" (random subset of a
     complete fan's maximal cones with faces), "affine" (one pointed cone
     with faces).  The same (rank, seed, profile) always returns the same
-    fan.
+    fan.  Each fan is built, and its pairs validated, once: a subfan is
+    cut from the cone list of its complete fan, which is never built.
     """
     if rank not in (1, 2, 3):
         raise ValueError("random_fan supports ranks 1..3")
@@ -391,12 +398,13 @@ def random_fan(rank: int, seed: int, profile: str = "complete") -> Fan:
         fan = _random_affine(rng, rank)
     else:
         if rank == 1:
-            fan = projective_space_fan(1)
+            rays, cones = [(1,), (-1,)], [[0], [1]]
         elif rank == 2:
-            fan = _random_rank2_complete(rng)
+            rays, cones = _random_rank2_complete(rng)
         else:
-            fan = _random_rank3_complete(rng)
+            rays, cones = _random_rank3_complete(rng)
         if profile == "subfan":
-            fan = _subfan_of(fan, rng)
+            rays, cones = _subfan_of(rays, cones, rng)
+        fan = from_maximal_cones(rank, rays, cones)
     fan.name = f"random-{profile}-r{rank}-s{seed}"
     return fan

@@ -114,6 +114,7 @@ class _ConeGeometry:
     facets: List[Tuple[Tuple[int, ...], FrozenSet[int]]]  # (ambient normal, local zero set)
     face_masks: Set[int]                # faces as bitmasks over the ray labels
     nonextreme: List[int]               # listed rays that are not extreme
+    labels: Tuple[int, ...]             # the ray label of each vector, in order
 
     @property
     def faces(self) -> Set[FrozenSet[int]]:
@@ -152,9 +153,10 @@ def _cone_geometry(
     elimination in those coordinates.
     """
     k = len(vectors)
+    labels = tuple(range(k) if labels is None else labels)
     if k == 0:
-        return _ConeGeometry(0, True, identity(rank), identity(rank), [], {0}, [])
-    bit = [1 << j for j in (range(k) if labels is None else labels)]
+        return _ConeGeometry(0, True, identity(rank), identity(rank), [], {0}, [], labels)
+    bit = [1 << j for j in labels]
     h, u, proj, sect, d = span_elimination(rank, vectors)
     coord_map = u[:d]
     coords = [list(col) for col in zip(*h[:d])]
@@ -198,7 +200,7 @@ def _cone_geometry(
     coord_cols = list(zip(*coord_map))
     for w_loc, zero in sorted(seen.values(), key=lambda item: sorted(item[1])):
         facets.append((tuple(sum(map(mul, w_loc, col)) for col in coord_cols), zero))
-    return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme)
+    return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme, labels)
 
 
 def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool:
@@ -331,6 +333,7 @@ class Fan:
     def is_simplicial(self) -> bool:
         return all(len(c.rays) == c.dim for c in self.cones)
 
+    @_per_fan
     def facet_pairs(self) -> List[Tuple[int, int]]:
         """Pairs (si, ti) where cone si is a codimension-one face of cone ti."""
         dims = [c.dim for c in self.cones]
@@ -424,11 +427,11 @@ class Fan:
         return out
 
 
-def _supporting(geo: _ConeGeometry, order: Sequence[int], face: int) -> Tuple[int, ...]:
+def _supporting(geo: _ConeGeometry, face: int) -> Tuple[int, ...]:
     """The sum of the inward normals of the facets containing the face
-    (a ray bitmask) of the cone on the rays `order`: >= 0 on the cone, and
-    zero on it exactly along that face."""
-    local = frozenset(j for j, i in enumerate(order) if face >> i & 1)
+    (a ray bitmask) of the cone: >= 0 on the cone, and zero on it exactly
+    along that face."""
+    local = frozenset(j for j, i in enumerate(geo.labels) if face >> i & 1)
     support = [normal for normal, zero in geo.facets if local <= zero]
     return tuple(sum(col) for col in zip(*support))
 
@@ -453,17 +456,17 @@ def _check_pair(
     decide exactly whether B holds a point of A with w >= 1.
     """
     common = mask_a & mask_b
-    order_a, order_b = _bits(mask_a), _bits(mask_b)
+    order_a, order_b = geo_a.labels, geo_b.labels
     if common not in geo_a.face_masks:
         raise BadIntersection(order_a, order_b, "shared rays are not a face of the first")
     if common not in geo_b.face_masks:
         raise BadIntersection(order_a, order_b, "shared rays are not a face of the second")
     if common == mask_a or common == mask_b:
         return
-    w = _supporting(geo_a, order_a, common)
+    w = _supporting(geo_a, common)
     if all(sum(map(mul, w, rays[i])) <= 0 for i in order_b):
         return
-    w_b = _supporting(geo_b, order_b, common)
+    w_b = _supporting(geo_b, common)
     if all(sum(map(mul, w_b, rays[i])) <= 0 for i in order_a):
         return
     gens_b = [rays[i] for i in order_b]

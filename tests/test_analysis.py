@@ -1,10 +1,13 @@
 """Verdicts, closed-form oracles, batch certification, and rank-3 diagnostics."""
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import json
 
 import pytest
 
+from realtoric import analysis
 from realtoric.analysis import (
     BatchReport,
     Dim3KernelReport,
@@ -13,7 +16,6 @@ from realtoric.analysis import (
     PreconditionFailed,
     TheoremViolation,
     WrongRank,
-    _worker_count,
     betti_complex_nonsingular_complete,
     dim3_kernel_analysis,
     dim3_theorem_batch,
@@ -31,6 +33,7 @@ from realtoric.constructions import (
     torus_fan,
     weighted_projective_fan,
 )
+from realtoric.fan import fan_to_json
 from realtoric.spectral import betti_real
 
 
@@ -136,17 +139,40 @@ def test_batch_parallel_matches_serial():
     assert serial.per_rank == parallel.per_rank
     assert serial.per_profile == parallel.per_profile
     assert parallel.certified == 8
+    # a worker count below one runs serially
+    assert dim3_theorem_batch(8, seed=77, workers=0) == serial
 
 
-def test_worker_count_sources(monkeypatch):
-    assert _worker_count(3) == 3
-    assert _worker_count(0) == 1
+def test_batch_reads_no_worker_count_from_the_environment(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the batch started a process pool")
+
     monkeypatch.setenv("TORHOM_THREADS", "4")
-    assert _worker_count(None) == 4
-    monkeypatch.setenv("TORHOM_THREADS", "junk")
-    assert _worker_count(None) == 1
-    monkeypatch.delenv("TORHOM_THREADS")
-    assert _worker_count(None) == 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert dim3_theorem_batch(6, seed=3).certified == 6
+
+
+def test_certified_batch_serializes_no_fan(monkeypatch):
+    serialized = []
+    monkeypatch.setattr(analysis, "fan_to_json", serialized.append)
+    assert dim3_theorem_batch(12, seed=5).certified == 12
+    assert serialized == []
+
+
+def test_batch_violation_carries_the_failing_fan(monkeypatch):
+    # case 4 of a batch from seed 100 is the rank-2 subfan of seed 104
+    m_verdict = analysis.m_verdict
+
+    def failing(fan):
+        verdict = m_verdict(fan)
+        if fan.name == "random-subfan-r2-s104":
+            return dataclasses.replace(verdict, status="Inconclusive", gap=1)
+        return verdict
+
+    monkeypatch.setattr(analysis, "m_verdict", failing)
+    with pytest.raises(TheoremViolation) as exc:
+        dim3_theorem_batch(6, seed=100)
+    assert exc.value.fan_json == fan_to_json(random_fan(2, 104, "subfan"))
 
 
 def test_theorem_violation_carries_fan_json():

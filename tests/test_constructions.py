@@ -10,6 +10,7 @@ from typing import List, Set, Tuple
 import pytest
 from sympy import Matrix
 
+from realtoric import constructions
 from realtoric.constructions import (
     affine_fan,
     cyclic_polytope_normal_fan,
@@ -21,7 +22,7 @@ from realtoric.constructions import (
     torus_fan,
     weighted_projective_fan,
 )
-from realtoric.fan import NotPointed, ValidationError, fan_to_json
+from realtoric.fan import NotPointed, ValidationError, fan_to_json, from_maximal_cones
 from realtoric.spectral import betti_real, e2_dims
 
 # primitive inner facet normals of the hull of (k, k^2, ..., k^5), k = 0..6
@@ -271,6 +272,22 @@ def test_random_fan_canonical_json_is_pinned():
         for seed in range(10)
     ]
     assert got == want
+
+
+def test_random_fan_builds_each_fan_once(monkeypatch):
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return from_maximal_cones(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "from_maximal_cones", counted)
+    for rank in (1, 2, 3):
+        for profile in ("complete", "subfan"):
+            for seed in range(10):
+                builds.clear()
+                random_fan(rank, seed, profile)
+                assert len(builds) == 1, (rank, profile, seed)
 
 
 def test_random_fan_rejections():

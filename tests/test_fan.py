@@ -362,6 +362,40 @@ def test_separation_certificate_never_accepts_a_larger_meet(fm_verdicts):
     assert set(outcomes) == {("fm", True), ("fm", False), ("certificate", False)}
 
 
+def test_pair_check_reads_each_cone_in_its_own_ray_order():
+    # as above, but each cone lists its shared rays, the lowest labels,
+    # last: the verdict must follow the order the geometry was built on
+    rng = random.Random(20252)
+    verdicts = []
+    while len(verdicts) < 150:
+        rank = rng.choice((2, 3))
+        rays = []
+        while len(rays) < 2 * rank + 1:
+            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if reduce(gcd, v) == 1 and v not in rays:
+                rays.append(v)
+        shared = list(range(rng.randint(1, rank - 1)))
+        rest = list(range(len(shared), len(rays)))
+        rng.shuffle(rest)
+        ka = rng.randint(max(1, rank - len(shared) - 1), rank - len(shared))
+        kb = rng.randint(1, rank - len(shared))
+        a, b = rest[:ka] + shared, rest[ka : ka + kb] + shared
+        geo_a, geo_b = (_cone_geometry(rank, [rays[i] for i in c], c) for c in (a, b))
+        face = _mask(shared)
+        if any(
+            not g.pointed or g.nonextreme or face not in g.face_masks for g in (geo_a, geo_b)
+        ):
+            continue
+        try:
+            _check_pair(rays, _mask(a), geo_a, _mask(b), geo_b)
+            rejected = False
+        except BadIntersection:
+            rejected = True
+        assert rejected == _meets_off_face(rays, a, b, shared), (rays, a, b)
+        verdicts.append(rejected)
+    assert set(verdicts) == {True, False}
+
+
 def test_rank_must_be_positive():
     with pytest.raises(ValidationError):
         from_maximal_cones(0, [], [])

@@ -14,8 +14,10 @@ timing each:
   projections      _projection_groups: every facet pair's induced
                    projection mod 2 with its face and surjectivity checks
   e1_e2            e2_dims (E1 assembly and its row homology)
-  real_complex     betti_real (the real complex and its homology)
-  g_pages          g_pages (y-basis conjugation, filtration check, G0/G1)
+  real_complex     betti_real: the y-basis blocks, the real complex
+                   assembled from them in filtration order, its filtration
+                   and d o d gates, and the one reduction of each boundary
+  g_pages          g_pages: G0/G1 read from the pivots of that reduction
   m_verdict        m_verdict, whose pages are cached by then: the E2 = G1
                    cross-check and the verdict
   build_validated  fan_from_json(text, validate_pairs=True): the build with

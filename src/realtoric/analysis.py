@@ -290,7 +290,7 @@ def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
     share one mod-2 image (the kernel is the common line they span), and
     degeneration at the top chain degree is confirmed by comparing the
     kernel of the unfiltered top boundary with the summed kernels of its
-    graded pieces.
+    graded pieces, both read from the pivots of its one reduction.
     """
     if fan.rank != 3:
         raise WrongRank(f"kernel analysis needs rank 3, got {fan.rank}")
@@ -299,13 +299,9 @@ def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
     kernel_dim = d_top.ncols - d_top.rank()
 
     rc = real_complex(fan)
-    top_boundary = rc.chain.boundaries[2]
-    top_chain_kernel = top_boundary.ncols - top_boundary.rank()
-    g0, _ = g_pages(fan)
-    top_graded_kernel = 0
-    for cc in g0.complexes.values():
-        b = cc.boundaries[2]
-        top_graded_kernel += b.ncols - b.rank()
+    top = rc.pivot_levels[2]  # the pivots of the boundary out of chain degree 3
+    top_chain_kernel = rc.chain.dims[3] - sum(top.values())
+    top_graded_kernel = rc.chain.dims[3] - sum(c for (r, k), c in top.items() if r == k)
 
     codim2 = fan.strata[2]
     images = {

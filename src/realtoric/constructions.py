@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .fan import Fan, ValidationError, from_maximal_cones
+from .fan import Fan, ValidationError, _cone_geometry, from_maximal_cones
 from .gf2 import CrossCheckFailed
 from .intlin import determinant, lin_rank, primitive_vector, quotient_with_section
 
@@ -355,10 +355,10 @@ def _random_affine(rng: random.Random, rank: int) -> Fan:
             continue
         if count <= rank and lin_rank(rays) != count:
             continue
-        try:
+        # the cone's own geometry rejects what affine_fan would, unbuilt
+        geo = _cone_geometry(rank, rays)
+        if geo.pointed and not geo.nonextreme:
             return affine_fan(rank, rays)
-        except ValidationError:
-            continue
     raise RuntimeError("random affine generator failed to converge")
 
 

@@ -63,7 +63,6 @@ def orbit_lattice(fan: Fan, ci: int) -> OrbitLattice:
     )
 
 
-@_per_fan
 def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     """Mod-2 matrix of the surjection from the orbit space of cone si onto
     that of cone ti, for si a face of ti.

@@ -8,20 +8,27 @@ Real side: the closed-support homology of the real points is computed by
 a cellular complex whose degree-p term is the direct sum of the group
 algebras F_2[V(sigma)] over codimension-p cones.  Filtering each group
 algebra by powers of the augmentation ideal yields G pages indexed in
-the second quadrant; the first G page is expected to match the second E
-page under reindexing, and the match is tested rather than assumed.
+the second quadrant.  The complex is assembled once, in the y basis with
+its coordinates in filtration order, and reduced once: that one
+reduction gives the Betti numbers of the real points and the rank of
+every graded piece, hence G1 (Edelsbrunner, Letscher & Zomorodian 2002).
+The first G page is expected to match the second E page under
+reindexing, and the match is tested rather than assumed.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .fan import Fan, _per_fan
 from .gf2 import (
     ChainComplex, CrossCheckFailed, Mat2, assemble_blocks, exterior_power, subset_masks,
 )
-from .orbitalg import group_algebra_map, induced_projection_mod2, y_basis_change
+from .orbitalg import (
+    augmentation_filtration_dims, group_algebra_map, induced_projection_mod2, y_basis_change,
+)
 
 __all__ = [
     "PageTable",
@@ -44,13 +51,11 @@ class PageTable:
     entries maps (p, q) to a dimension; structural zeros are stored so
     table lookups never need support bookkeeping.  E pages live in the
     triangle 0 <= q <= p <= rank; G pages in the second quadrant with
-    -rank <= p <= 0.  For a G0 table, complexes holds the graded
-    complexes (one per filtration level) whose homology is G1.
+    -rank <= p <= 0.
     """
 
     label: str
     entries: Dict[Tuple[int, int], int]
-    complexes: Optional[Dict[int, ChainComplex]] = None
 
     def get(self, p: int, q: int) -> int:
         return self.entries.get((p, q), 0)
@@ -141,130 +146,130 @@ def e2_dims(fan: Fan) -> PageTable:
 
 @dataclass
 class RealComplex:
-    """Cellular complex of the real points.
-
-    chain.dims[p] = |Delta^p| * 2^p; block_index maps (degree, cone
-    index) to the (offset, size) coordinate range of that cone's group
-    algebra inside the degree-p term.
-    """
+    """Cellular complex of the real points in the y basis, reduced once.
+    Degree p lists the y^S of its cones by level |S| from p down to 0, then
+    by cone, then by S in subset_masks order; levels[p][i] is the level of
+    coordinate i.  pivot_levels[p - 1] counts the degree-p boundary's pivots
+    by (row level, column level): they sum to its rank, and the (k, k)
+    pivots to the rank of its level-k diagonal block."""
 
     chain: ChainComplex
-    block_index: Dict[Tuple[int, int], Tuple[int, int]] = field(repr=False)
-
-
-@_per_fan
-def _group_algebra_block(fan: Fan, m: Mat2) -> Mat2:
-    """The real-complex block of every facet pair with induced projection
-    m, shared by the real complex and its y-basis block."""
-    return group_algebra_map(m)
-
-
-@_per_fan
-def real_complex(fan: Fan) -> RealComplex:
-    """Chain complex of 2-torsion group algebras computing the
-    closed-support mod-2 homology of the real points."""
-    n = fan.rank
-    dims = [len(fan.strata[p]) << p for p in range(n + 1)]
-    block_index: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    for p in range(n + 1):
-        for j, ci in enumerate(fan.strata[p]):
-            block_index[(p, ci)] = (j << p, 1 << p)
-    boundaries = [
-        _boundary(fan, p, 1 << (p - 1), 1 << p, lambda m: _group_algebra_block(fan, m))
-        for p in range(1, n + 1)
-    ]
-    return RealComplex(ChainComplex(dims, boundaries), block_index)
-
-
-@_per_fan
-def betti_real(fan: Fan) -> List[int]:
-    """Closed-support mod-2 Betti numbers b_0..b_n of the real points."""
-    return real_complex(fan).chain.homology_dims()
+    levels: List[List[int]] = field(repr=False)
+    pivot_levels: List[Counter[Tuple[int, int]]] = field(repr=False)
 
 
 @_per_fan
 def _y_blocks(fan: Fan) -> Dict[Mat2, Mat2]:
-    """Each distinct induced projection m mapped to its real-complex block
-    in the y basis, y_basis_change(p - 1) @ G @ y_basis_change(p) for the
-    shared block G of degree p.  Coordinate i of a block is y^S for the
-    subset S with bitmask i, so its filtration level is i.bit_count()."""
+    """Each distinct induced projection m of degree p mapped to its block in
+    the y basis, y_basis_change(p - 1) @ group_algebra_map(m) @ y_basis_change(p):
+    coordinate i is y^S for the subset S with bitmask i, of level i.bit_count()."""
     zetas = [y_basis_change(p) for p in range(fan.rank + 1)]
     return {
-        m: zetas[p - 1] @ _group_algebra_block(fan, m) @ zetas[p]
+        m: zetas[p - 1] @ group_algebra_map(m) @ zetas[p]
         for p, groups in enumerate(_projection_groups(fan))
         for m in groups
     }
 
 
-def _entry_levels(fan: Fan) -> Iterator[Tuple[int, int]]:
-    """(row level, column level) of every non-zero entry of every distinct
-    y-basis block; these are the levels of every entry of the y-basis
-    boundaries, since a level depends only on the position in a block."""
-    for b in _y_blocks(fan).values():
-        for r, bits in enumerate(b.rows):
-            while bits:
-                low = bits & -bits
-                yield r.bit_count(), (low.bit_length() - 1).bit_count()
-                bits ^= low
+def _reduce(b: Mat2, row_levels: List[int], col_levels: List[int]) -> Counter[Tuple[int, int]]:
+    """Reduce the rows of b from the last to the first, each against the
+    pivot rows found so far, keyed by their lowest set bit; count the
+    pivots by (row level, column level)."""
+    pivots: Dict[int, int] = {}
+    out: Counter[Tuple[int, int]] = Counter()
+    for i, r in reversed(list(enumerate(b.rows))):
+        while r:
+            low = (r & -r).bit_length()
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = r
+                out[row_levels[i], col_levels[low - 1]] += 1
+                break
+            r ^= pivot
+    return out
+
+
+@_per_fan
+def real_complex(fan: Fan) -> RealComplex:
+    """Chain complex of 2-torsion group algebras computing the closed-support
+    mod-2 homology of the real points, filtered by the augmentation ideal.
+    Each boundary is assembled once, from the distinct y-basis blocks' rows
+    split by column level, and reduced once.  Gates: a row of level k has no
+    entry in a column of level above k, and d o d = 0, which implies it in
+    the point basis (the y basis is a conjugate by an involution) and on
+    every graded piece (each boundary is block-triangular)."""
+    sizes = [len(stratum) for stratum in fan.strata]
+    levels = [
+        [k for k in range(p, -1, -1) for _ in range(n * comb(p, k))] for p, n in enumerate(sizes)
+    ]
+    # the first level-k coordinate of degree p (after those of the augmentation
+    # ideal's (k + 1)-th power) is starts[p][k], and that of its cone c offsets[p][c][k]
+    starts = [[n * d for d in augmentation_filtration_dims(p)[1:]] for p, n in enumerate(sizes)]
+    offsets = [
+        [[s + c * comb(p, k) for k, s in enumerate(starts[p])] for c in range(n)]
+        for p, n in enumerate(sizes)
+    ]
+    masks = [[subset_masks(p, k) for k in range(p + 1)] for p in range(fan.rank + 1)]
+    boundaries = []
+    for p in range(1, fan.rank + 1):
+        b = Mat2(len(levels[p - 1]), len(levels[p]))
+        for m, where in _projection_groups(fan)[p].items():
+            y = _y_blocks(fan)[m]
+            cut = [y.submatrix(range(y.nrows), cols).rows for cols in masks[p]]
+            split = [  # (row level, row within it, [(column level, its bits)])
+                (k, i, [(j, bits[t]) for j, bits in enumerate(cut) if bits[t]])
+                for k in range(p) for i, t in enumerate(masks[p - 1][k])
+            ]
+            for a, c in where:
+                ro, co = offsets[p - 1][a], offsets[p][c]
+                for k, i, parts in split:
+                    acc = 0
+                    for j, bits in parts:
+                        acc |= bits << co[j]
+                    b.rows[ro[k] + i] |= acc
+        above = [(1 << start) - 1 for start in starts[p]]  # the columns of level above k
+        if any(r & above[k] for r, k in zip(b.rows, levels[p - 1])):
+            raise CrossCheckFailed("boundary does not respect the augmentation filtration")
+        boundaries.append(b)
+    chain = ChainComplex([len(lv) for lv in levels], boundaries)
+    return RealComplex(chain, levels, list(map(_reduce, boundaries, levels, levels[1:])))
+
+
+@_per_fan
+def betti_real(fan: Fan) -> List[int]:
+    """Closed-support mod-2 Betti numbers b_0..b_n of the real points."""
+    rc = real_complex(fan)
+    ranks = [0] + [sum(c.values()) for c in rc.pivot_levels] + [0]
+    return [d - ranks[m] - ranks[m + 1] for m, d in enumerate(rc.chain.dims)]
 
 
 @_per_fan
 def g_pages(fan: Fan) -> Tuple[PageTable, PageTable]:
     """G0 and G1 pages of the augmentation-ideal filtration on the real
-    cellular complex, indexed at (-k, m + k) for filtration level k and
-    chain degree m.
-
-    The graded complexes are built directly from the filtered complex,
-    so the identity with the complex-side second page stays an
-    independent cross-check.  The filtration gate and every level-k
-    boundary read the distinct y-basis blocks: each block is checked to
-    respect the filtration, and its level-k slice is placed at every
-    facet pair sharing its projection.  No y-basis boundary is assembled.
-    """
-    n = fan.rank
-    if not all(row >= col for row, col in _entry_levels(fan)):
-        raise CrossCheckFailed("boundary does not respect the augmentation filtration")
-    y_blocks = _y_blocks(fan)
-    masks = [[subset_masks(p, k) for k in range(n + 1)] for p in range(n + 1)]
-
-    def level(p: int, k: int) -> Mat2:
-        rows, cols = masks[p - 1][k], masks[p][k]
-        if not rows:  # k >= p: degree p - 1 has no level-k coordinates
-            return Mat2(0, len(fan.strata[p]) * len(cols))
-        return _boundary(
-            fan, p, len(rows), len(cols), lambda m: y_blocks[m].submatrix(rows, cols)
-        )
-
-    complexes = {
-        k: ChainComplex(
-            [len(fan.strata[p]) * comb(p, k) for p in range(n + 1)],
-            [level(p, k) for p in range(1, n + 1)],
-        )
-        for k in range(n + 1)
-    }
+    cellular complex at (-k, m + k) for level k and chain degree m: the cells,
+    and those less the (k, k) pivots of the boundaries on either side.  They
+    come from the filtered complex, not the E1 rows, so E2 = G1 stays an
+    independent cross-check."""
+    rc = real_complex(fan)
     g0_entries: Dict[Tuple[int, int], int] = {}
     g1_entries: Dict[Tuple[int, int], int] = {}
-    for k, cc in complexes.items():
-        h = cc.homology_dims()
-        for m in range(k, n + 1):
-            g0_entries[(-k, m + k)] = cc.dims[m]
-            g1_entries[(-k, m + k)] = h[m]
-    return (
-        PageTable("G0", g0_entries, complexes=complexes),
-        PageTable("G1", g1_entries),
-    )
+    for k in range(fan.rank + 1):
+        same = [0] + [c[k, k] for c in rc.pivot_levels] + [0]
+        for m in range(k, fan.rank + 1):
+            g0_entries[(-k, m + k)] = cells = len(fan.strata[m]) * comb(m, k)
+            g1_entries[(-k, m + k)] = cells - same[m] - same[m + 1]
+    return PageTable("G0", g0_entries), PageTable("G1", g1_entries)
 
 
 def rightmost_column_split(fan: Fan) -> bool:
-    """Whether the real cellular complex splits off the span of the unit
-    group elements as a direct summand.
-
-    In the y basis the unit of each group algebra is the level-0
-    coordinate, so the split holds exactly when every boundary entry
-    couples a level-0 column to level-0 rows only and a positive-level
-    column to positive-level rows only.  This makes every differential
-    leaving the rightmost G column vanish on all pages.  The entries are
-    read from the distinct y-basis blocks; no y-basis boundary is
-    assembled.
-    """
-    return all((row == 0) == (col == 0) for row, col in _entry_levels(fan))
+    """Whether the real cellular complex splits off the span of the unit group
+    elements, the level-0 y-basis coordinates (the last |Delta^p| of degree p),
+    as a direct summand: the filtration gate keeps the other columns off
+    level-0 rows, so it does when level-0 columns meet level-0 rows only.
+    Then every differential leaving the rightmost G column vanishes."""
+    rc = real_complex(fan)
+    return all(
+        not r >> (b.ncols - len(fan.strata[p]))
+        for p, b in enumerate(rc.chain.boundaries, 1)
+        for r in b.rows[: b.nrows - len(fan.strata[p - 1])]
+    )

@@ -233,9 +233,15 @@ def test_criterion_7_structural_invariants(cyclic_fan):
         for cc in rows.values():
             for a, b in zip(cc.boundaries, cc.boundaries[1:]):
                 assert (a @ b).is_zero()
-        g0, _ = g_pages(fan)
-        for cc in g0.complexes.values():
-            for a, b in zip(cc.boundaries, cc.boundaries[1:]):
+        for k in range(fan.rank + 1):
+            graded = [
+                b.submatrix(
+                    [i for i, level in enumerate(rc.levels[p]) if level == k],
+                    [i for i, level in enumerate(rc.levels[p + 1]) if level == k],
+                )
+                for p, b in enumerate(rc.chain.boundaries)
+            ]
+            for a, b in zip(graded, graded[1:]):
                 assert (a @ b).is_zero()
 
     rng = random.Random(70707)

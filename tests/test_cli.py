@@ -146,8 +146,8 @@ def test_compute_page_selection(tmp_path, capsys):
 
 def test_compute_builds_each_artifact_once(monkeypatch, capsys):
     # blocks are built once per distinct induced projection of each
-    # codimension: one group-algebra map each, shared by the real complex
-    # and its y-basis conjugation, and one exterior power each per E1 row
+    # codimension: one group-algebra map each, conjugated into the y basis
+    # of the real complex, and one exterior power each per E1 row
     path = str(FANS / "p2.json")
     fan = read_json(path)
     distinct = {
@@ -449,24 +449,24 @@ import sys
 import realtoric.cli, realtoric.spectral
 from realtoric.gf2 import Mat2
 assert False, "unreachable: python -O strips assert statements"
-real_block = realtoric.spectral._group_algebra_block
-def unfiltered(fan, m):
-    b = real_block(fan, m)
+real_map = realtoric.spectral.group_algebra_map
+def unfiltered(m):
+    b = real_map(m)
     return Mat2(b.nrows, b.ncols, [b.rows[0] ^ 1, *b.rows[1:]])
-realtoric.spectral._group_algebra_block = unfiltered
+realtoric.spectral.group_algebra_map = unfiltered
 sys.exit(realtoric.cli.main(sys.argv[1:]))
 """
 
 
 def test_filtration_gate_fires_under_optimize(monkeypatch, tmp_path):
     gate = "boundary does not respect the augmentation filtration"
-    real_block = spectral._group_algebra_block
+    real_map = spectral.group_algebra_map
 
-    def unfiltered(fan, m):
-        b = real_block(fan, m)
+    def unfiltered(m):
+        b = real_map(m)
         return Mat2(b.nrows, b.ncols, [b.rows[0] ^ 1, *b.rows[1:]])
 
-    monkeypatch.setattr(spectral, "_group_algebra_block", unfiltered)
+    monkeypatch.setattr(spectral, "group_algebra_map", unfiltered)
     for fan in (projective_space_fan(1), projective_space_fan(2)):
         with pytest.raises(CrossCheckFailed, match=gate):
             spectral.g_pages(fan)

@@ -283,7 +283,7 @@ def test_random_fan_builds_each_fan_once(monkeypatch):
 
     monkeypatch.setattr(constructions, "from_maximal_cones", counted)
     for rank in (1, 2, 3):
-        for profile in ("complete", "subfan"):
+        for profile in ("complete", "subfan", "affine"):
             for seed in range(10):
                 builds.clear()
                 random_fan(rank, seed, profile)

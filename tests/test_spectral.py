@@ -5,8 +5,10 @@ import random
 from itertools import combinations
 from math import comb
 
+import pytest
 from conftest import apply_unimodular, mat_mul, oracle_fans, relabel_rays
 
+from realtoric import spectral
 from realtoric.constructions import (
     affine_fan,
     hirzebruch_fan,
@@ -17,7 +19,7 @@ from realtoric.constructions import (
     torus_fan,
     weighted_projective_fan,
 )
-from realtoric.gf2 import Mat2, exterior_power
+from realtoric.gf2 import CrossCheckFailed, Mat2, exterior_power
 from realtoric.orbitalg import group_algebra_map, orbit_lattice, y_basis_change
 from realtoric.spectral import (
     betti_real,
@@ -104,10 +106,11 @@ def test_real_complex_dimensions_and_blocks():
     fan = projective_space_fan(2)
     rc = real_complex(fan)
     assert rc.chain.dims == [3, 6, 4]
-    for (p, ci), (off, size) in rc.block_index.items():
-        assert size == 1 << p
-        assert 0 <= off <= rc.chain.dims[p] - size
-        assert fan.rank - fan.cones[ci].dim == p
+    for p, levels in enumerate(rc.levels):
+        assert len(levels) == rc.chain.dims[p]
+        assert levels == sorted(levels, reverse=True)
+        for k in range(p + 1):
+            assert levels.count(k) == len(fan.strata[p]) * comb(p, k)
 
 
 def test_betti_real_known_values():
@@ -203,8 +206,6 @@ def test_page_table_interface():
     assert triples == sorted(triples)
     assert sum(d for _, _, d in triples) == e2.total()
     assert all(d for _, _, d in e2.nonzero())
-    g0, _ = g_pages(fan)
-    assert g0.complexes is not None and set(g0.complexes) == {0, 1, 2}
 
 
 def per_pair_boundary(fan, p, row_size, col_size, block):
@@ -244,12 +245,17 @@ def level_coordinates(fan, p, k):
     ]
 
 
+def filtration_order(fan, p):
+    """The degree-p coordinates, cone by cone, in the real complex's
+    order: level p first, down to level 0."""
+    return [i for k in range(p, -1, -1) for i in level_coordinates(fan, p, k)]
+
+
 def test_shared_blocks_match_per_pair_assembly():
     for fan in oracle_fans():
         n = fan.rank
         _, rows = e1_page(fan)
         rc = real_complex(fan)
-        g0, _ = g_pages(fan)
         zeta = [block_diagonal(y_basis_change(p), len(fan.strata[p])) for p in range(n + 1)]
         for p in range(1, n + 1):
             for q in range(n + 1):
@@ -258,10 +264,67 @@ def test_shared_blocks_match_per_pair_assembly():
                 )
                 assert rows[q].boundaries[p - 1] == want, (fan, p, q)
             d = per_pair_boundary(fan, p, 1 << (p - 1), 1 << p, group_algebra_map)
-            assert rc.chain.boundaries[p - 1] == d, (fan, p)
             conj = zeta[p - 1] @ d @ zeta[p]
-            for k in range(n + 1):
-                want = conj.submatrix(
-                    level_coordinates(fan, p - 1, k), level_coordinates(fan, p, k)
-                )
-                assert g0.complexes[k].boundaries[p - 1] == want, (fan, p, k)
+            want = conj.submatrix(filtration_order(fan, p - 1), filtration_order(fan, p))
+            assert rc.chain.boundaries[p - 1] == want, (fan, p)
+
+
+def level_block(rc, p, k):
+    """The level-k diagonal block of the degree-p boundary."""
+    rows = [i for i, level in enumerate(rc.levels[p - 1]) if level == k]
+    cols = [i for i, level in enumerate(rc.levels[p]) if level == k]
+    return rc.chain.boundaries[p - 1].submatrix(rows, cols)
+
+
+def test_pivots_count_the_ranks_of_each_boundary_and_graded_piece():
+    for fan in oracle_fans() + random_sample():
+        rc = real_complex(fan)
+        for p, b in enumerate(rc.chain.boundaries, 1):
+            pivots = rc.pivot_levels[p - 1]
+            assert sum(pivots.values()) == b.rank(), (fan, p)
+            for k in range(p + 1):
+                assert pivots[k, k] == level_block(rc, p, k).rank(), (fan, p, k)
+
+
+def flip_level_raising_entry(monkeypatch):
+    """Make every later real complex read its first degree-2 y-basis block
+    with its (row level 1, column level 0) entry flipped: the filtration
+    allows that entry, and no graded piece holds it."""
+    real_blocks = spectral._y_blocks
+
+    def flipped(fan):
+        blocks = dict(real_blocks(fan))
+        m = next(m for m in blocks if m.ncols == 2)
+        b = blocks[m]
+        blocks[m] = Mat2(b.nrows, b.ncols, [b.rows[0], b.rows[1] ^ 1])
+        return blocks
+
+    monkeypatch.setattr(spectral, "_y_blocks", flipped)
+
+
+def test_off_diagonal_entry_is_checked_by_d_o_d(monkeypatch):
+    # only d o d on the full filtered boundaries can see the flipped entry
+    flip_level_raising_entry(monkeypatch)
+    with pytest.raises(CrossCheckFailed, match="^d o d != 0 between degrees 3 and 1$"):
+        real_complex(projective_space_fan(3))
+
+
+def test_off_diagonal_entry_breaks_the_unit_split_only(monkeypatch):
+    # in rank 2 the degree-0 rows all have level 0, so the flipped entry
+    # keeps d o d = 0; it couples a level-0 column to a level-1 row
+    base = projective_space_fan(2)
+    betti, g1 = betti_real(base), g_pages(base)[1].entries
+    assert rightmost_column_split(base)
+    flip_level_raising_entry(monkeypatch)
+    fan = projective_space_fan(2)
+    assert not rightmost_column_split(fan)
+    assert g_pages(fan)[1].entries == g1
+    assert betti_real(fan) == betti
+
+
+def test_reduction_counts_pivots_by_level():
+    # rows 0 and 1 have level 1, row 2 level 0; columns 0 and 1 level 1,
+    # column 2 level 0.  Row 1's pivot is column 0; row 0 reduced by row 1
+    # leaves column 2, a pivot one level down; row 2 is zero.
+    b = Mat2.from_rows([[1, 0, 0], [1, 0, 1], [0, 0, 0]])
+    assert spectral._reduce(b, [1, 1, 0], [1, 1, 0]) == {(1, 1): 1, (1, 0): 1}

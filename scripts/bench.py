@@ -2,6 +2,7 @@
 """Stage-by-stage timings of the pipeline on a fixed corpus of fans.
 
     python3 scripts/bench.py --side NAME --out BENCH_N.json
+    python3 scripts/bench.py --side parent=CHECKOUT --side change=. --out BENCH_N.json
 
 The corpus is cyclic57, p6, p7, p2xp2xp1, p1^6 and p1^7.  Each fan is
 written once as canonical JSON; then, REPEATS (7) times per fan, a fresh
@@ -12,7 +13,8 @@ timing each:
                    validation at rank <= 4)
   orbit_lattices   orbit_lattice of every cone
   projections      _projection_groups: every facet pair's induced
-                   projection mod 2 with its face and surjectivity checks
+                   projection mod 2 with its face check, and the
+                   surjectivity check of each distinct projection
   e1_e2            e2_dims (E1 assembly and its row homology)
   real_complex     betti_real: the y-basis blocks, the real complex
                    assembled from them in filtration order, its filtration
@@ -33,10 +35,12 @@ Last, it times the rank <= 3 batch of 300 random fans,
 `python -m realtoric.cli search --count 300 --seed 20098 --dim 3`, as a
 cold subprocess REPEATS times (median).
 
-The package is imported from `src/` of the checkout holding this script.
-The results are stored under `sides.NAME` of the output file; other sides
-already in the file are kept, so running it on two checkouts with the same
---out puts both in one file.
+Each --side NAME=CHECKOUT times the package in `src/` of that checkout;
+a bare --side NAME means the checkout holding this script.  With two
+sides, every repeat of every measurement runs once on each side, and the
+order of the sides reverses from one repeat to the next, so that the
+host's drift falls on both sides alike.  The results are stored under
+`sides.NAME` of the output file; other sides already in the file are kept.
 """
 from __future__ import annotations
 
@@ -96,9 +100,9 @@ def run_stages(path: str) -> dict:
     }
 
 
-def child_env() -> dict:
+def child_env(src: str) -> dict:
     env = dict(os.environ)
-    env["PYTHONPATH"] = SRC
+    env["PYTHONPATH"] = src
     return env
 
 
@@ -120,14 +124,14 @@ def machine() -> dict:
     }
 
 
-def commit() -> str:
+def commit(checkout: str) -> str:
     try:
         head = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
+            ["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
             capture_output=True, text=True, check=True,
         ).stdout.strip()
         dirty = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=no"], cwd=ROOT,
+            ["git", "status", "--porcelain", "--untracked-files=no"], cwd=checkout,
             capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
@@ -135,80 +139,112 @@ def commit() -> str:
     return head + ("+dirty" if dirty else "")
 
 
-def cold_ms(args) -> float:
-    """Median wall time of REPEATS `python -m realtoric.cli ARGS` runs, in ms."""
-    env = child_env()
-    times = []
-    for _ in range(REPEATS):
-        t = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-m", "realtoric.cli", *args],
-            env=env, capture_output=True, check=True,
-        )
-        times.append(1000 * (time.perf_counter() - t))
+def interleaved(sides, measure_once) -> dict:
+    """REPEATS results of measure_once(src) for each side, keyed by side
+    name; each repeat runs every side once, in reversed order on every
+    other repeat."""
+    out = {name: [] for name, _ in sides}
+    for rep in range(REPEATS):
+        for name, src in sides[::-1] if rep % 2 else sides:
+            out[name].append(measure_once(src))
+    return out
+
+
+def cold_once(src: str, args) -> float:
+    """Wall time of one `python -m realtoric.cli ARGS` run, in ms."""
+    t = time.perf_counter()
+    subprocess.run(
+        [sys.executable, "-m", "realtoric.cli", *args],
+        env=child_env(src), capture_output=True, check=True,
+    )
+    return 1000 * (time.perf_counter() - t)
+
+
+def stages_once(src: str, path: str) -> dict:
+    """The stage timings of one fresh interpreter on the fan in `path`."""
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", path],
+        env=child_env(src), capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def median_ms(times) -> float:
     return round(statistics.median(times), 1)
 
 
-def measure(path: str) -> dict:
-    """Stage medians of REPEATS fresh runs on the fan in `path`, and the
-    median of as many cold `compute --json` subprocesses."""
-    env = child_env()
-    runs = []
-    for _ in range(REPEATS):
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", path],
-            env=env, capture_output=True, text=True, check=True,
-        ).stdout
-        runs.append(json.loads(out.splitlines()[-1]))
-    stages = {s: round(statistics.median(r["ms"][s] for r in runs), 1) for s in STAGES}
-    first = runs[0]
-    return {
-        "stages_ms": stages,
-        "stages_total_ms": round(sum(stages[s] for s in STAGES[:-1]), 1),
-        "compute_json_ms": cold_ms(("compute", "--json", path)),
-        "distinct_projections": first["distinct_projections"],
-        "facet_pairs": first["facet_pairs"],
-        "cones": first["cones"],
-        "status": first["status"],
-    }
+def measure(sides, path: str) -> dict:
+    """For each side, the stage medians of REPEATS fresh runs on the fan in
+    `path`, and the median of as many cold `compute --json` subprocesses."""
+    runs = interleaved(sides, lambda src: stages_once(src, path))
+    colds = interleaved(sides, lambda src: cold_once(src, ("compute", "--json", path)))
+    out = {}
+    for name, _ in sides:
+        stages = {s: median_ms(r["ms"][s] for r in runs[name]) for s in STAGES}
+        first = runs[name][0]
+        out[name] = {
+            "stages_ms": stages,
+            "stages_total_ms": round(sum(stages[s] for s in STAGES[:-1]), 1),
+            "compute_json_ms": median_ms(colds[name]),
+            "distinct_projections": first["distinct_projections"],
+            "facet_pairs": first["facet_pairs"],
+            "cones": first["cones"],
+            "status": first["status"],
+        }
+    return out
+
+
+def parse_side(text: str):
+    """NAME=CHECKOUT, or NAME for the checkout holding this script, as
+    (NAME, the checkout's absolute path)."""
+    name, _, checkout = text.partition("=")
+    return name, os.path.abspath(checkout or ROOT)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", help="name of this checkout's entry in the file")
+    parser.add_argument(
+        "--side", action="append", type=parse_side,
+        help="NAME or NAME=CHECKOUT, once per checkout to time",
+    )
     parser.add_argument("--out", help="JSON file to add the results to")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        sys.path.insert(0, SRC)
         print(json.dumps(run_stages(args.child)))
         return 0
     if not args.side or not args.out:
         parser.error("--side and --out are required")
+    if len({name for name, _ in args.side}) != len(args.side):
+        parser.error("the --side names must be distinct")
+    sides = [(name, os.path.join(checkout, "src")) for name, checkout in args.side]
     # the corpus is built as perfbench builds its large fans
     sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
     from inputs import build_fan
     from realtoric.fan import fan_to_json
 
-    fans = {}
+    fans = {name: {} for name, _ in sides}
     with tempfile.TemporaryDirectory() as tmp:
         for i, label in enumerate(CORPUS):
             path = os.path.join(tmp, f"{i}.json")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(fan_to_json(build_fan(label)))
-            fans[label] = measure(path)
-            print(label, json.dumps(fans[label]), file=sys.stderr)
-    search_ms = cold_ms(SEARCH)
-    print("search", search_ms, file=sys.stderr)
-    result = {
-        "commit": commit(), "machine": machine(), "repeats": REPEATS, "fans": fans,
-        "search_cmd": " ".join(SEARCH), "search_ms": search_ms,
-    }
+            for name, result in measure(sides, path).items():
+                fans[name][label] = result
+                print(label, name, json.dumps(result), file=sys.stderr)
+    searches = interleaved(sides, lambda src: cold_once(src, SEARCH))
     data = {"corpus": list(CORPUS), "stages": list(STAGES), "sides": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             data = json.load(fh)
-    data["sides"][args.side] = result
+    for name, checkout in args.side:
+        search_ms = median_ms(searches[name])
+        print("search", name, search_ms, file=sys.stderr)
+        data["sides"][name] = {
+            "commit": commit(checkout), "machine": machine(), "repeats": REPEATS,
+            "interleaved_with": [other for other, _ in args.side if other != name],
+            "fans": fans[name], "search_cmd": " ".join(SEARCH), "search_ms": search_ms,
+        }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

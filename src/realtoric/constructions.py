@@ -353,7 +353,11 @@ def _random_affine(rng: random.Random, rank: int) -> Fan:
                 rays.append(v)
         if len(rays) != count:
             continue
-        if count <= rank and lin_rank(rays) != count:
+        if count <= rank:
+            # independent rays span a simplicial cone, pointed with every ray
+            # extreme, which affine_fan accepts
+            if lin_rank(rays) == count:
+                return affine_fan(rank, rays)
             continue
         # the cone's own geometry rejects what affine_fan would, unbuilt
         geo = _cone_geometry(rank, rays)

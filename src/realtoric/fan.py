@@ -281,7 +281,8 @@ class Fan:
         self.cones = cones
         self.name = name
         self._quotients = quotients
-        masks = [_mask(c.rays) for c in cones]  # the ray set of each cone
+        # the ray set of each cone, as a bitmask over the ray indices
+        masks = self.ray_masks = tuple(_mask(c.rays) for c in cones)
         self._index = {m: i for i, m in enumerate(masks)}
         self.strata: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(i for i, c in enumerate(cones) if rank - c.dim == p)

@@ -3,14 +3,23 @@
 A matrix row is a single Python int used as a bitset: bit j of row i is
 the entry (i, j).  This keeps Gaussian elimination at word speed without
 any external dependencies.
+
+A set of subsets of range(n) is also a bitset, over range(2**n): bit S
+stands for the subset with bitmask S.  On that layout, moving every S
+without c to S | {c} is one shift and mask (`subset_shift_masks`), which
+the exterior powers' Laplace expansion and the y-basis subset transforms
+of the real complex are built from.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
-    "CrossCheckFailed", "Mat2", "subset_masks", "exterior_power", "assemble_blocks", "ChainComplex",
+    "CrossCheckFailed", "Mat2", "subset_masks", "subset_shift_masks", "exterior_power",
+    "exterior_powers", "assemble_blocks", "ChainComplex",
 ]
 
 
@@ -94,16 +103,7 @@ class Mat2:
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         assert self.ncols == other.nrows, "inner dimensions must agree"
-        out = []
-        for r in self.rows:
-            acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.rows[low.bit_length() - 1]
-                rr ^= low
-            out.append(acc)
-        return Mat2(self.nrows, other.ncols, out)
+        return Mat2(self.nrows, other.ncols, _mul_rows(self.rows, other.rows))
 
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector (v a bitset over ncols)."""
@@ -145,6 +145,20 @@ class Mat2:
         return Mat2(len(row_idx), len(col_idx), out)
 
 
+def _mul_rows(a: Iterable[int], b: Sequence[int]) -> Tuple[int, ...]:
+    """Rows of the product of the matrices with rows a and b: row i is the
+    XOR of the rows of b picked by the bits of a's row i."""
+    out = []
+    for r in a:
+        acc = 0
+        while r:
+            low = r & -r
+            acc ^= b[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return tuple(out)
+
+
 def _rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of row bitsets: each row is reduced by the pivot
     rows found so far, keyed by their leading bit, until it vanishes or
@@ -161,11 +175,69 @@ def _rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-def subset_masks(n: int, k: int) -> List[int]:
+@lru_cache(maxsize=None)
+def subset_masks(n: int, k: int) -> Tuple[int, ...]:
     """Bitmasks of the k-subsets of range(n), in the lexicographic order of
     combinations(range(n), k): the row and column order of exterior
     powers and of the level-k coordinates of a y basis."""
-    return [sum(1 << i for i in c) for c in combinations(range(n), k)]
+    return tuple(sum(1 << i for i in c) for c in combinations(range(n), k))
+
+
+@lru_cache(maxsize=None)
+def subset_shift_masks(n: int) -> Tuple[int, ...]:
+    """For each c < n, the bitset over range(2**n) of the subsets of range(n)
+    without c: (x & masks[c]) << (1 << c) moves each such subset S of the
+    bitset x to S | {c}, and drops the subsets holding c."""
+    return tuple(
+        int(("0" * (1 << c) + "1" * (1 << c)) * (1 << (n - c - 1)), 2) for c in range(n)
+    )
+
+
+@lru_cache(maxsize=None)
+def _subset_index_bits(n: int) -> Tuple[int, ...]:
+    """1 << (the position of S among the subsets of its size in
+    subset_masks order), for every bitmask S over range(n)."""
+    out = [0] * (1 << n)
+    for k in range(n + 1):
+        for j, s in enumerate(subset_masks(n, k)):
+            out[s] = 1 << j
+    return tuple(out)
+
+
+def exterior_powers(m: Mat2) -> List[Mat2]:
+    """The exterior powers of m for q = 0 .. max(nrows, ncols), from one
+    Laplace pass: out[q] is exterior_power(m, q).
+
+    The minors of a row subset R are a bitset over the column subsets C.
+    That of the empty R holds the empty C only; otherwise R is expanded
+    along its last row r: over GF(2) the minor (R, C) is the XOR, over the
+    columns c of C with entry (r, c) set, of the minor (R - r, C - c), so the
+    minors of R are the XOR, over the set entries c of row r, of those of
+    R - r moved from C - c to C."""
+    shift = subset_shift_masks(m.ncols)
+    minors = [1] + [0] * ((1 << m.nrows) - 1)  # indexed by the bitmask of R
+    for r, row in enumerate(m.rows):
+        moves = [(shift[c], 1 << c) for c in range(m.ncols) if row >> c & 1]
+        top = 1 << r
+        for below in range(top):
+            lower = minors[below]
+            acc = 0
+            for keep, step in moves:
+                acc ^= (lower & keep) << step
+            minors[below | top] = acc
+    index = _subset_index_bits(m.ncols)
+    out = []
+    for q in range(max(m.nrows, m.ncols) + 1):
+        rows = []
+        for rmask in subset_masks(m.nrows, q):
+            x, acc = minors[rmask], 0
+            while x:
+                low = x & -x
+                acc |= index[low.bit_length() - 1]
+                x ^= low
+            rows.append(acc)
+        out.append(Mat2(len(rows), comb(m.ncols, q), rows))
+    return out
 
 
 def exterior_power(m: Mat2, q: int) -> Mat2:
@@ -173,17 +245,9 @@ def exterior_power(m: Mat2, q: int) -> Mat2:
     subsets of the row and column indices in lexicographic order; each
     entry is the corresponding q x q minor over GF(2)."""
     assert q >= 0
-    col_masks = subset_masks(m.ncols, q)
-    out = []
-    for picked in combinations(m.rows, q):
-        # a minor is 1 exactly when the picked rows, cut down to the
-        # column subset, are independent
-        acc = 0
-        for j, cm in enumerate(col_masks):
-            if _rank([r & cm for r in picked]) == q:
-                acc |= 1 << j
-        out.append(acc)
-    return Mat2(len(out), len(col_masks), out)
+    if q > max(m.nrows, m.ncols):
+        return Mat2(0, 0)
+    return exterior_powers(m)[q]
 
 
 def assemble_blocks(

@@ -5,6 +5,11 @@ reduction V is an F_2 vector space of dimension p, and the 2-torsion
 subgroup of the quotient torus is canonically V.  The homology of that
 finite group is the group algebra F_2[V], with elements bit-packed over
 the 2^p group elements.
+
+The induced projection of a facet pair is the bit product of the mod-2
+rows of the two cones' lattice data, and the group-algebra map of a
+linear map m fills its image table one low bit at a time: the image of
+g is that of g without its low bit, plus the column of m at that bit.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from math import comb
 from typing import List, Tuple
 
 from .fan import Fan, _per_fan
-from .gf2 import CrossCheckFailed, Mat2, subset_masks
+from .gf2 import CrossCheckFailed, Mat2, _mul_rows, _rank, subset_masks, subset_shift_masks
 
 __all__ = [
     "OrbitLattice",
@@ -71,12 +76,13 @@ def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     mod 2: reduction is a ring map, so this is the integral product
     reduced, independent of any mod-2 lift choice.
     """
-    if not set(fan.cones[si].rays).issubset(fan.cones[ti].rays):
+    if fan.ray_masks[si] & ~fan.ray_masks[ti]:
         raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
-    out = orbit_lattice(fan, ti).mod2 @ orbit_lattice(fan, si).section_mod2
-    if out.rank() != out.nrows:
+    source, target = orbit_lattice(fan, si), orbit_lattice(fan, ti)
+    rows = _mul_rows(target.mod2.rows, source.section_mod2.rows)
+    if _rank(rows) != len(rows):
         raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
-    return out
+    return Mat2(target.codim, source.codim, rows)
 
 
 def torus_homology_dims(p: int) -> List[int]:
@@ -92,9 +98,13 @@ def group_algebra_map(m: Mat2) -> Mat2:
     as bitmasks.
     """
     a, b = m.ncols, m.nrows
+    cols = [m.col(j) for j in range(a)]
+    image = [0] * (1 << a)
     rows = [0] * (1 << b)
-    for g in range(1 << a):
-        h = m.mul_vec(g)
+    rows[0] = 1
+    for g in range(1, 1 << a):
+        low = g & -g
+        image[g] = h = image[g ^ low] ^ cols[low.bit_length() - 1]
         rows[h] |= 1 << g
     return Mat2(1 << b, 1 << a, rows)
 
@@ -174,20 +184,11 @@ def y_coords(rank: int, bits: int) -> int:
     The change of basis is the subset zeta transform mod 2, which is an
     involution, so this function is its own inverse.
     """
-    size = 1 << rank
-    out = list(
-        (bits >> i) & 1 for i in range(size)
-    )
-    for b in range(rank):
-        step = 1 << b
-        for s in range(size):
-            if not s & step:
-                out[s] ^= out[s | step]
-    acc = 0
-    for i, v in enumerate(out):
-        if v:
-            acc |= 1 << i
-    return acc
+    bits &= (1 << (1 << rank)) - 1
+    # coordinate S gains that of S | {c}, for each c not in S
+    for c, keep in enumerate(subset_shift_masks(rank)):
+        bits ^= (bits >> (1 << c)) & keep
+    return bits
 
 
 def y_basis_change(rank: int) -> Mat2:

@@ -14,6 +14,13 @@ reduction gives the Betti numbers of the real points and the rank of
 every graded piece, hence G1 (Edelsbrunner, Letscher & Zomorodian 2002).
 The first G page is expected to match the second E page under
 reindexing, and the match is tested rather than assumed.
+
+Both sides are built from the distinct induced projections m of the facet
+pairs, each checked for surjectivity once.  The E side takes every
+exterior power of m from one Laplace pass over m's rows; the real side
+takes the group-algebra map of m to the y basis by subset transforms.  The
+E side never reads the y blocks, although their diagonal blocks are the
+exterior powers, so that E2 = G1 stays an independent cross-check.
 """
 from __future__ import annotations
 
@@ -24,11 +31,10 @@ from typing import Callable, Dict, List, Tuple
 
 from .fan import Fan, _per_fan
 from .gf2 import (
-    ChainComplex, CrossCheckFailed, Mat2, assemble_blocks, exterior_power, subset_masks,
+    ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, assemble_blocks, exterior_powers,
+    subset_masks, subset_shift_masks,
 )
-from .orbitalg import (
-    augmentation_filtration_dims, group_algebra_map, induced_projection_mod2, y_basis_change,
-)
+from .orbitalg import augmentation_filtration_dims, group_algebra_map, orbit_lattice
 
 __all__ = [
     "PageTable",
@@ -85,13 +91,33 @@ def complex_position_of_real(p: int, q: int) -> Tuple[int, int]:
 def _projection_groups(fan: Fan) -> List[Dict[Mat2, List[Tuple[int, int]]]]:
     """For each degree p, the facet pairs (si, ti) with si of codimension
     p grouped by their induced projection, as (row block, column block)
-    positions: the block of ti in stratum p - 1, of si in stratum p."""
+    positions: the block of ti in stratum p - 1, of si in stratum p.
+
+    Each pair's projection is the bit product of ti's mod2 rows and si's
+    section_mod2 rows, keyed by its row tuple; the face check runs on every
+    pair, and the surjectivity check once per distinct row tuple, which
+    every pair with that projection shares."""
     pos = {ci: j for stratum in fan.strata for j, ci in enumerate(stratum)}
-    groups: List[Dict[Mat2, List[Tuple[int, int]]]] = [{} for _ in fan.strata]
+    lattices = [orbit_lattice(fan, ci) for ci in range(len(fan.cones))]
+    mod2 = [ol.mod2.rows for ol in lattices]
+    section = [ol.section_mod2.rows for ol in lattices]
+    masks = fan.ray_masks
+    by_rows: List[Dict[Tuple[int, ...], List[Tuple[int, int]]]] = [{} for _ in fan.strata]
     for si, ti in fan.facet_pairs():
-        m = induced_projection_mod2(fan, si, ti)
-        groups[fan.rank - fan.cones[si].dim].setdefault(m, []).append((pos[ti], pos[si]))
-    return groups
+        if masks[si] & ~masks[ti]:
+            raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
+        rows = _mul_rows(mod2[ti], section[si])
+        seen = by_rows[lattices[si].codim]
+        where = seen.get(rows)
+        if where is None:
+            if _rank(rows) != len(rows):
+                raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
+            where = seen[rows] = []
+        where.append((pos[ti], pos[si]))
+    return [
+        {Mat2(p - 1, p, rows): where for rows, where in groups.items()}
+        for p, groups in enumerate(by_rows)
+    ]
 
 
 def _boundary(
@@ -115,15 +141,18 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     Returns the dimension table and, for each q, the row complex whose
     degree-p term is the sum of q-th exterior powers of the orbit spaces
     of codimension-p cones; boundary blocks are exterior powers of the
-    induced projections over facet pairs.
+    induced projections over facet pairs, all of them from one pass of
+    exterior_powers per distinct projection m.  Only m's rows are read.
     """
     n = fan.rank
+    powers = {m: exterior_powers(m) for groups in _projection_groups(fan) for m in groups}
     entries: Dict[Tuple[int, int], int] = {}
     complexes: Dict[int, ChainComplex] = {}
     for q in range(n + 1):
         dims = [len(fan.strata[p]) * comb(p, q) for p in range(n + 1)]
         boundaries = [
-            _boundary(fan, p, comb(p - 1, q), comb(p, q), lambda m: exterior_power(m, q))
+            _boundary(fan, p, comb(p - 1, q), comb(p, q), lambda m: powers[m][q])
+            if q <= p else Mat2(0, 0)
             for p in range(1, n + 1)
         ]
         complexes[q] = ChainComplex(dims, boundaries)
@@ -158,17 +187,32 @@ class RealComplex:
     pivot_levels: List[Counter[Tuple[int, int]]] = field(repr=False)
 
 
+def _y_block(m: Mat2) -> Mat2:
+    """The block of m in the y basis, coordinate i being y^S for the subset S
+    with bitmask i, of level i.bit_count(): y_basis_change(m.nrows) @
+    group_algebra_map(m) @ y_basis_change(m.ncols), as subset transforms of
+    group_algebra_map(m) in place.  On the column side each row becomes its
+    subset sums (m.ncols shift-and-mask steps); on the row side row T
+    becomes the sum of the rows of its supersets (m.nrows butterfly passes)."""
+    block = group_algebra_map(m)
+    rows = block.rows
+    moves = [(keep, 1 << c) for c, keep in enumerate(subset_shift_masks(m.ncols))]
+    for t, r in enumerate(rows):
+        for keep, step in moves:
+            r ^= (r & keep) << step
+        rows[t] = r
+    for c in range(m.nrows):
+        bit = 1 << c
+        for t in range(len(rows)):
+            if not t & bit:
+                rows[t] ^= rows[t | bit]
+    return block
+
+
 @_per_fan
 def _y_blocks(fan: Fan) -> Dict[Mat2, Mat2]:
-    """Each distinct induced projection m of degree p mapped to its block in
-    the y basis, y_basis_change(p - 1) @ group_algebra_map(m) @ y_basis_change(p):
-    coordinate i is y^S for the subset S with bitmask i, of level i.bit_count()."""
-    zetas = [y_basis_change(p) for p in range(fan.rank + 1)]
-    return {
-        m: zetas[p - 1] @ group_algebra_map(m) @ zetas[p]
-        for p, groups in enumerate(_projection_groups(fan))
-        for m in groups
-    }
+    """Each distinct induced projection mapped to its block in the y basis."""
+    return {m: _y_block(m) for groups in _projection_groups(fan) for m in groups}
 
 
 def _reduce(b: Mat2, row_levels: List[int], col_levels: List[int]) -> Counter[Tuple[int, int]]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from itertools import combinations
 from pathlib import Path
 from typing import List, Sequence
 
@@ -17,6 +18,8 @@ from realtoric.constructions import (
     random_fan,
 )
 from realtoric.fan import Fan, from_maximal_cones, read_json
+from realtoric.gf2 import Mat2
+from realtoric.intlin import determinant
 
 settings.register_profile(
     "suite",
@@ -55,6 +58,17 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     """Integer matrix times vector."""
     return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def minors_mod2(m: Mat2, q: int) -> List[List[int]]:
+    """The q x q minors of m mod 2, one integer determinant each: rows and
+    columns are the q-subsets of m's rows and columns in combinations
+    order, the reference for exterior powers."""
+    return [
+        [determinant([[m.entry(a, b) for b in cs] for a in rs]) % 2
+         for cs in combinations(range(m.ncols), q)]
+        for rs in combinations(range(m.nrows), q)
+    ]
 
 
 def square_pyramid_fan() -> Fan:

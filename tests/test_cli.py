@@ -147,7 +147,8 @@ def test_compute_page_selection(tmp_path, capsys):
 def test_compute_builds_each_artifact_once(monkeypatch, capsys):
     # blocks are built once per distinct induced projection of each
     # codimension: one group-algebra map each, conjugated into the y basis
-    # of the real complex, and one exterior power each per E1 row
+    # of the real complex, and one pass of the exterior-power kernel each,
+    # which gives the blocks of every E1 row
     path = str(FANS / "p2.json")
     fan = read_json(path)
     distinct = {
@@ -155,7 +156,7 @@ def test_compute_builds_each_artifact_once(monkeypatch, capsys):
         for si, ti in fan.facet_pairs()
     }
     assert (len(fan.facet_pairs()), len(distinct)) == (9, 4)
-    calls = {"group_algebra_map": 0, "exterior_power": 0}
+    calls = {"group_algebra_map": 0, "exterior_powers": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(spectral, name)):
             calls[_name] += 1
@@ -164,10 +165,7 @@ def test_compute_builds_each_artifact_once(monkeypatch, capsys):
         monkeypatch.setattr(spectral, name, counted)
     code, _, _ = run_cli(capsys, "compute", "--json", "--pages", "e1,e2,g0,g1", path)
     assert code == 0
-    assert calls == {
-        "group_algebra_map": len(distinct),
-        "exterior_power": len(distinct) * (fan.rank + 1),
-    }
+    assert calls == {"group_algebra_map": len(distinct), "exterior_powers": len(distinct)}
 
 
 def test_compute_parse_and_validation_errors(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Bit-packed GF(2) linear algebra against list-based brute force."""
 from __future__ import annotations
 
+import random
 from itertools import combinations
+from math import comb
 from typing import List, Tuple
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from realtoric.gf2 import ChainComplex, Mat2, assemble_blocks, exterior_power
+from conftest import minors_mod2
+
+from realtoric.gf2 import ChainComplex, Mat2, assemble_blocks, exterior_power, exterior_powers
 from realtoric.intlin import determinant
 
 bit_rows = st.lists(st.integers(0, 1), min_size=1, max_size=6)
@@ -182,6 +186,33 @@ def test_exterior_functorial(a_rows, b_rows, q):
     a = Mat2.from_rows([r[:inner] + [0] * (inner - len(r)) for r in a_rows], ncols=inner)
     b = Mat2.from_rows(b_rows)
     assert exterior_power(a @ b, q) == exterior_power(a, q) @ exterior_power(b, q)
+
+
+def seeded_matrices(rng: random.Random) -> List[Mat2]:
+    """Full, rank-deficient and zero-row matrices up to 8 x 8."""
+    out = []
+    for nrows, ncols in [(8, 8), (7, 8), (8, 6), (5, 5), (3, 7), (6, 2), (1, 8), (0, 4), (4, 0)]:
+        full = Mat2(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
+        low = rng.randint(0, min(nrows, ncols))  # a product through a rank-`low` space
+        thin = Mat2(low, ncols, [rng.getrandbits(ncols) for _ in range(low)])
+        picks = Mat2(nrows, low, [rng.getrandbits(low) for _ in range(nrows)])
+        holes = list(full.rows)
+        for i in rng.sample(range(nrows), nrows // 2):
+            holes[i] = 0
+        out += [full, picks @ thin, Mat2(nrows, ncols, holes)]
+    return out
+
+
+def test_exterior_powers_are_minors_of_seeded_matrices():
+    for m in seeded_matrices(random.Random(13)):
+        powers = exterior_powers(m)
+        assert len(powers) == max(m.nrows, m.ncols) + 1
+        for q in range(max(m.nrows, m.ncols) + 3):  # past both sizes
+            power = exterior_power(m, q)
+            assert (power.nrows, power.ncols) == (comb(m.nrows, q), comb(m.ncols, q))
+            assert to_lists(power) == minors_mod2(m, q), (m, q)
+            if q < len(powers):
+                assert powers[q] == power
 
 
 def test_exterior_degenerate_cases():

@@ -159,6 +159,20 @@ def test_group_algebra_map_identity_and_zero():
     assert z.rows[0] == 0b1111 and z.rows[1] == 0 and z.rows[2] == 0
 
 
+def test_group_algebra_map_matches_point_definition():
+    # zero rows and zero-row or zero-column maps included
+    rng = random.Random(5)
+    for nrows in range(8):
+        for ncols in range(9):
+            m = Mat2(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
+            if nrows > 1:
+                m.rows[rng.randrange(nrows)] = 0
+            rows = [0] * (1 << nrows)
+            for g in range(1 << ncols):
+                rows[m.mul_vec(g)] |= 1 << g
+            assert group_algebra_map(m) == Mat2(1 << nrows, 1 << ncols, rows), m
+
+
 def test_y_basis_change_is_involution_small():
     for r in range(7):
         z = y_basis_change(r)

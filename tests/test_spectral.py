@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from conftest import apply_unimodular, mat_mul, oracle_fans, relabel_rays
+from conftest import apply_unimodular, mat_mul, minors_mod2, oracle_fans, relabel_rays
 
 from realtoric import spectral
 from realtoric.constructions import (
@@ -19,8 +19,11 @@ from realtoric.constructions import (
     torus_fan,
     weighted_projective_fan,
 )
-from realtoric.gf2 import CrossCheckFailed, Mat2, exterior_power
-from realtoric.orbitalg import group_algebra_map, orbit_lattice, y_basis_change
+from realtoric.fan import Fan
+from realtoric.gf2 import CrossCheckFailed, Mat2, exterior_power, exterior_powers
+from realtoric.orbitalg import (
+    group_algebra_map, induced_projection_mod2, orbit_lattice, y_basis_change,
+)
 from realtoric.spectral import (
     betti_real,
     complex_position_of_real,
@@ -267,6 +270,59 @@ def test_shared_blocks_match_per_pair_assembly():
             conj = zeta[p - 1] @ d @ zeta[p]
             want = conj.submatrix(filtration_order(fan, p - 1), filtration_order(fan, p))
             assert rc.chain.boundaries[p - 1] == want, (fan, p)
+
+
+def test_exterior_powers_of_every_distinct_projection_are_minors():
+    for fan in oracle_fans():
+        for groups in spectral._projection_groups(fan):
+            for m in groups:
+                for q, power in enumerate(exterior_powers(m)):
+                    rows = [[power.entry(i, j) for j in range(power.ncols)] for i in range(power.nrows)]
+                    assert rows == minors_mod2(m, q), (fan, m, q)
+
+
+def test_y_block_is_the_group_algebra_map_in_the_y_basis():
+    rng = random.Random(17)
+    for nrows in range(8):
+        for ncols in range(9):
+            m = Mat2(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
+            want = y_basis_change(nrows) @ group_algebra_map(m) @ y_basis_change(ncols)
+            assert spectral._y_block(m) == want, m
+
+
+def test_surjectivity_is_checked_once_per_distinct_projection(monkeypatch):
+    fan = projective_space_fan(3)
+    checked = []
+    rank = spectral._rank
+    monkeypatch.setattr(spectral, "_rank", lambda rows: checked.append(rows) or rank(rows))
+    groups = spectral._projection_groups(fan)
+    assert len(checked) == sum(len(g) for g in groups) < len(fan.facet_pairs())
+    assert sorted(checked) == sorted(tuple(m.rows) for g in groups for m in g)
+
+
+def test_shared_projection_that_loses_rank_is_caught():
+    # with the last ray's section zeroed, its pairs with the three 2-cones
+    # through it all have the zero projection: one distinct matrix, shared
+    # by three pairs and met after the other rays' projections were checked
+    fan = projective_space_fan(3)
+    ray = fan.cone_index([3])
+    assert sum(si == ray for si, _ in fan.facet_pairs()) == 3
+    section = orbit_lattice(fan, ray).section_mod2
+    section.rows[:] = [0] * section.nrows
+    with pytest.raises(CrossCheckFailed, match=f"^induced projection {ray} -> .* not surjective$"):
+        spectral._projection_groups(fan)
+
+
+def test_facet_pair_off_the_face_lattice_is_caught(monkeypatch):
+    fan = projective_space_fan(2)
+    ray, cone = fan.cone_index([0]), fan.cone_index([1, 2])
+    pairs = fan.facet_pairs() + [(ray, cone)]
+    monkeypatch.setattr(Fan, "facet_pairs", lambda self: pairs)
+    gate = f"^cone {ray} is not a face of cone {cone}$"
+    with pytest.raises(CrossCheckFailed, match=gate):
+        spectral._projection_groups(fan)
+    with pytest.raises(CrossCheckFailed, match=gate):
+        induced_projection_mod2(fan, ray, cone)
 
 
 def level_block(rc, p, k):

@@ -16,9 +16,10 @@ timing each:
                    projection mod 2 with its face check, and the
                    surjectivity check of each distinct projection
   e1_e2            e2_dims (E1 assembly and its row homology)
-  real_complex     betti_real: the y-basis blocks, the real complex
-                   assembled from them in filtration order, its filtration
-                   and d o d gates, and the one reduction of each boundary
+  real_complex     betti_real: the y-basis blocks, each row placed once
+                   and shifted into the real complex for each of its facet
+                   pairs, the filtration and d o d gates, and the one
+                   reduction of each boundary
   g_pages          g_pages: G0/G1 read from the pivots of that reduction
   m_verdict        m_verdict, whose pages are cached by then: the E2 = G1
                    cross-check and the verdict
@@ -39,8 +40,13 @@ Each --side NAME=CHECKOUT times the package in `src/` of that checkout;
 a bare --side NAME means the checkout holding this script.  With two
 sides, every repeat of every measurement runs once on each side, and the
 order of the sides reverses from one repeat to the next, so that the
-host's drift falls on both sides alike.  The results are stored under
-`sides.NAME` of the output file; other sides already in the file are kept.
+host's drift falls on both sides alike.  Each side's children share one
+bytecode cache of their own, an empty PYTHONPYCACHEPREFIX directory under
+the run's temporary directory, with PYTHONDONTWRITEBYTECODE dropped; one
+untimed `import realtoric.cli` per side fills it before any timing, so
+that no side gains from a `__pycache__` left in its checkout.  The
+results are stored under `sides.NAME` of the output file; other sides
+already in the file are kept.
 """
 from __future__ import annotations
 
@@ -100,9 +106,13 @@ def run_stages(path: str) -> dict:
     }
 
 
-def child_env(src: str) -> dict:
+def child_env(src: str, cache: str) -> dict:
+    """The environment of one side's children: its package on the path and
+    its own bytecode cache, written."""
     env = dict(os.environ)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONPATH"] = src
+    env["PYTHONPYCACHEPREFIX"] = cache
     return env
 
 
@@ -140,31 +150,31 @@ def commit(checkout: str) -> str:
 
 
 def interleaved(sides, measure_once) -> dict:
-    """REPEATS results of measure_once(src) for each side, keyed by side
+    """REPEATS results of measure_once(env) for each side, keyed by side
     name; each repeat runs every side once, in reversed order on every
     other repeat."""
     out = {name: [] for name, _ in sides}
     for rep in range(REPEATS):
-        for name, src in sides[::-1] if rep % 2 else sides:
-            out[name].append(measure_once(src))
+        for name, env in sides[::-1] if rep % 2 else sides:
+            out[name].append(measure_once(env))
     return out
 
 
-def cold_once(src: str, args) -> float:
+def cold_once(env: dict, args) -> float:
     """Wall time of one `python -m realtoric.cli ARGS` run, in ms."""
     t = time.perf_counter()
     subprocess.run(
         [sys.executable, "-m", "realtoric.cli", *args],
-        env=child_env(src), capture_output=True, check=True,
+        env=env, capture_output=True, check=True,
     )
     return 1000 * (time.perf_counter() - t)
 
 
-def stages_once(src: str, path: str) -> dict:
+def stages_once(env: dict, path: str) -> dict:
     """The stage timings of one fresh interpreter on the fan in `path`."""
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", path],
-        env=child_env(src), capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -176,8 +186,8 @@ def median_ms(times) -> float:
 def measure(sides, path: str) -> dict:
     """For each side, the stage medians of REPEATS fresh runs on the fan in
     `path`, and the median of as many cold `compute --json` subprocesses."""
-    runs = interleaved(sides, lambda src: stages_once(src, path))
-    colds = interleaved(sides, lambda src: cold_once(src, ("compute", "--json", path)))
+    runs = interleaved(sides, lambda env: stages_once(env, path))
+    colds = interleaved(sides, lambda env: cold_once(env, ("compute", "--json", path)))
     out = {}
     for name, _ in sides:
         stages = {s: median_ms(r["ms"][s] for r in runs[name]) for s in STAGES}
@@ -217,14 +227,19 @@ def main() -> int:
         parser.error("--side and --out are required")
     if len({name for name, _ in args.side}) != len(args.side):
         parser.error("the --side names must be distinct")
-    sides = [(name, os.path.join(checkout, "src")) for name, checkout in args.side]
     # the corpus is built as perfbench builds its large fans
     sys.path[:0] = [SRC, os.path.join(ROOT, "perfbench")]
     from inputs import build_fan
     from realtoric.fan import fan_to_json
 
-    fans = {name: {} for name, _ in sides}
+    fans = {name: {} for name, _ in args.side}
     with tempfile.TemporaryDirectory() as tmp:
+        sides = [
+            (name, child_env(os.path.join(checkout, "src"), os.path.join(tmp, f"pycache{i}")))
+            for i, (name, checkout) in enumerate(args.side)
+        ]
+        for _, env in sides:
+            subprocess.run([sys.executable, "-c", "import realtoric.cli"], env=env, check=True)
         for i, label in enumerate(CORPUS):
             path = os.path.join(tmp, f"{i}.json")
             with open(path, "w", encoding="utf-8") as fh:
@@ -232,7 +247,7 @@ def main() -> int:
             for name, result in measure(sides, path).items():
                 fans[name][label] = result
                 print(label, name, json.dumps(result), file=sys.stderr)
-    searches = interleaved(sides, lambda src: cold_once(src, SEARCH))
+        searches = interleaved(sides, lambda env: cold_once(env, SEARCH))
     data = {"corpus": list(CORPUS), "stages": list(STAGES), "sides": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

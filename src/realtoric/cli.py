@@ -244,25 +244,13 @@ def cmd_reference_tables(args) -> int:
     for line in _pretty_page(g1, fan.rank):
         print(line)
     mismatches = []
-    for (p, q), want in EXPECTED_E2.items():
-        got = e2.get(p, q)
-        if got != want:
-            mismatches.append(f"E2[{p},{q}] = {got}, expected {want}")
-    for p in range(6):
-        for q in range(p + 1):
-            if (p, q) not in EXPECTED_E2 and e2.get(p, q) != 0:
-                mismatches.append(f"E2[{p},{q}] = {e2.get(p, q)}, expected 0")
-    for (p, q), want in EXPECTED_G1.items():
-        got = g1.get(p, q)
-        if got != want:
-            mismatches.append(f"G1[{p},{q}] = {got}, expected {want}")
-    for (p, q) in g1.entries:
-        if (p, q) not in EXPECTED_G1 and g1.get(p, q) != 0:
-            mismatches.append(f"G1[{p},{q}] = {g1.get(p, q)}, expected 0")
-    if e2.total() != 123:
-        mismatches.append(f"E2 total {e2.total()}, expected 123")
-    if g1.total() != 123:
-        mismatches.append(f"G1 total {g1.total()}, expected 123")
+    for name, table, expected in (("E2", e2, EXPECTED_E2), ("G1", g1, EXPECTED_G1)):
+        for p, q in sorted(table.entries.keys() | expected.keys()):
+            got, want = table.get(p, q), expected.get((p, q), 0)
+            if got != want:
+                mismatches.append(f"{name}[{p},{q}] = {got}, expected {want}")
+        if table.total() != 123:
+            mismatches.append(f"{name} total {table.total()}, expected 123")
     if args.transpose_check:
         for (p, q) in g1.entries:
             ep, eq = complex_position_of_real(p, q)

@@ -12,6 +12,10 @@ the second quadrant.  The complex is assembled once, in the y basis with
 its coordinates in filtration order, and reduced once: that one
 reduction gives the Betti numbers of the real points and the rank of
 every graded piece, hence G1 (Edelsbrunner, Letscher & Zomorodian 2002).
+Its pivot pairing does not depend on the order within a level, so each
+level lists its subsets S and, for each, its cones: y^S of every cone is
+then one shift of the same coordinate, and each row of a y block is placed
+once for all the facet pairs that share it.
 The first G page is expected to match the second E page under
 reindexing, and the match is tested rather than assumed.
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from .fan import Fan, _per_fan
 from .gf2 import (
@@ -88,13 +92,14 @@ def complex_position_of_real(p: int, q: int) -> Tuple[int, int]:
 
 
 @_per_fan
-def _projection_groups(fan: Fan) -> List[Dict[Mat2, List[Tuple[int, int]]]]:
-    """For each degree p, the facet pairs (si, ti) with si of codimension
-    p grouped by their induced projection, as (row block, column block)
-    positions: the block of ti in stratum p - 1, of si in stratum p.
+def _projection_groups(fan: Fan) -> List[List[Tuple[Mat2, List[Tuple[int, int]]]]]:
+    """For each degree p, the distinct induced projections m of the facet
+    pairs (si, ti) with si of codimension p, in order of first appearance,
+    each as (m, its pairs' (row block, column block) positions): the block
+    of ti in stratum p - 1, of si in stratum p.
 
     Each pair's projection is the bit product of ti's mod2 rows and si's
-    section_mod2 rows, keyed by its row tuple; the face check runs on every
+    section_mod2 rows, grouped by its row tuple; the face check runs on every
     pair, and the surjectivity check once per distinct row tuple, which
     every pair with that projection shares."""
     pos = {ci: j for stratum in fan.strata for j, ci in enumerate(stratum)}
@@ -115,22 +120,19 @@ def _projection_groups(fan: Fan) -> List[Dict[Mat2, List[Tuple[int, int]]]]:
             where = seen[rows] = []
         where.append((pos[ti], pos[si]))
     return [
-        {Mat2(p - 1, p, rows): where for rows, where in groups.items()}
+        [(Mat2(p - 1, p, rows), where) for rows, where in groups.items()]
         for p, groups in enumerate(by_rows)
     ]
 
 
-def _boundary(
-    fan: Fan, p: int, row_size: int, col_size: int, block: Callable[[Mat2], Mat2]
-) -> Mat2:
-    """Degree-p boundary whose block for each facet pair is block(m) of its
-    induced projection m, evaluated once per distinct m."""
-    blocks = {}
-    for m, where in _projection_groups(fan)[p].items():
-        b = block(m)
-        blocks.update((rc, b) for rc in where)
+def _boundary(fan: Fan, p: int, row_size: int, col_size: int, blocks: List[Mat2]) -> Mat2:
+    """Degree-p boundary whose block for each facet pair is blocks[i], i the
+    position of its induced projection in _projection_groups(fan)[p]."""
+    placed = {}
+    for b, (_, where) in zip(blocks, _projection_groups(fan)[p]):
+        placed.update((rc, b) for rc in where)
     return assemble_blocks(
-        [row_size] * len(fan.strata[p - 1]), [col_size] * len(fan.strata[p]), blocks
+        [row_size] * len(fan.strata[p - 1]), [col_size] * len(fan.strata[p]), placed
     )
 
 
@@ -145,13 +147,13 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     exterior_powers per distinct projection m.  Only m's rows are read.
     """
     n = fan.rank
-    powers = {m: exterior_powers(m) for groups in _projection_groups(fan) for m in groups}
+    powers = [[exterior_powers(m) for m, _ in groups] for groups in _projection_groups(fan)]
     entries: Dict[Tuple[int, int], int] = {}
     complexes: Dict[int, ChainComplex] = {}
     for q in range(n + 1):
         dims = [len(fan.strata[p]) * comb(p, q) for p in range(n + 1)]
         boundaries = [
-            _boundary(fan, p, comb(p - 1, q), comb(p, q), lambda m: powers[m][q])
+            _boundary(fan, p, comb(p - 1, q), comb(p, q), [pw[q] for pw in powers[p]])
             if q <= p else Mat2(0, 0)
             for p in range(1, n + 1)
         ]
@@ -177,7 +179,7 @@ def e2_dims(fan: Fan) -> PageTable:
 class RealComplex:
     """Cellular complex of the real points in the y basis, reduced once.
     Degree p lists the y^S of its cones by level |S| from p down to 0, then
-    by cone, then by S in subset_masks order; levels[p][i] is the level of
+    by S in subset_masks order, then by cone; levels[p][i] is the level of
     coordinate i.  pivot_levels[p - 1] counts the degree-p boundary's pivots
     by (row level, column level): they sum to its rank, and the (k, k)
     pivots to the rank of its level-k diagonal block."""
@@ -209,12 +211,6 @@ def _y_block(m: Mat2) -> Mat2:
     return block
 
 
-@_per_fan
-def _y_blocks(fan: Fan) -> Dict[Mat2, Mat2]:
-    """Each distinct induced projection mapped to its block in the y basis."""
-    return {m: _y_block(m) for groups in _projection_groups(fan) for m in groups}
-
-
 def _reduce(b: Mat2, row_levels: List[int], col_levels: List[int]) -> Counter[Tuple[int, int]]:
     """Reduce the rows of b from the last to the first, each against the
     pivot rows found so far, keyed by their lowest set bit; count the
@@ -237,40 +233,38 @@ def _reduce(b: Mat2, row_levels: List[int], col_levels: List[int]) -> Counter[Tu
 def real_complex(fan: Fan) -> RealComplex:
     """Chain complex of 2-torsion group algebras computing the closed-support
     mod-2 homology of the real points, filtered by the augmentation ideal.
-    Each boundary is assembled once, from the distinct y-basis blocks' rows
-    split by column level, and reduced once.  Gates: a row of level k has no
-    entry in a column of level above k, and d o d = 0, which implies it in
-    the point basis (the y basis is a conjugate by an involution) and on
-    every graded piece (each boundary is block-triangular)."""
+    Each row of each distinct y-basis block is placed once and OR-ed, shifted
+    by its cone, into every facet pair of its projection; each boundary is
+    reduced once.  Gates: a row of level k has no entry in a column of level
+    above k, and d o d = 0, which implies it in the point basis (the y basis
+    is a conjugate by an involution) and on every graded piece (each
+    boundary is block-triangular)."""
     sizes = [len(stratum) for stratum in fan.strata]
     levels = [
         [k for k in range(p, -1, -1) for _ in range(n * comb(p, k))] for p, n in enumerate(sizes)
     ]
     # the first level-k coordinate of degree p (after those of the augmentation
-    # ideal's (k + 1)-th power) is starts[p][k], and that of its cone c offsets[p][c][k]
+    # ideal's (k + 1)-th power) is starts[p][k]; y^S of the cone at stratum
+    # position c is at[p][S] + c
     starts = [[n * d for d in augmentation_filtration_dims(p)[1:]] for p, n in enumerate(sizes)]
-    offsets = [
-        [[s + c * comb(p, k) for k, s in enumerate(starts[p])] for c in range(n)]
-        for p, n in enumerate(sizes)
-    ]
-    masks = [[subset_masks(p, k) for k in range(p + 1)] for p in range(fan.rank + 1)]
+    at = [[0] * (1 << p) for p in range(fan.rank + 1)]
+    for p, n in enumerate(sizes):
+        for k, start in enumerate(starts[p]):
+            for i, s in enumerate(subset_masks(p, k)):
+                at[p][s] = start + i * n
     boundaries = []
     for p in range(1, fan.rank + 1):
         b = Mat2(len(levels[p - 1]), len(levels[p]))
-        for m, where in _projection_groups(fan)[p].items():
-            y = _y_blocks(fan)[m]
-            cut = [y.submatrix(range(y.nrows), cols).rows for cols in masks[p]]
-            split = [  # (row level, row within it, [(column level, its bits)])
-                (k, i, [(j, bits[t]) for j, bits in enumerate(cut) if bits[t]])
-                for k in range(p) for i, t in enumerate(masks[p - 1][k])
-            ]
-            for a, c in where:
-                ro, co = offsets[p - 1][a], offsets[p][c]
-                for k, i, parts in split:
-                    acc = 0
-                    for j, bits in parts:
-                        acc |= bits << co[j]
-                    b.rows[ro[k] + i] |= acc
+        for m, where in _projection_groups(fan)[p]:
+            for t, r in enumerate(_y_block(m).rows):
+                placed = 0
+                while r:
+                    low = r & -r
+                    placed |= 1 << at[p][low.bit_length() - 1]
+                    r ^= low
+                row = at[p - 1][t]
+                for a, c in where:
+                    b.rows[row + a] |= placed << c
         above = [(1 << start) - 1 for start in starts[p]]  # the columns of level above k
         if any(r & above[k] for r, k in zip(b.rows, levels[p - 1])):
             raise CrossCheckFailed("boundary does not respect the augmentation filtration")

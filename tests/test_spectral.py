@@ -5,8 +5,10 @@ import random
 from itertools import combinations
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
 from conftest import apply_unimodular, mat_mul, minors_mod2, oracle_fans, relabel_rays
+from hypothesis import given, seed, settings
 
 from realtoric import spectral
 from realtoric.constructions import (
@@ -239,18 +241,19 @@ def block_diagonal(m, count):
 
 
 def level_coordinates(fan, p, k):
-    """Coordinates of the level-k y-basis elements in the degree-p term,
-    cone by cone, each cone's subsets in combinations order."""
+    """Coordinates of the level-k y-basis elements in the degree-p term of
+    the cone-by-cone complex, subset by subset in combinations order, each
+    subset's cones in stratum order."""
     return [
         (j << p) + sum(1 << i for i in c)
-        for j in range(len(fan.strata[p]))
         for c in combinations(range(p), k)
+        for j in range(len(fan.strata[p]))
     ]
 
 
 def filtration_order(fan, p):
-    """The degree-p coordinates, cone by cone, in the real complex's
-    order: level p first, down to level 0."""
+    """The degree-p coordinates of the cone-by-cone complex in the real
+    complex's order: level p first, down to level 0."""
     return [i for k in range(p, -1, -1) for i in level_coordinates(fan, p, k)]
 
 
@@ -275,7 +278,7 @@ def test_shared_blocks_match_per_pair_assembly():
 def test_exterior_powers_of_every_distinct_projection_are_minors():
     for fan in oracle_fans():
         for groups in spectral._projection_groups(fan):
-            for m in groups:
+            for m, _ in groups:
                 for q, power in enumerate(exterior_powers(m)):
                     rows = [[power.entry(i, j) for j in range(power.ncols)] for i in range(power.nrows)]
                     assert rows == minors_mod2(m, q), (fan, m, q)
@@ -297,7 +300,7 @@ def test_surjectivity_is_checked_once_per_distinct_projection(monkeypatch):
     monkeypatch.setattr(spectral, "_rank", lambda rows: checked.append(rows) or rank(rows))
     groups = spectral._projection_groups(fan)
     assert len(checked) == sum(len(g) for g in groups) < len(fan.facet_pairs())
-    assert sorted(checked) == sorted(tuple(m.rows) for g in groups for m in g)
+    assert sorted(checked) == sorted(tuple(m.rows) for g in groups for m, _ in g)
 
 
 def test_shared_projection_that_loses_rank_is_caught():
@@ -342,27 +345,28 @@ def test_pivots_count_the_ranks_of_each_boundary_and_graded_piece():
                 assert pivots[k, k] == level_block(rc, p, k).rank(), (fan, p, k)
 
 
-def flip_level_raising_entry(monkeypatch):
-    """Make every later real complex read its first degree-2 y-basis block
-    with its (row level 1, column level 0) entry flipped: the filtration
-    allows that entry, and no graded piece holds it."""
-    real_blocks = spectral._y_blocks
+def flip_level_raising_entry(monkeypatch, fan):
+    """Make the real complex of fan read the y-basis block of its first
+    degree-2 projection with its (row level 1, column level 0) entry
+    flipped: the filtration allows that entry, and no graded piece holds it."""
+    first = spectral._projection_groups(fan)[2][0][0]
+    y_block = spectral._y_block
 
-    def flipped(fan):
-        blocks = dict(real_blocks(fan))
-        m = next(m for m in blocks if m.ncols == 2)
-        b = blocks[m]
-        blocks[m] = Mat2(b.nrows, b.ncols, [b.rows[0], b.rows[1] ^ 1])
-        return blocks
+    def flipped(m):
+        b = y_block(m)
+        if m is first:
+            b.rows[1] ^= 1
+        return b
 
-    monkeypatch.setattr(spectral, "_y_blocks", flipped)
+    monkeypatch.setattr(spectral, "_y_block", flipped)
 
 
 def test_off_diagonal_entry_is_checked_by_d_o_d(monkeypatch):
     # only d o d on the full filtered boundaries can see the flipped entry
-    flip_level_raising_entry(monkeypatch)
+    fan = projective_space_fan(3)
+    flip_level_raising_entry(monkeypatch, fan)
     with pytest.raises(CrossCheckFailed, match="^d o d != 0 between degrees 3 and 1$"):
-        real_complex(projective_space_fan(3))
+        real_complex(fan)
 
 
 def test_off_diagonal_entry_breaks_the_unit_split_only(monkeypatch):
@@ -371,8 +375,8 @@ def test_off_diagonal_entry_breaks_the_unit_split_only(monkeypatch):
     base = projective_space_fan(2)
     betti, g1 = betti_real(base), g_pages(base)[1].entries
     assert rightmost_column_split(base)
-    flip_level_raising_entry(monkeypatch)
     fan = projective_space_fan(2)
+    flip_level_raising_entry(monkeypatch, fan)
     assert not rightmost_column_split(fan)
     assert g_pages(fan)[1].entries == g1
     assert betti_real(fan) == betti
@@ -384,3 +388,37 @@ def test_reduction_counts_pivots_by_level():
     # leaves column 2, a pivot one level down; row 2 is zero.
     b = Mat2.from_rows([[1, 0, 0], [1, 0, 1], [0, 0, 0]])
     assert spectral._reduce(b, [1, 1, 0], [1, 1, 0]) == {(1, 1): 1, (1, 0): 1}
+
+
+@st.composite
+def filtered_matrix(draw):
+    """A matrix with row and column levels in decreasing order, in which a
+    row of level k has no entry in a column of level above k."""
+    top = draw(st.integers(1, 3))
+    levels = st.lists(st.integers(0, top), min_size=2, max_size=10)
+    row_levels = sorted(draw(levels), reverse=True)
+    col_levels = sorted(draw(levels), reverse=True)
+    rows = []
+    for k in row_levels:
+        allowed = sum(1 << j for j, level in enumerate(col_levels) if level <= k)
+        rows.append(draw(st.integers(0, (1 << len(col_levels)) - 1)) & allowed)
+    return Mat2(len(row_levels), len(col_levels), rows), row_levels, col_levels
+
+
+@seed(3000)
+@settings(max_examples=300)
+@given(filtered_matrix(), st.data())
+def test_reduction_counts_do_not_depend_on_the_order_within_a_level(filtered, data):
+    # the real complex lists each level by subset, then cone; any order
+    # inside the levels must give the same pivot counts
+    b, row_levels, col_levels = filtered
+    within = lambda levels: sorted(
+        data.draw(st.permutations(range(len(levels)))), key=lambda i: -levels[i]
+    )
+    row_order, col_order = within(row_levels), within(col_levels)
+    moved = Mat2(b.nrows, b.ncols, [
+        sum(1 << j for j, c in enumerate(col_order) if b.entry(i, c)) for i in row_order
+    ])
+    assert spectral._reduce(moved, row_levels, col_levels) == spectral._reduce(
+        b, row_levels, col_levels
+    )

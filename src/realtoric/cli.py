@@ -8,8 +8,9 @@ Subcommands:
   search            batch-certify seeded random fans of dimension <= 3
   gen               write fan JSON for the named constructions
 
-Exit codes: 0 success, 1 usage error, 2 fan validation error, 3 parse
-error, 4 self-check failure, 5 input exceeds a resource limit.
+Exit codes: 0 success, 1 usage error (also a `gen --out` path that cannot
+be written), 2 fan validation error, 3 parse error, 4 self-check failure,
+5 input exceeds a resource limit; `_EXITS` maps each failure to its code.
 """
 from __future__ import annotations
 
@@ -105,49 +106,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _pretty_e_table(table: PageTable, rank: int) -> List[str]:
-    width = max(
-        [len(str(d)) for d in table.entries.values()] + [1]
-    )
-    lines = [f"{table.label} page (rows q = {rank}..0, columns p = 0..{rank}):"]
-    for q in range(rank, -1, -1):
-        label = f"q={q}" if q in (rank, 0) else ""
-        cells = [
-            str(table.get(p, q)).rjust(width) if q <= p else " " * width
-            for p in range(rank + 1)
-        ]
-        lines.append(f"  {label:>5} | " + " | ".join(cells) + " |")
-    lines.append(f"  {'':>5}   p=0" + " " * max(0, (width + 3) * rank - 4) + f"p={rank}")
-    return lines
+class _Usage(Exception):
+    """A usage error that argparse cannot see."""
 
 
-def _pretty_g_table(table: PageTable, rank: int) -> List[str]:
-    width = max(
-        [len(str(d)) for d in table.entries.values()] + [1]
-    )
-    lines = [
-        f"{table.label} page (rows q = {2 * rank}..0, columns p = -{rank}..0):"
-    ]
-    for q in range(2 * rank, -1, -1):
-        label = f"q={q}" if q in (2 * rank, 0) else ""
-        cells = [
-            str(table.entries[(p, q)]).rjust(width)
-            if (p, q) in table.entries
-            else " " * width
-            for p in range(-rank, 1)
-        ]
-        lines.append(f"  {label:>6} | " + " | ".join(cells) + " |")
-    lines.append(
-        f"  {'':>6}   p=-{rank}" + " " * max(0, (width + 3) * rank - 4 - len(str(rank))) + "p=0"
-    )
-    return lines
+class _Mismatch(Exception):
+    """reference-tables found entries that differ from the frozen values."""
+
+
+# The exit code and stderr message of each failure class, the first
+# matching row winning: {cmd} is the subcommand, {exc} the exception.
+_EXITS = (
+    (_Usage, 1, "realtoric {cmd}: error: {exc}"),
+    (ValidationError, 2, "validation error: {exc}"),
+    (ParseError, 3, "parse error: {exc}"),
+    (TheoremViolation, 4, "THEOREM VIOLATION: {exc}\nfan: {exc.fan_json}"),
+    (CrossCheckFailed, 4, "realtoric {cmd}: cross-check failed: {exc}"),
+    (_Mismatch, 4, "{exc}"),
+    (ResourceLimitExceeded, 5, "realtoric {cmd}: resource limit: {exc}"),
+)
 
 
 def _pretty_page(table: PageTable, rank: int) -> List[str]:
+    """A page as text: E pages on rows q = rank..0 and columns p = 0..rank,
+    G pages on rows q = 2 rank..0 and columns p = -rank..0.  A cell is
+    printed exactly where the table has an entry (an E table stores its
+    triangle q <= p), then the flat listing and the total."""
     if table.label.startswith("G"):
-        lines = _pretty_g_table(table, rank)
+        top, cols, label_width = 2 * rank, range(-rank, 1), 6
     else:
-        lines = _pretty_e_table(table, rank)
+        top, cols, label_width = rank, range(rank + 1), 5
+    width = max([len(str(d)) for d in table.entries.values()] + [1])
+    first, last = f"p={cols[0]}", f"p={cols[-1]}"
+    lines = [f"{table.label} page (rows q = {top}..0, columns p = {cols[0]}..{cols[-1]}):"]
+    for q in range(top, -1, -1):
+        label = f"q={q}" if q in (top, 0) else ""
+        cells = [
+            str(table.entries[(p, q)]).rjust(width) if (p, q) in table.entries else " " * width
+            for p in cols
+        ]
+        lines.append(f"  {label:>{label_width}} | " + " | ".join(cells) + " |")
+    pad = max(0, (width + 3) * rank - 1 - len(first))
+    lines.append(f"  {'':>{label_width}}   {first}" + " " * pad + last)
     flat = ", ".join(f"({p},{q}):{d}" for p, q, d in table.triples())
     lines.append(f"  flat: {flat}")
     lines.append(f"  total: {table.total()}")
@@ -173,29 +173,17 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": ")) + "\n"
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> None:
     wanted = [t for t in args.pages.split(",") if t] if args.pages else []
     for t in wanted:
         if t not in _PAGE_NAMES:
-            print(
-                f"realtoric compute: error: unknown page {t!r} "
-                f"(choose from {', '.join(_PAGE_NAMES)})",
-                file=sys.stderr,
-            )
-            return 1
+            raise _Usage(f"unknown page {t!r} (choose from {', '.join(_PAGE_NAMES)})")
     try:
         fan = read_json(
             args.path, validate_pairs=False if args.no_validate else None
         )
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
-        print(f"parse error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+        raise ParseError(f"cannot read {args.path}: {exc}") from exc
     b = betti_real(fan)
     verdict = m_verdict(fan)
     tables = _compute_pages(fan, wanted)
@@ -218,7 +206,7 @@ def cmd_compute(args) -> int:
         for key, table in tables.items():
             report[key] = [[p, q, d] for p, q, d in table.triples()]
         sys.stdout.write(_canonical(report))
-        return 0
+        return
     print(f"fan: {fan.name or '(unnamed)'}  rank {fan.rank}")
     print(f"betti_real (closed support): {b}")
     for key in ("e1", "e2", "g0", "g1"):
@@ -232,10 +220,9 @@ def cmd_compute(args) -> int:
     )
     for note in verdict.notes:
         print(f"  note: {note}")
-    return 0
 
 
-def cmd_reference_tables(args) -> int:
+def cmd_reference_tables(args) -> None:
     fan = cyclic_polytope_normal_fan()
     e2 = e2_dims(fan)
     _, g1 = g_pages(fan)
@@ -268,39 +255,29 @@ def cmd_reference_tables(args) -> int:
                 )
         print("transpose identity checked on the full support of both tables")
     if mismatches:
-        for m in mismatches:
-            print(f"MISMATCH: {m}", file=sys.stderr)
-        return 4
+        raise _Mismatch("\n".join(f"MISMATCH: {m}" for m in mismatches))
     print(
         f"all table entries match the reference values; "
         f"totals {e2.total()} = {g1.total()}"
     )
-    return 0
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> None:
     if args.count < 1:
-        print("realtoric search: error: --count must be >= 1", file=sys.stderr)
-        return 1
+        raise _Usage("--count must be >= 1")
     if args.dim < 1 or args.dim > 3:
-        print("realtoric search: error: --dim must be 1..3", file=sys.stderr)
-        return 1
+        raise _Usage("--dim must be 1..3")
     profiles = (
         ("complete", "subfan", "affine")
         if args.profile == "all"
         else (args.profile,)
     )
-    try:
-        rep = dim3_theorem_batch(
-            args.count,
-            args.seed,
-            ranks=tuple(range(1, args.dim + 1)),
-            profiles=profiles,
-        )
-    except TheoremViolation as exc:
-        print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
-        print(f"fan: {exc.fan_json}", file=sys.stderr)
-        return 4
+    rep = dim3_theorem_batch(
+        args.count,
+        args.seed,
+        ranks=tuple(range(1, args.dim + 1)),
+        profiles=profiles,
+    )
     print(f"checked {rep.count} fans (seed {rep.seed}): all CertifiedM")
     print(f"max gap: {rep.max_gap}")
     print(
@@ -311,20 +288,19 @@ def cmd_search(args) -> int:
         "per profile: "
         + ", ".join(f"{p}: {c}" for p, c in sorted(rep.per_profile.items()))
     )
-    return 0
 
 
 def _gen_fan(name: str, params: Sequence[str]) -> Fan:
     def ints(expected: Optional[int] = None) -> List[int]:
         if expected is not None and len(params) != expected:
-            raise _GenUsage(
+            raise _Usage(
                 f"{name} takes {expected} integer parameter(s), "
                 f"got {len(params)}"
             )
         try:
             return [int(x) for x in params]
         except ValueError:
-            raise _GenUsage(f"{name} parameters must be integers: {params}")
+            raise _Usage(f"{name} parameters must be integers: {params}")
 
     if name == "pn":
         return projective_space_fan(ints(1)[0])
@@ -333,19 +309,19 @@ def _gen_fan(name: str, params: Sequence[str]) -> Fan:
     if name == "weighted":
         vals = ints()
         if len(vals) < 2:
-            raise _GenUsage("weighted needs at least two weights")
+            raise _Usage("weighted needs at least two weights")
         return weighted_projective_fan(*vals)
     if name == "torus":
         return torus_fan(ints(1)[0])
     if name == "cyclic57":
         if params:
-            raise _GenUsage("cyclic57 takes no parameters")
+            raise _Usage("cyclic57 takes no parameters")
         return cyclic_polytope_normal_fan()
     if name == "same-mod2":
         return same_mod2_surface_fan(ints(1)[0])
     if name == "product":
         if len(params) < 2:
-            raise _GenUsage("product needs at least two factor tokens")
+            raise _Usage("product needs at least two factor tokens")
         factors = []
         for token in params:
             fname, _, fparams = token.partition(":")
@@ -356,28 +332,22 @@ def _gen_fan(name: str, params: Sequence[str]) -> Fan:
         for g in factors[1:]:
             fan = product_fan(fan, g)
         return fan
-    raise _GenUsage(f"unknown construction {name!r}")
+    raise _Usage(f"unknown construction {name!r}")
 
 
-class _GenUsage(Exception):
-    pass
-
-
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> None:
     try:
         fan = _gen_fan(args.construction, args.params)
-    except _GenUsage as exc:
-        print(f"realtoric gen: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ValidationError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # a construction's own parameter check
+        raise ValidationError(str(exc)) from exc
     if args.out:
-        write_json(fan, args.out)
+        try:
+            write_json(fan, args.out)
+        except OSError as exc:
+            raise _Usage(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(fan_to_json(fan) + "\n")
-    return 0
 
 
 def _build_parser() -> _Parser:
@@ -443,16 +413,18 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; its failures become an exit code and a stderr
+    message by the first matching row of _EXITS."""
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CrossCheckFailed as exc:
-        print(f"realtoric {args.command}: cross-check failed: {exc}", file=sys.stderr)
-        return 4
-    except ResourceLimitExceeded as exc:
-        print(f"realtoric {args.command}: resource limit: {exc}", file=sys.stderr)
-        return 5
+        args.func(args)
+    except Exception as exc:
+        for cls, code, message in _EXITS:
+            if isinstance(exc, cls):
+                print(message.format(cmd=args.command, exc=exc), file=sys.stderr)
+                return code
+        raise
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,12 +9,12 @@ generator for fans of rank at most 3.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .fan import Fan, ValidationError, _cone_geometry, from_maximal_cones
+from .fan import Fan, ValidationError, _cone_geometry, _count_cells, from_maximal_cones
 from .gf2 import CrossCheckFailed
 from .intlin import determinant, lin_rank, primitive_vector, quotient_with_section
 
@@ -38,6 +38,7 @@ def projective_space_fan(n: int) -> Fan:
     -(e_1+...+e_n), maximal cones all n-subsets."""
     if n < 1:
         raise ValueError("projective space needs n >= 1")
+    _count_cells(0, n)  # the zero cone, before n rays of length n are built
     rays: List[Vector] = [
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
     ]
@@ -88,6 +89,7 @@ def weighted_projective_fan(*weights: int) -> Fan:
     if gcd(*weights) != 1:
         raise ValueError("weights must have gcd 1")
     n = len(weights) - 1
+    _count_cells(0, n)  # the zero cone, before the (n + 1)-square elimination
     proj, _ = quotient_with_section(n + 1, [tuple(weights)])
     rays = [tuple(row[i] for row in proj) for i in range(n + 1)]
     for i, v in enumerate(rays):
@@ -129,6 +131,7 @@ def same_mod2_surface_fan(s: int = 4) -> Fan:
             "a complete pointed surface fan needs at least 3 rays; "
             "two rays with equal mod-2 image are opposite on a line"
         )
+    _count_cells(s, 2)  # the zero cone and one cell per maximal cone, before s rays
     if s == 3:
         rays = [(1, 0), (1, 2), (-3, -2)]
     else:
@@ -137,35 +140,25 @@ def same_mod2_surface_fan(s: int = 4) -> Fan:
         rays = [(1, 2 * k) for k in range(a)] + [(-1, -2 * k) for k in range(b)]
     assert len({(x & 1, y & 1) for x, y in rays}) == 1
     m = len(rays)
-    order = sorted(range(m), key=lambda i: _angle_key(rays[i]))
+    order = _ccw_order(rays)
     maximal = [[order[i], order[(i + 1) % m]] for i in range(m)]
     return from_maximal_cones(2, rays, maximal, name=f"samemod2-{s}")
 
 
-def _angle_key(v: Vector) -> Tuple[int, int, Fraction]:
-    """Exact counterclockwise sort key starting at the positive x-axis.
+def _ccw_order(rays: Sequence[Vector]) -> List[int]:
+    """Indices of the nonzero rank-2 vectors in exact counterclockwise
+    order from the positive x-axis: first by half turn ([0, pi) before
+    [pi, 2 pi)), then, within a half turn, u before v when the cross
+    product u x v is positive."""
 
-    The key is (half, quarter, slope).  half is 0 for angles in [0, pi)
-    and 1 for [pi, 2 pi).  A half turn runs through the quarter turn it
-    starts in (quarter 0: x > 0 in half 0, x < 0 in half 1), the y-axis
-    (quarter 1) and the quarter turn before the next half (quarter 2).
-    Inside quarters 0 and 2 the angle grows with the slope y/x.
-    """
-    x, y = v
-    if y > 0 or (y == 0 and x > 0):
-        half = 0
-    else:
-        half = 1
-    if x == 0:
-        slope = Fraction(0)
-        quarter = 1
-    elif (half == 0 and x > 0) or (half == 1 and x < 0):
-        quarter = 0
-        slope = Fraction(y, x)
-    else:
-        quarter = 2
-        slope = Fraction(y, x)
-    return (half, quarter, slope)
+    def half(v: Vector) -> int:
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def cmp(i: int, j: int) -> int:
+        (ux, uy), (vx, vy) = rays[i], rays[j]
+        return half(rays[i]) - half(rays[j]) or uy * vx - ux * vy
+
+    return sorted(range(len(rays)), key=cmp_to_key(cmp))
 
 
 def _cyclic_facets_gale() -> List[Tuple[int, ...]]:
@@ -267,7 +260,7 @@ def _random_rank2_complete(rng: random.Random) -> Tuple[List[Vector], List[List[
                 rays.append(v)
         if len(rays) < 3:
             continue
-        order = sorted(range(len(rays)), key=lambda i: _angle_key(rays[i]))
+        order = _ccw_order(rays)
         ordered = [rays[i] for i in order]
         m = len(ordered)
         # complete iff every consecutive gap turns left strictly

@@ -33,6 +33,7 @@ __all__ = [
     "BadIntersection",
     "ResourceLimitExceeded",
     "FM_ROW_LIMIT",
+    "REAL_CELL_LIMIT",
     "Cone",
     "Fan",
     "from_maximal_cones",
@@ -88,6 +89,27 @@ class BadIntersection(ValidationError):
 # Largest number of constraint rows a Fourier-Motzkin elimination of the
 # pair check may hold before the input is rejected as too large.
 FM_ROW_LIMIT = 200000
+
+# Largest number of cells, the sum over the cones of 2**codimension, that
+# the real complex of a fan may have before the fan is rejected as too
+# large: p1^8 has 65,536, p1^9 has 262,144.
+REAL_CELL_LIMIT = 100000
+
+
+def _count_cells(cells: int, codim: int) -> int:
+    """cells plus the 2**codim cells of one more cone of that codimension
+    in the real complex; raise ResourceLimitExceeded past REAL_CELL_LIMIT.
+    The shift is capped, so a huge codimension builds no huge integer."""
+    cells += 1 << min(codim, REAL_CELL_LIMIT.bit_length())
+    if cells > REAL_CELL_LIMIT:
+        raise ResourceLimitExceeded(
+            f"the real complex would have more than {REAL_CELL_LIMIT} cells"
+        )
+    return cells
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -511,15 +533,21 @@ def from_maximal_cones(
     and section come from one integer elimination of its rays.  Pairwise
     intersection validation (a separation certificate, then Fourier-Motzkin
     for the pairs it cannot certify) runs by default for rank <= 4 and can
-    be forced either way with `validate_pairs`.  An intersection too large
-    to decide within FM_ROW_LIMIT raises ResourceLimitExceeded.
+    be forced either way with `validate_pairs`.  Ray entries and cone
+    indices must be ints; nothing is coerced.  An intersection too large to
+    decide within FM_ROW_LIMIT raises ResourceLimitExceeded, and so does a
+    real complex of more than REAL_CELL_LIMIT cells: they are counted as
+    the cones are found, the zero cone's 2**rank before anything is built.
     """
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise ValidationError(f"rank must be a positive integer, got {rank!r}")
+    _count_cells(0, rank)
     ray_list: List[Tuple[int, ...]] = []
     seen_rays: Set[Tuple[int, ...]] = set()
     for r in rays:
-        vec = tuple(int(x) for x in r)
+        vec = tuple(r)
+        if not all(map(_is_int, vec)):
+            raise ValidationError(f"ray {vec} has an entry that is not an int")
         if len(vec) != rank:
             raise ValidationError(f"ray {vec} does not have length {rank}")
         g = 0
@@ -535,7 +563,10 @@ def from_maximal_cones(
     max_sets: List[FrozenSet[int]] = []
     seen_sets: Set[FrozenSet[int]] = set()
     for mc in maximal_cones:
-        s = frozenset(int(i) for i in mc)
+        indices = tuple(mc)
+        if not all(map(_is_int, indices)):
+            raise ValidationError(f"cone {indices} has a ray index that is not an int")
+        s = frozenset(indices)
         for i in s:
             if not 0 <= i < len(ray_list):
                 raise ValidationError(f"cone ray index {i} out of range")
@@ -553,6 +584,7 @@ def from_maximal_cones(
     geo_by_mask: Dict[int, _ConeGeometry] = {}
     faces_by_mask: Dict[int, Set[int]] = {}
     quotients: Dict[int, Tuple[IntMatrix, IntMatrix]] = {}
+    cells = 0
     for mset in max_sets:
         order = sorted(mset)
         vectors = [ray_list[i] for i in order]
@@ -568,11 +600,13 @@ def from_maximal_cones(
         geo_by_mask[mask] = geo
         faces_by_mask[mask] = geo.face_masks
         quotients[mask] = (geo.span_eqs, geo.section)
+        cells = _count_cells(cells, rank - geo.dim)
     for faces in faces_by_mask.values():
         for face in faces:
             if face not in quotients:
                 vectors = [ray_list[i] for i in _bits(face)]
                 quotients[face] = quotient_with_section(rank, vectors)
+                cells = _count_cells(cells, len(quotients[face][0]))
 
     # (dimension, rays) of each cone: the codimension is the number of rows
     # of its projection
@@ -609,23 +643,19 @@ def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:
         if key not in data:
             raise ParseError(f"missing key {key!r}")
     rank = data["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool):
+    if not _is_int(rank):
         raise ParseError("rank must be an integer", "rank")
     rays = data["rays"]
     if not isinstance(rays, list):
         raise ParseError("rays must be a list", "rays")
     for i, r in enumerate(rays):
-        if not isinstance(r, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in r
-        ):
+        if not isinstance(r, list) or not all(map(_is_int, r)):
             raise ParseError("each ray must be a list of integers", f"rays[{i}]")
     cones = data["maximal_cones"]
     if not isinstance(cones, list):
         raise ParseError("maximal_cones must be a list", "maximal_cones")
     for i, c in enumerate(cones):
-        if not isinstance(c, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in c
-        ):
+        if not isinstance(c, list) or not all(map(_is_int, c)):
             raise ParseError(
                 "each maximal cone must be a list of ray indices",
                 f"maximal_cones[{i}]",
@@ -633,6 +663,10 @@ def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string", "name")
+    try:
+        (name or "").encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, from a JSON escape such as \ud800
+        raise ParseError(f"name is not valid Unicode: {exc.reason}", "name") from exc
     return from_maximal_cones(rank, rays, cones, name=name, validate_pairs=validate_pairs)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 from __future__ import annotations
 
+import os
 import random
 from functools import reduce
 from itertools import combinations
@@ -10,6 +11,7 @@ from typing import List, Sequence
 import pytest
 from hypothesis import HealthCheck, settings
 
+import realtoric
 import realtoric.fan
 from realtoric.constructions import (
     cyclic_polytope_normal_fan,
@@ -171,3 +173,14 @@ def pyramid_fan() -> Fan:
 @pytest.fixture(scope="session")
 def cubefan() -> Fan:
     return cube_fan()
+
+
+def child_env():
+    """Environment for a child interpreter that imports the same realtoric
+    tree as this test process, whatever PYTHONPATH pytest was started with."""
+    env = dict(os.environ)
+    pkg_root = str(Path(realtoric.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p
+    )
+    return env

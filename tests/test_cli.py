@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from functools import reduce
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from realtoric.constructions import product_fan, projective_space_fan
 from realtoric.fan import fan_from_json, read_json, write_json
 from realtoric.gf2 import CrossCheckFailed, Mat2
 from realtoric.orbitalg import induced_projection_mod2
+
+from conftest import child_env
 
 FANS = Path(__file__).resolve().parents[1] / "fans"
 
@@ -64,6 +67,20 @@ def test_gen_usage_errors(capsys):
     assert run_cli(capsys, "gen", "cyclic57", "9")[0] == 1
     assert run_cli(capsys, "gen", "weighted", "1")[0] == 1
     assert run_cli(capsys, "gen", "product", "pn:1")[0] == 1
+
+
+def test_gen_out_unwritable_exits_one(tmp_path):
+    path = tmp_path / "missing" / "fan.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "realtoric.cli", "gen", "pn", "2", "--out", str(path)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"realtoric gen: error: cannot write {path}: "), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_gen_validation_errors(capsys):
@@ -193,17 +210,23 @@ def test_compute_parse_and_validation_errors(tmp_path, capsys):
             b'{"rank": 2, "rays": [[1' + b"0" * 5000 + b', 1]], "maximal_cones": [[0]]}',
             "parse error: unreadable number",
         ),
+        (
+            b'{"rank": 1, "rays": [[1]], "maximal_cones": [[0]], "name": "\\ud800"}',
+            "parse error: name is not valid Unicode",
+        ),
     ],
-    ids=["not-utf8", "deep-nesting", "huge-int"],
+    ids=["not-utf8", "deep-nesting", "huge-int", "surrogate-name"],
 )
 def test_compute_unreadable_json_exits_three(tmp_path, content, message):
+    # a child with a real UTF-8 stdout: a StringIO would take the lone
+    # surrogate of the name that the pretty report prints
     path = tmp_path / "fan.json"
     path.write_bytes(content)
     proc = subprocess.run(
         [sys.executable, "-m", "realtoric.cli", "compute", str(path)],
         capture_output=True,
         text=True,
-        env=child_env(),
+        env=dict(child_env(), PYTHONIOENCODING="utf-8"),
     )
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -250,6 +273,43 @@ def test_fourier_motzkin_limit_exits_five(tmp_path, monkeypatch, capsys, fm_verd
     assert err.startswith("realtoric compute: resource limit: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "rank30.json"],
+        ["compute", "rank100000.json"],
+        ["gen", "pn", "20"],
+        ["gen", "pn", "100000"],
+        ["gen", "same-mod2", "1000000000"],
+        ["gen", "weighted", *["1"] * 100001],
+    ],
+    ids=["rank30", "rank100000", "pn20", "pn100000", "same-mod2-1e9", "weighted-100001"],
+)
+def test_oversized_input_exits_five_at_once(tmp_path, argv):
+    # the real complex of rank r has at least 2**r cells; the guard fires
+    # before anything of that size is built
+    for rank in (30, 100000):
+        (tmp_path / f"rank{rank}.json").write_text(
+            json.dumps({"rank": rank, "rays": [], "maximal_cones": []})
+        )
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "realtoric.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+        timeout=60,
+    )
+    assert time.monotonic() - start < 1.0
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"realtoric {argv[0]}: resource limit: the real complex would have "
+        "more than 100000 cells\n"
+    )
 
 
 def test_compute_json_pretty_conflict(tmp_path, capsys):
@@ -312,17 +372,6 @@ def test_search_reports_theorem_violation(monkeypatch, capsys):
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-
-
-def child_env():
-    """Environment for a child interpreter that imports the same realtoric
-    tree as this test process, whatever PYTHONPATH pytest was started with."""
-    env = dict(os.environ)
-    pkg_root = str(Path(realtoric.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, env.get("PYTHONPATH")) if p
-    )
-    return env
 
 
 def console_scripts():

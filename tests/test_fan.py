@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from operator import mul
 
@@ -28,7 +28,9 @@ from realtoric.fan import (
     Cone,
     NonPrimitiveRay,
     NotPointed,
+    REAL_CELL_LIMIT,
     ParseError,
+    ResourceLimitExceeded,
     ValidationError,
     _check_pair,
     _cone_geometry,
@@ -406,6 +408,44 @@ def test_ray_length_must_match_rank():
         from_maximal_cones(2, [(1, 0, 0)], [[0]])
 
 
+@pytest.mark.parametrize(
+    "rank, rays, cones",
+    [
+        (2, [(1.5, 0), (0, 1.9)], [[0], [1]]),
+        (2, [("1", 0), (0, 1)], [[0], [1]]),
+        (2, [(True, 0), (0, 1)], [[0], [1]]),
+        (2, [(1, 0), (0, 1)], [[0.7], [1]]),
+        (2, [(1, 0), (0, 1)], [[True], [1]]),
+        (True, [(1,)], [[0]]),
+    ],
+    ids=["float-ray", "str-entry", "bool-entry", "float-index", "bool-index", "bool-rank"],
+)
+def test_ray_entries_and_cone_indices_must_be_ints(rank, rays, cones):
+    # nothing is coerced: (1.5, 0) is not the ray (1, 0), nor 0.7 the index 0
+    with pytest.raises(ValidationError, match="int"):
+        from_maximal_cones(rank, rays, cones)
+
+
+def _p1_power(n):
+    """Rays and maximal cones of (P^1)^n: rays +e_i and -e_i, one maximal
+    cone per choice of sign in each coordinate."""
+    rays = [tuple(s * (i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(bits)] for bits in product((0, 1), repeat=n)]
+    return rays, cones
+
+
+def test_real_cell_limit_accepts_p1_8_and_rejects_p1_9():
+    # the real complex has 2**codim cells per cone: 4**n for (P^1)^n
+    fan = from_maximal_cones(8, *_p1_power(8))
+    assert sum(1 << (fan.rank - c.dim) for c in fan.cones) == 4**8 <= REAL_CELL_LIMIT
+    with pytest.raises(ResourceLimitExceeded, match=f"more than {REAL_CELL_LIMIT} cells"):
+        from_maximal_cones(9, *_p1_power(9))
+    # the zero cone alone: 2**16 cells pass, 2**17 do not
+    assert len(torus_fan(16).cones) == 1
+    with pytest.raises(ResourceLimitExceeded):
+        torus_fan(17)
+
+
 def test_completeness_examples():
     assert projective_space_fan(1).is_complete()
     assert hirzebruch_fan(3).is_complete()
@@ -559,6 +599,9 @@ def test_parse_error_locations():
     assert exc.value.location == "maximal_cones[0]"
     with pytest.raises(ParseError) as exc:
         fan_from_json('{"rank": 1, "rays": [[1]], "maximal_cones": [[0]], "name": 5}')
+    assert exc.value.location == "name"
+    with pytest.raises(ParseError, match="not valid Unicode") as exc:
+        fan_from_json('{"rank": 1, "rays": [[1]], "maximal_cones": [[0]], "name": "\\ud800"}')
     assert exc.value.location == "name"
 
 

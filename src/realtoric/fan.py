@@ -33,6 +33,8 @@ __all__ = [
     "BadIntersection",
     "ResourceLimitExceeded",
     "FM_ROW_LIMIT",
+    "FACET_SUBSET_LIMIT",
+    "PAIR_LIMIT",
     "REAL_CELL_LIMIT",
     "Cone",
     "Fan",
@@ -90,6 +92,15 @@ class BadIntersection(ValidationError):
 # pair check may hold before the input is rejected as too large.
 FM_ROW_LIMIT = 200000
 
+# Largest number of ray subsets, summed over the maximal cones, that the
+# facet searches of one build may try: a cone of k rays spanning d
+# dimensions tries C(k, d - 1).  cyclic57 tries 714, p1^8 2,048.
+FACET_SUBSET_LIMIT = 5000
+
+# Largest number of pairs of maximal cones that pair validation may check:
+# p1^8 has 32,640.
+PAIR_LIMIT = 50000
+
 # Largest number of cells, the sum over the cones of 2**codimension, that
 # the real complex of a fan may have before the fan is rejected as too
 # large: p1^8 has 65,536, p1^9 has 262,144.
@@ -138,11 +149,6 @@ class _ConeGeometry:
     nonextreme: List[int]               # listed rays that are not extreme
     labels: Tuple[int, ...]             # the ray label of each vector, in order
 
-    @property
-    def faces(self) -> Set[FrozenSet[int]]:
-        """The faces as sets of ray labels."""
-        return {frozenset(_bits(m)) for m in self.face_masks}
-
 
 def _bits(mask: int) -> List[int]:
     """Indices of the set bits of mask, in increasing order."""
@@ -162,11 +168,15 @@ def _mask(indices: Iterable[int]) -> int:
 
 
 def _cone_geometry(
-    rank: int, vectors: List[Tuple[int, ...]], labels: Optional[Sequence[int]] = None
+    rank: int,
+    vectors: List[Tuple[int, ...]],
+    labels: Optional[Sequence[int]] = None,
+    budget: int = FACET_SUBSET_LIMIT,
 ) -> _ConeGeometry:
     """Exact face data for the cone spanned by the given integer vectors;
     the faces are bitmasks over labels, the ray indices of the vectors
-    (default: their positions).
+    (default: their positions).  ResourceLimitExceeded is raised before the
+    facet search if it would try more than budget subsets of the vectors.
 
     One `span_elimination` of the vectors gives the dimension d, the span
     coordinates (rows ..d of U, in which the vectors are the columns of H),
@@ -185,6 +195,10 @@ def _cone_geometry(
 
     # facet zero set bitmask -> (local normal, zero set as local indices)
     seen: Dict[int, Tuple[Tuple[int, ...], FrozenSet[int]]] = {}
+    if comb(k, d - 1) > budget:
+        raise ResourceLimitExceeded(
+            f"the facet search would try more than {FACET_SUBSET_LIMIT} ray subsets"
+        )
     for subset in combinations(range(k), d - 1):
         # inside a facet found already: its hyperplane, if any, is that facet's
         mask = sum(bit[j] for j in subset)
@@ -534,10 +548,14 @@ def from_maximal_cones(
     intersection validation (a separation certificate, then Fourier-Motzkin
     for the pairs it cannot certify) runs by default for rank <= 4 and can
     be forced either way with `validate_pairs`.  Ray entries and cone
-    indices must be ints; nothing is coerced.  An intersection too large to
-    decide within FM_ROW_LIMIT raises ResourceLimitExceeded, and so does a
-    real complex of more than REAL_CELL_LIMIT cells: they are counted as
-    the cones are found, the zero cone's 2**rank before anything is built.
+    indices must be ints; nothing is coerced.  ResourceLimitExceeded is
+    raised for an intersection too large to decide within FM_ROW_LIMIT,
+    and before the work they bound for more than PAIR_LIMIT pairs to
+    validate, for facet searches that would try more than
+    FACET_SUBSET_LIMIT ray subsets in all, and for a real complex of more
+    than REAL_CELL_LIMIT cells: they are counted as the cones are found,
+    the zero cone's 2**rank before anything is built and each ray's
+    2**(rank - 1) before any facet search.
     """
     if not _is_int(rank) or rank < 1:
         raise ValidationError(f"rank must be a positive integer, got {rank!r}")
@@ -580,15 +598,25 @@ def from_maximal_cones(
     for i in range(len(ray_list)):
         if i not in used:
             raise ValidationError(f"ray {ray_list[i]} not used by any maximal cone")
+    # the zero cone and the rays, cones of codimension rank - 1, before any
+    # facet search
+    _count_cells(len(ray_list) << (rank - 1), rank)
+    if validate_pairs is None:
+        validate_pairs = rank <= 4
+    if validate_pairs and comb(len(max_sets), 2) > PAIR_LIMIT:
+        raise ResourceLimitExceeded(
+            f"pair validation would check more than {PAIR_LIMIT} pairs of cones"
+        )
 
     geo_by_mask: Dict[int, _ConeGeometry] = {}
     faces_by_mask: Dict[int, Set[int]] = {}
     quotients: Dict[int, Tuple[IntMatrix, IntMatrix]] = {}
-    cells = 0
+    cells = tried = 0
     for mset in max_sets:
         order = sorted(mset)
         vectors = [ray_list[i] for i in order]
-        geo = _cone_geometry(rank, vectors, order)
+        geo = _cone_geometry(rank, vectors, order, FACET_SUBSET_LIMIT - tried)
+        tried += comb(len(order), geo.dim - 1) if order else 0
         if not geo.pointed:
             raise NotPointed(order)
         if geo.nonextreme:
@@ -618,8 +646,6 @@ def from_maximal_cones(
         for m in cone_list
     )
 
-    if validate_pairs is None:
-        validate_pairs = rank <= 4
     if validate_pairs:
         for (a, geo_a), (b, geo_b) in combinations(geo_by_mask.items(), 2):
             _check_pair(ray_list, a, geo_a, b, geo_b)

@@ -56,22 +56,6 @@ class Mat2:
             rows.append(acc)
         return cls(len(entries), ncols, rows)
 
-    @classmethod
-    def from_cols(cls, nrows: int, col_masks: Sequence[int]) -> "Mat2":
-        m = cls(nrows, len(col_masks))
-        for j, mask in enumerate(col_masks):
-            for i in range(nrows):
-                if mask >> i & 1:
-                    m.rows[i] |= 1 << j
-        return m
-
-    @classmethod
-    def identity(cls, n: int) -> "Mat2":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i] >> j & 1
-
     def col(self, j: int) -> int:
         mask = 0
         for i in range(self.nrows):
@@ -104,24 +88,6 @@ class Mat2:
     def __matmul__(self, other: "Mat2") -> "Mat2":
         assert self.ncols == other.nrows, "inner dimensions must agree"
         return Mat2(self.nrows, other.ncols, _mul_rows(self.rows, other.rows))
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column vector (v a bitset over ncols)."""
-        acc = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                acc |= 1 << i
-        return acc
-
-    def transpose(self) -> "Mat2":
-        out = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            rr = r
-            while rr:
-                low = rr & -rr
-                out[low.bit_length() - 1] |= 1 << i
-                rr ^= low
-        return Mat2(self.ncols, self.nrows, out)
 
     def rank(self) -> int:
         return _rank(self.rows)
@@ -244,7 +210,8 @@ def exterior_power(m: Mat2, q: int) -> Mat2:
     """q-th exterior power: rows and columns are indexed by the q-element
     subsets of the row and column indices in lexicographic order; each
     entry is the corresponding q x q minor over GF(2)."""
-    assert q >= 0
+    if q < 0:
+        raise ValueError(f"exterior power of negative degree {q}")
     if q > max(m.nrows, m.ncols):
         return Mat2(0, 0)
     return exterior_powers(m)[q]
@@ -302,6 +269,3 @@ class ChainComplex:
             image = ranks[k] if k < len(ranks) else 0
             out.append(kernel - image)
         return out
-
-    def total_dim(self) -> int:
-        return sum(self.dims)

@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 from __future__ import annotations
 
+import json
 import os
 import random
 from functools import reduce
@@ -22,6 +23,8 @@ from realtoric.constructions import (
 from realtoric.fan import Fan, from_maximal_cones, read_json
 from realtoric.gf2 import Mat2
 from realtoric.intlin import determinant
+
+from oracles import entry
 
 settings.register_profile(
     "suite",
@@ -67,7 +70,7 @@ def minors_mod2(m: Mat2, q: int) -> List[List[int]]:
     columns are the q-subsets of m's rows and columns in combinations
     order, the reference for exterior powers."""
     return [
-        [determinant([[m.entry(a, b) for b in cs] for a in rs]) % 2
+        [determinant([[entry(m, a, b) for b in cs] for a in rs]) % 2
          for cs in combinations(range(m.ncols), q)]
         for rs in combinations(range(m.nrows), q)
     ]
@@ -173,6 +176,14 @@ def pyramid_fan() -> Fan:
 @pytest.fixture(scope="session")
 def cubefan() -> Fan:
     return cube_fan()
+
+
+def moment_cone_json(rank: int, count: int) -> str:
+    """Fan JSON of one cone on the rays (1, t, ..., t**(rank - 1)) for
+    t = 0 .. count - 1: the cone over a cyclic polytope, every ray extreme
+    and primitive."""
+    rays = [[t**i for i in range(rank)] for t in range(count)]
+    return json.dumps({"rank": rank, "rays": rays, "maximal_cones": [list(range(count))]})
 
 
 def child_env():

@@ -21,7 +21,7 @@ from realtoric.fan import fan_from_json, read_json, write_json
 from realtoric.gf2 import CrossCheckFailed, Mat2
 from realtoric.orbitalg import induced_projection_mod2
 
-from conftest import child_env
+from conftest import child_env, moment_cone_json
 
 FANS = Path(__file__).resolve().parents[1] / "fans"
 
@@ -275,25 +275,40 @@ def test_fourier_motzkin_limit_exits_five(tmp_path, monkeypatch, capsys, fm_verd
     assert "Traceback" not in err
 
 
+CELLS = "the real complex would have more than 100000 cells"
+SUBSETS = "the facet search would try more than 5000 ray subsets"
+PAIRS = "pair validation would check more than 50000 pairs of cones"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, limit",
     [
-        ["compute", "rank30.json"],
-        ["compute", "rank100000.json"],
-        ["gen", "pn", "20"],
-        ["gen", "pn", "100000"],
-        ["gen", "same-mod2", "1000000000"],
-        ["gen", "weighted", *["1"] * 100001],
+        (["compute", "rank30.json"], CELLS),
+        (["compute", "rank100000.json"], CELLS),
+        (["gen", "pn", "20"], CELLS),
+        (["gen", "pn", "100000"], CELLS),
+        (["gen", "same-mod2", "1000000000"], CELLS),
+        (["gen", "weighted", *["1"] * 100001], CELLS),
+        (["compute", "cone20-rank8.json"], SUBSETS),
+        (["compute", "cone40-rank10.json"], SUBSETS),
+        (["gen", "same-mod2", "2000"], PAIRS),
     ],
-    ids=["rank30", "rank100000", "pn20", "pn100000", "same-mod2-1e9", "weighted-100001"],
+    ids=[
+        "rank30", "rank100000", "pn20", "pn100000", "same-mod2-1e9", "weighted-100001",
+        "cone20-rank8", "cone40-rank10", "same-mod2-2000",
+    ],
 )
-def test_oversized_input_exits_five_at_once(tmp_path, argv):
-    # the real complex of rank r has at least 2**r cells; the guard fires
-    # before anything of that size is built
+def test_oversized_input_exits_five_at_once(tmp_path, argv, limit):
+    # the real complex of rank r has at least 2**r cells, a cone of k rays
+    # spanning d dimensions takes C(k, d - 1) subsets to find its facets,
+    # and m maximal cones make C(m, 2) pairs to validate; each guard fires
+    # before the work it bounds
     for rank in (30, 100000):
         (tmp_path / f"rank{rank}.json").write_text(
             json.dumps({"rank": rank, "rays": [], "maximal_cones": []})
         )
+    (tmp_path / "cone20-rank8.json").write_text(moment_cone_json(8, 20))
+    (tmp_path / "cone40-rank10.json").write_text(moment_cone_json(10, 40))
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "realtoric.cli", *argv],
@@ -306,10 +321,7 @@ def test_oversized_input_exits_five_at_once(tmp_path, argv):
     assert time.monotonic() - start < 1.0
     assert proc.returncode == 5, proc.stderr
     assert proc.stdout == ""
-    assert proc.stderr == (
-        f"realtoric {argv[0]}: resource limit: the real complex would have "
-        "more than 100000 cells\n"
-    )
+    assert proc.stderr == f"realtoric {argv[0]}: resource limit: {limit}\n"
 
 
 def test_compute_json_pretty_conflict(tmp_path, capsys):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from realtoric import cli
 
-from conftest import child_env
+from conftest import child_env, moment_cone_json
 
 FANS = Path(__file__).resolve().parents[1] / "fans"
 SEEDS = [json.loads(p.read_text()) for p in sorted(FANS.glob("*.json"))]
@@ -190,6 +190,7 @@ def test_mutated_fan_json_keeps_the_exit_code_contract(tmp_path_factory, text, f
 
 # Named regression cases, one per way a fan file can fail, run as
 # subprocesses under python -O: the contract must not rest on asserts.
+# Each is (fan text, exit code, stderr prefix, *extra compute arguments).
 CASES = {
     "valid": ('{"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "maximal_cones": [[0, 1], [1, 2], [2, 0]]}', 0, ""),
     "float-ray": ('{"rank": 2, "rays": [[1.5, 0]], "maximal_cones": [[0]]}', 3, "parse error: each ray must be"),
@@ -198,16 +199,19 @@ CASES = {
     "overlap": ('{"rank": 2, "rays": [[1, 0], [0, 1], [1, 2], [2, 1]], "maximal_cones": [[0, 1], [2, 3]]}', 2, "validation error: cones on rays"),
     "surrogate-name": ('{"rank": 1, "rays": [[1]], "maximal_cones": [[0]], "name": "\\ud800"}', 3, "parse error: name is not valid Unicode"),
     "huge-rank": ('{"rank": 1' + "0" * 40 + ', "rays": [], "maximal_cones": []}', 5, "realtoric compute: resource limit: "),
+    "cone20-rank8": (moment_cone_json(8, 20), 5, "realtoric compute: resource limit: the facet search"),
+    "cone40-rank10": (moment_cone_json(10, 40), 5, "realtoric compute: resource limit: the facet search"),
+    "unknown-page": (moment_cone_json(2, 2), 1, "realtoric compute: error: unknown page 'e9'", "--pages", "e9"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_contract_sample_under_optimize(tmp_path, case):
-    text, want_code, want_err = CASES[case]
+    text, want_code, want_err, *extra = CASES[case]
     path = tmp_path / "fan.json"
     path.write_text(text)
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "realtoric.cli", "compute", str(path)],
+        [sys.executable, "-O", "-m", "realtoric.cli", "compute", *extra, str(path)],
         capture_output=True,
         text=True,
         env=dict(child_env(), PYTHONIOENCODING="utf-8"),

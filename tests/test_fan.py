@@ -5,7 +5,7 @@ import json
 import random
 from functools import reduce
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 from operator import mul
 
 import pytest
@@ -28,10 +28,13 @@ from realtoric.fan import (
     Cone,
     NonPrimitiveRay,
     NotPointed,
+    FACET_SUBSET_LIMIT,
+    PAIR_LIMIT,
     REAL_CELL_LIMIT,
     ParseError,
     ResourceLimitExceeded,
     ValidationError,
+    _bits,
     _check_pair,
     _cone_geometry,
     _mask,
@@ -163,7 +166,7 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
             vals = [sum(a * b for a, b in zip(normal, v)) for v in vectors]
             assert all(x >= 0 for x in vals), vectors
             assert {j for j, x in enumerate(vals) if x == 0} == zero, vectors
-        assert geo.faces == faces, vectors
+        assert {frozenset(_bits(m)) for m in geo.face_masks} == faces, vectors
         assert geo.nonextreme == nonextreme, vectors
     assert not _cone_geometry(2, [(1, 0), (-1, 0), (0, 1)]).pointed
 
@@ -444,6 +447,29 @@ def test_real_cell_limit_accepts_p1_8_and_rejects_p1_9():
     assert len(torus_fan(16).cones) == 1
     with pytest.raises(ResourceLimitExceeded):
         torus_fan(17)
+
+
+def _ray_chain(n):
+    """n rank-2 cones on consecutive rays (1, 0), (1, 1), ..., (1, n): their
+    facet searches try 2n ray subsets, and they make C(n, 2) pairs."""
+    return [(1, k) for k in range(n + 1)], [[k, k + 1] for k in range(n)]
+
+
+def test_facet_subset_limit_sums_over_the_maximal_cones():
+    from_maximal_cones(2, *_ray_chain(FACET_SUBSET_LIMIT // 2), validate_pairs=False)
+    with pytest.raises(ResourceLimitExceeded, match=f"more than {FACET_SUBSET_LIMIT} ray subsets"):
+        from_maximal_cones(2, *_ray_chain(FACET_SUBSET_LIMIT // 2 + 1), validate_pairs=False)
+
+
+def test_pair_limit_admits_p1_8_and_rejects_317_cones():
+    fan = from_maximal_cones(8, *_p1_power(8), validate_pairs=True)
+    assert comb(len(fan.maximal_cones()), 2) == 32640 <= PAIR_LIMIT
+    rays, cones = _ray_chain(317)
+    assert comb(317, 2) == 50086 > PAIR_LIMIT
+    with pytest.raises(ResourceLimitExceeded, match=f"more than {PAIR_LIMIT} pairs"):
+        from_maximal_cones(2, rays, cones)
+    # unvalidated, the pairs are not bounded
+    assert len(from_maximal_cones(2, rays, cones, validate_pairs=False).maximal_cones()) == 317
 
 
 def test_completeness_examples():

@@ -8,6 +8,7 @@ from math import comb
 import hypothesis.strategies as st
 import pytest
 from conftest import apply_unimodular, mat_mul, minors_mod2, oracle_fans, relabel_rays
+from oracles import entry
 from hypothesis import given, seed, settings
 
 from realtoric import spectral
@@ -227,7 +228,7 @@ def per_pair_boundary(fan, p, row_size, col_size, block):
         row0, col0 = dst.index(ti) * row_size, src.index(si) * col_size
         for i in range(b.nrows):
             for j in range(b.ncols):
-                if b.entry(i, j):
+                if entry(b, i, j):
                     out.rows[row0 + i] |= 1 << (col0 + j)
     return out
 
@@ -280,7 +281,7 @@ def test_exterior_powers_of_every_distinct_projection_are_minors():
         for groups in spectral._projection_groups(fan):
             for m, _ in groups:
                 for q, power in enumerate(exterior_powers(m)):
-                    rows = [[power.entry(i, j) for j in range(power.ncols)] for i in range(power.nrows)]
+                    rows = [[entry(power, i, j) for j in range(power.ncols)] for i in range(power.nrows)]
                     assert rows == minors_mod2(m, q), (fan, m, q)
 
 
@@ -417,7 +418,7 @@ def test_reduction_counts_do_not_depend_on_the_order_within_a_level(filtered, da
     )
     row_order, col_order = within(row_levels), within(col_levels)
     moved = Mat2(b.nrows, b.ncols, [
-        sum(1 << j for j, c in enumerate(col_order) if b.entry(i, c)) for i in row_order
+        sum(1 << j for j, c in enumerate(col_order) if entry(b, i, c)) for i in row_order
     ])
     assert spectral._reduce(moved, row_levels, col_levels) == spectral._reduce(
         b, row_levels, col_levels

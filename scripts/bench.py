@@ -5,7 +5,7 @@
     python3 scripts/bench.py --side parent=CHECKOUT --side change=. --out BENCH_N.json
 
 The corpus is cyclic57, p6, p7, p2xp2xp1, p1^6 and p1^7.  Each fan is
-written once as canonical JSON; then, REPEATS (7) times per fan, a fresh
+written once as canonical JSON; then, REPEATS (15) times per fan, a fresh
 interpreter parses it and calls the public functions in pipeline order,
 timing each:
 
@@ -67,7 +67,7 @@ STAGES = (
     "build", "orbit_lattices", "projections", "e1_e2",
     "real_complex", "g_pages", "m_verdict", "build_validated",
 )
-REPEATS = 7
+REPEATS = 15
 SEARCH = ("search", "--count", "300", "--seed", "20098", "--dim", "3")
 
 

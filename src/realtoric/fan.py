@@ -16,11 +16,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from .intlin import (
     IntMatrix,
-    _column_matrix,
-    _echelon,
+    _prefix_eliminations,
+    _quotient,
     identity,
     lin_rank,
-    quotient_with_section,
+    primitive_vector,
     span_elimination,
 )
 
@@ -94,7 +94,8 @@ FM_ROW_LIMIT = 200000
 
 # Largest number of ray subsets, summed over the maximal cones, that the
 # facet searches of one build may try: a cone of k rays spanning d
-# dimensions tries C(k, d - 1).  cyclic57 tries 714, p1^8 2,048.
+# dimensions counts C(k, d - 1), a simplicial one too, though it reads its
+# facets off its own elimination.  cyclic57 counts 714, p1^8 2,048.
 FACET_SUBSET_LIMIT = 5000
 
 # Largest number of pairs of maximal cones that pair validation may check:
@@ -167,6 +168,24 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
+def _opposite_normal(h: IntMatrix, j: int) -> Tuple[int, ...]:
+    """The primitive normal of the facet opposite ray j of a simplicial
+    cone whose rays are the columns of the square upper triangular h: zero
+    on every column but j and positive on column j, by fraction-free back
+    substitution from entry j on (the entries before it are zero)."""
+    n = [0] * len(h)
+    n[j] = 1
+    for i in range(j + 1, len(h)):
+        s = sum(n[m] * h[m][i] for m in range(j, i))
+        t = h[i][i]
+        g = gcd(s, t)
+        n = [x * (t // g) for x in n]
+        n[i] = -s // g
+    if n[j] * h[j][j] < 0:
+        n = [-x for x in n]
+    return primitive_vector(n)
+
+
 def _cone_geometry(
     rank: int,
     vectors: List[Tuple[int, ...]],
@@ -176,13 +195,17 @@ def _cone_geometry(
     """Exact face data for the cone spanned by the given integer vectors;
     the faces are bitmasks over labels, the ray indices of the vectors
     (default: their positions).  ResourceLimitExceeded is raised before the
-    facet search if it would try more than budget subsets of the vectors.
+    facet search if it would try more than budget subsets of the vectors;
+    a simplicial cone counts as trying C(k, d - 1) = k of them.
 
     One `span_elimination` of the vectors gives the dimension d, the span
     coordinates (rows ..d of U, in which the vectors are the columns of H),
-    the orbit projection and its section.  The hyperplane through d - 1 of
+    the orbit projection and its section.  For k = d independent vectors
+    H[:d] is square and upper triangular, and each facet normal comes from
+    its back substitution.  Otherwise the hyperplane through d - 1 of
     them, when they are independent, is row d - 1 of the U of their own
-    elimination in those coordinates.
+    elimination in those coordinates, the (d - 1)-subsets taken in
+    lexicographic order so that they share their prefixes' eliminations.
     """
     k = len(vectors)
     labels = tuple(range(k) if labels is None else labels)
@@ -190,50 +213,59 @@ def _cone_geometry(
         return _ConeGeometry(0, True, identity(rank), identity(rank), [], {0}, [], labels)
     bit = [1 << j for j in labels]
     h, u, proj, sect, d = span_elimination(rank, vectors)
-    coord_map = u[:d]
-    coords = [list(col) for col in zip(*h[:d])]
-
-    # facet zero set bitmask -> (local normal, zero set as local indices)
-    seen: Dict[int, Tuple[Tuple[int, ...], FrozenSet[int]]] = {}
     if comb(k, d - 1) > budget:
         raise ResourceLimitExceeded(
             f"the facet search would try more than {FACET_SUBSET_LIMIT} ray subsets"
         )
-    for subset in combinations(range(k), d - 1):
-        # inside a facet found already: its hyperplane, if any, is that facet's
-        mask = sum(bit[j] for j in subset)
-        if any(mask & z == mask for z in seen):
-            continue
-        _, u_sub, _, r = _echelon(_column_matrix(d, [coords[j] for j in subset]), False)
-        if r < d - 1:
-            continue
-        w_loc = u_sub[d - 1]
-        vals = [sum(map(mul, w_loc, coords[j])) for j in range(k)]
-        if all(v >= 0 for v in vals):
-            pass
-        elif all(v <= 0 for v in vals):
-            w_loc = [-x for x in w_loc]
-            vals = [-v for v in vals]
-        else:
-            continue
-        zero = frozenset(j for j in range(k) if vals[j] == 0)
-        zero_mask = sum(bit[j] for j in zero)
-        if zero_mask not in seen:
-            g = 0
-            for x in w_loc:
-                g = gcd(g, x)
-            seen[zero_mask] = (tuple(x // g for x in w_loc), zero)
 
-    pointed = lin_rank([normal for normal, _ in seen.values()]) == d
-    faces = {sum(bit)}
-    frontier = set(seen)
-    while frontier:
-        faces |= frontier
-        frontier = {f & z for f in frontier for z in seen} - faces
-    nonextreme = [j for j in range(k) if bit[j] not in faces]
+    # facet zero set bitmask -> (local normal, zero set as local indices)
+    seen: Dict[int, Tuple[Tuple[int, ...], FrozenSet[int]]] = {}
+    full = sum(bit)
+    if k == d:
+        for j in range(k):
+            seen[full ^ bit[j]] = (_opposite_normal(h[:d], j), frozenset(range(k)) - {j})
+        # every ray subset spans a face
+        faces, sub = {0}, full
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & full
+        pointed, nonextreme = True, []
+    else:
+        coords = [list(col) for col in zip(*h[:d])]
+
+        def fresh(subset: Tuple[int, ...]) -> bool:
+            # inside a facet found already: its hyperplane, if any, is that facet's
+            mask = sum(bit[j] for j in subset)
+            return not any(mask & z == mask for z in seen)
+
+        subsets = filter(fresh, combinations(range(k), d - 1))
+        for u_sub, _, r in _prefix_eliminations(d, subsets, coords, False):
+            if r < d - 1:
+                continue
+            w_loc = u_sub[d - 1]
+            vals = [sum(map(mul, w_loc, coords[j])) for j in range(k)]
+            if all(v >= 0 for v in vals):
+                pass
+            elif all(v <= 0 for v in vals):
+                w_loc = [-x for x in w_loc]
+                vals = [-v for v in vals]
+            else:
+                continue
+            zero = frozenset(j for j in range(k) if vals[j] == 0)
+            zero_mask = sum(bit[j] for j in zero)
+            if zero_mask not in seen:
+                seen[zero_mask] = (primitive_vector(w_loc), zero)
+
+        pointed = lin_rank([normal for normal, _ in seen.values()]) == d
+        faces = {full}
+        frontier = set(seen)
+        while frontier:
+            faces |= frontier
+            frontier = {f & z for f in frontier for z in seen} - faces
+        nonextreme = [j for j in range(k) if bit[j] not in faces]
 
     facets = []
-    coord_cols = list(zip(*coord_map))
+    coord_cols = list(zip(*u[:d]))
     for w_loc, zero in sorted(seen.values(), key=lambda item: sorted(item[1])):
         facets.append((tuple(sum(map(mul, w_loc, col)) for col in coord_cols), zero))
     return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme, labels)
@@ -544,7 +576,8 @@ def from_maximal_cones(
 
     The zero cone is implicit.  Face closure is computed by exact facet
     enumeration per maximal cone; every cone's dimension, orbit projection
-    and section come from one integer elimination of its rays.  Pairwise
+    and section come from one integer elimination of its rays, which for a
+    face extends the elimination of its ray prefix by one column.  Pairwise
     intersection validation (a separation certificate, then Fourier-Motzkin
     for the pairs it cannot certify) runs by default for rank <= 4 and can
     be forced either way with `validate_pairs`.  Ray entries and cone
@@ -629,16 +662,18 @@ def from_maximal_cones(
         faces_by_mask[mask] = geo.face_masks
         quotients[mask] = (geo.span_eqs, geo.section)
         cells = _count_cells(cells, rank - geo.dim)
-    for faces in faces_by_mask.values():
-        for face in faces:
-            if face not in quotients:
-                vectors = [ray_list[i] for i in _bits(face)]
-                quotients[face] = quotient_with_section(rank, vectors)
-                cells = _count_cells(cells, len(quotients[face][0]))
+    # the other faces in lexicographic order of their rays, each extending
+    # the elimination of its ray prefix by one column step
+    rays_of = {face: _bits(face) for fs in faces_by_mask.values() for face in fs}
+    faces = sorted((face for face in rays_of if face not in quotients), key=rays_of.__getitem__)
+    states = _prefix_eliminations(rank, map(rays_of.__getitem__, faces), ray_list, True)
+    for face, state in zip(faces, states):
+        quotients[face] = _quotient(*state)
+        cells = _count_cells(cells, len(quotients[face][0]))
 
     # (dimension, rays) of each cone: the codimension is the number of rows
     # of its projection
-    dim_rays = {m: (rank - len(q[0]), tuple(_bits(m))) for m, q in quotients.items()}
+    dim_rays = {m: (rank - len(q[0]), tuple(rays_of[m])) for m, q in quotients.items()}
     cone_list = sorted(dim_rays, key=dim_rays.__getitem__)
     cones = tuple(Cone(rays, dim) for dim, rays in map(dim_rays.__getitem__, cone_list))
     cone_quotients = tuple(

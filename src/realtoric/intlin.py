@@ -7,7 +7,8 @@ ambiguous the ambient rank is passed explicitly.
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Sequence, Tuple
+from operator import mul
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 
@@ -56,71 +57,102 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _column_step(
+    u: IntMatrix, w: IntMatrix, r: int, vec: Sequence[int]
+) -> Tuple[List[int], IntMatrix, IntMatrix, int]:
+    """Extend the elimination (U, W, r) of some columns by the column vec.
+
+    Returns (col, U', W', r') with col = U' @ vec, the new column of H:
+    rows r.. of col are cleared below the pivot by Euclid's algorithm on
+    the entry of least magnitude, each row operation applied to U and, when
+    kept (non-empty), to W.  The given lists are not changed, so the state
+    (U, W, r) can be extended again by another column.
+    """
+    col = [sum(map(mul, row, vec)) for row in u]
+    u, w = u[:], w[:]
+    nrows = len(u)
+    while True:
+        piv, val = -1, 0
+        for i in range(r, nrows):
+            x = col[i]
+            if x and (not val or abs(x) < abs(val)):
+                piv, val = i, x
+        if piv < 0:
+            return col, u, w, r
+        if piv != r:
+            # move the pivot row up, keeping the order of the others:
+            # rows no pivot touches stay in input order, so cones on
+            # coordinate vectors get the same projection rows whatever
+            # the order of their rays, and induced projections repeat
+            col.insert(r, col.pop(piv))
+            u.insert(r, u.pop(piv))
+            if w:
+                w.insert(r, w.pop(piv))
+        ur = u[r]
+        done = True
+        for i in range(r + 1, nrows):
+            q = col[i] // val
+            if q:
+                # row i -= q * row r, so column r of U^-1 += q * column i
+                col[i] -= q * val
+                u[i] = [x - q * y for x, y in zip(u[i], ur)]
+                if w:
+                    w[r] = [x + q * y for x, y in zip(w[r], w[i])]
+            if col[i]:
+                done = False
+        if done:
+            return col, u, w, r + 1
+
+
 def _echelon(
     a: Sequence[Sequence[int]], inverse: bool
 ) -> Tuple[IntMatrix, IntMatrix, IntMatrix, int]:
-    """Unimodular row elimination of the matrix a (a list of rows).
+    """Unimodular row elimination of the matrix a (a list of rows), one
+    `_column_step` per column.
 
     Returns (H, U, W, r) with U @ a = H, U unimodular and H in row echelon
     form whose first r rows are its non-zero ones, so r is the rank of a.
-    Each column is cleared below its pivot by Euclid's algorithm on the
-    entry of least magnitude.  With inverse set, W is the transpose of
-    U^-1 (row i of W is column i of U^-1); otherwise W is empty.
+    With inverse set, W is the transpose of U^-1 (row i of W is column i
+    of U^-1); otherwise W is empty.
     """
-    h = [list(row) for row in a]
-    nrows = len(h)
-    ncols = len(h[0]) if h else 0
-    u = identity(nrows)
-    w = identity(nrows) if inverse else []
+    u = identity(len(a))
+    w = identity(len(a)) if inverse else []
     r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        while True:
-            piv, val = -1, 0
-            for i in range(r, nrows):
-                x = h[i][c]
-                if x and (not val or abs(x) < abs(val)):
-                    piv, val = i, x
-            if piv < 0:
-                break
-            if piv != r:
-                # move the pivot row up, keeping the order of the others:
-                # rows no pivot touches stay in input order, so cones on
-                # coordinate vectors get the same projection rows whatever
-                # the order of their rays, and induced projections repeat
-                h.insert(r, h.pop(piv))
-                u.insert(r, u.pop(piv))
-                if inverse:
-                    w.insert(r, w.pop(piv))
-            hr, ur = h[r], u[r]
-            done = True
-            for i in range(r + 1, nrows):
-                q = h[i][c] // val
-                if q:
-                    # row i -= q * row r, so column r of U^-1 += q * column i
-                    h[i] = [x - q * y for x, y in zip(h[i], hr)]
-                    u[i] = [x - q * y for x, y in zip(u[i], ur)]
-                    if inverse:
-                        w[r] = [x + q * y for x, y in zip(w[r], w[i])]
-                if h[i][c]:
-                    done = False
-            if done:
-                break
-        if piv >= 0:
-            r += 1
+    cols = []
+    for vec in zip(*a):
+        col, u, w, r = _column_step(u, w, r, vec)
+        cols.append(col)
+    h = [list(row) for row in zip(*cols)] if cols else [[] for _ in a]
     return h, u, w, r
+
+
+def _prefix_eliminations(
+    n: int, tuples: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]], inverse: bool
+) -> Iterator[Tuple[IntMatrix, IntMatrix, int]]:
+    """(U, W, r) of `_echelon` on the columns vectors[i], i in t, of length
+    n, for each tuple t in turn.  The states of the prefixes t shares with
+    the tuple before it are kept on a stack, one per prefix length, and
+    extended by one `_column_step` per further index, so tuples visited in
+    lexicographic order share their prefixes' eliminations.
+    """
+    stack = [(identity(n), identity(n) if inverse else [], 0)]
+    prev: Sequence[int] = ()
+    for t in tuples:
+        keep = 0
+        for x, y in zip(prev, t):
+            if x != y:
+                break
+            keep += 1
+        del stack[keep + 1:]
+        for i in t[keep:]:
+            stack.append(_column_step(*stack[-1], vectors[i])[1:])
+        prev = t
+        yield stack[-1]
 
 
 def lin_rank(vectors: Sequence[Sequence[int]]) -> int:
     """Rank over Q of a list of integer vectors."""
     return _echelon(vectors, False)[3]
-
-
-def _column_matrix(rank: int, vectors: Sequence[Sequence[int]]) -> IntMatrix:
-    """The rank x len(vectors) matrix whose columns are the vectors."""
-    assert all(len(vec) == rank for vec in vectors), "vector length must match ambient rank"
-    return [list(col) for col in zip(*vectors)] if vectors else [[] for _ in range(rank)]
 
 
 def span_elimination(
@@ -135,9 +167,15 @@ def span_elimination(
     the saturation of the span) and R is columns r.. of U^-1, an integer
     right inverse of P.
     """
-    h, u, w, r = _echelon(_column_matrix(rank, vectors), True)
-    sect = [list(col) for col in zip(*w[r:])] if r < rank else [[] for _ in range(rank)]
-    return h, u, u[r:], sect, r
+    assert all(len(vec) == rank for vec in vectors), "vector length must match ambient rank"
+    h, u, w, r = _echelon(list(zip(*vectors)) or [()] * rank, True)
+    return (h, u) + _quotient(u, w, r) + (r,)
+
+
+def _quotient(u: IntMatrix, w: IntMatrix, r: int) -> Tuple[IntMatrix, IntMatrix]:
+    """(P, R) of an elimination (U, W, r): P is rows r.. of U and R is
+    columns r.. of U^-1, read off W."""
+    return u[r:], [list(col) for col in zip(*w[r:])] or [[] for _ in u]
 
 
 def quotient_with_section(

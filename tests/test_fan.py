@@ -5,12 +5,12 @@ import json
 import random
 from functools import reduce
 from itertools import combinations, product
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import mul
 
 import pytest
 import realtoric.fan
-from conftest import mat_mul, mat_vec, oracle_fans
+from conftest import mat_mul, mat_vec, oracle_fans, random_unimodular
 from sympy import ZZ, Matrix, eye
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -44,7 +44,13 @@ from realtoric.fan import (
     read_json,
     write_json,
 )
-from realtoric.intlin import determinant, lin_rank, span_elimination
+from realtoric.intlin import (
+    determinant,
+    lin_rank,
+    primitive_vector,
+    quotient_with_section,
+    span_elimination,
+)
 
 
 def test_projective_plane_structure():
@@ -148,6 +154,21 @@ def _random_cone(rng, rank):
     return sorted(vectors)
 
 
+def _random_simplicial_cone(rng, rank, d, unimodular):
+    """d independent primitive vectors in Z^rank whose lattice has index 1
+    in the lattice points of their span (unimodular: d columns of a random
+    unimodular matrix) or an index above 1 (random vectors)."""
+    while True:
+        if unimodular:
+            columns = list(zip(*random_unimodular(rng, rank, ops=12)))
+            vectors = rng.sample(columns, d)
+        else:
+            vectors = [primitive_vector([rng.randint(-4, 4) for _ in range(rank)]) for _ in range(d)]
+        h, _, _, _, r = span_elimination(rank, vectors)
+        if r == d and (abs(prod(h[i][i] for i in range(d))) == 1) == unimodular:
+            return vectors
+
+
 def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
     rng = random.Random(4417)
     cones = [(5, cyclic_fan.cone_vectors(ci)) for ci in cyclic_fan.maximal_cones()]
@@ -158,11 +179,25 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
         (2, [(1, 0), (-1, 0), (0, 1)]),
     ]
     assert sum(len(vs) > rank for rank, vs in cones) >= 30
+    # simplicial cones, whose facet normals come from back substitution in
+    # their own elimination: full-dimensional or not, of index 1 or more
+    simplicial = [
+        (rank, _random_simplicial_cone(rng, rank, d, unimodular))
+        for rank in (2, 3, 4, 5)
+        for d in range(max(2, rank - 2), rank + 1)
+        for unimodular in (True, False)
+        for _ in range(3)
+    ] + [(3, [(0, -1, 0)])]
+    pivots = [span_elimination(rank, vs)[0] for rank, vs in simplicial]
+    negative = sum(any(h[i][i] < 0 for i in range(len(h[0]))) for h in pivots)
+    assert sum(len(vs) < rank for rank, vs in simplicial) >= 20 and negative >= 20
+    cones += simplicial
     for rank, vectors in cones:
         geo = _cone_geometry(rank, vectors)
         facets, faces, nonextreme = _brute_cone_faces(vectors)
         assert [zero for _, zero in geo.facets] == facets, vectors
         for normal, zero in geo.facets:
+            assert gcd(*normal) == 1, vectors
             vals = [sum(a * b for a, b in zip(normal, v)) for v in vectors]
             assert all(x >= 0 for x in vals), vectors
             assert {j for j, x in enumerate(vals) if x == 0} == zero, vectors
@@ -230,6 +265,25 @@ def test_cone_elimination_gives_dimension_projection_and_section():
             eye = [[int(i == j) for j in range(n - cone.dim)] for i in range(n - cone.dim)]
             assert mat_mul(proj, sect) == eye, (fan, cone)
             assert all(not any(mat_vec(proj, v)) for v in vectors), (fan, cone)
+
+
+def test_face_quotients_equal_the_elimination_of_their_rays():
+    """The build extends the elimination of each face's ray prefix by one
+    column step; the (P, R) of every non-maximal cone must equal that of
+    eliminating its rays afresh, entry for entry, since the distinct
+    induced projections are counted by their rows.  cyclic57 is one of
+    the fans/*.json."""
+    fans = oracle_fans() + [
+        reduce(product_fan, [projective_space_fan(1)] * 6),
+        projective_space_fan(7),
+    ]
+    for fan in fans:
+        maximal = set(fan.maximal_cones())
+        for ci in range(len(fan.cones)):
+            if ci not in maximal:
+                proj, sect = quotient_with_section(fan.rank, fan.cone_vectors(ci))
+                want = (tuple(map(tuple, proj)), tuple(map(tuple, sect)))
+                assert fan.orbit_quotient(ci) == want, (fan, fan.cones[ci])
 
 
 def test_zero_cone_is_a_face_of_everything():

@@ -1,6 +1,8 @@
 """Exact integer linear algebra, checked against sympy and brute force."""
 from __future__ import annotations
 
+import random
+from itertools import combinations
 from math import gcd
 
 import hypothesis.strategies as st
@@ -10,6 +12,9 @@ from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from realtoric.intlin import (
+    _column_step,
+    _echelon,
+    _prefix_eliminations,
     determinant,
     identity,
     lin_rank,
@@ -101,3 +106,95 @@ def test_primitive_vector(v):
         for c, d in zip(v, p):
             assert a * d == c * b
     assert primitive_vector(p) == p
+
+
+def _echelon_by_rows(a, inverse):
+    """The elimination of `_echelon` done on whole rows of H: each row
+    operation is applied to every column of H at once, as it is applied
+    to U and W, rather than to one new column U @ v at a time."""
+    h = [list(row) for row in a]
+    nrows, ncols = len(h), len(h[0]) if h else 0
+    u = identity(nrows)
+    w = identity(nrows) if inverse else []
+    r = 0
+    for c in range(ncols):
+        while True:
+            piv, val = -1, 0
+            for i in range(r, nrows):
+                if h[i][c] and (not val or abs(h[i][c]) < abs(val)):
+                    piv, val = i, h[i][c]
+            if piv < 0:
+                break
+            for m in (h, u, w) if inverse else (h, u):
+                m.insert(r, m.pop(piv))
+            done = True
+            for i in range(r + 1, nrows):
+                q = h[i][c] // val
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                if inverse:
+                    w[r] = [x + q * y for x, y in zip(w[r], w[i])]
+                done = done and not h[i][c]
+            if done:
+                r += 1
+                break
+    return h, u, w, r
+
+
+def _random_matrix(rng):
+    """A random integer matrix of 1-6 rows and 0-6 columns, entries in
+    [-9, 9].  In a third of the cases a column is a combination of two
+    others, in another third a row is: the rank is then deficient."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(0, 6)
+    a = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+    kind = rng.randrange(3)
+    if kind == 1 and ncols >= 3:
+        i, j, k = rng.sample(range(ncols), 3)
+        for row in a:
+            row[k] = 2 * row[i] - row[j]
+    elif kind == 2 and nrows >= 3:
+        i, j, k = rng.sample(range(nrows), 3)
+        a[k] = [x + y for x, y in zip(a[i], a[j])]
+    return a
+
+
+def test_echelon_is_a_fold_of_column_steps():
+    """(H, U, W, r) of `_echelon` is that of column steps folded over the
+    columns, H being the steps' columns, and equals the elimination on
+    whole rows; no step changes the state it extends."""
+    rng = random.Random(1709)
+    deficient = 0
+    for _ in range(400):
+        a = _random_matrix(rng)
+        for inverse in (False, True):
+            state = (identity(len(a)), identity(len(a)) if inverse else [], 0)
+            cols = []
+            for vec in zip(*a):
+                kept = repr(state)
+                col, *new = _column_step(*state, vec)
+                assert repr(state) == kept
+                state = new
+                cols.append(col)
+            h = [list(row) for row in zip(*cols)] if cols else [[] for _ in a]
+            assert _echelon(a, inverse) == (h, *state), (a, inverse)
+            assert _echelon(a, inverse) == _echelon_by_rows(a, inverse), (a, inverse)
+        r = _echelon(a, False)[3]
+        assert r == Matrix(a).rank() if a[0] else r == 0
+        deficient += r < min(len(a), len(a[0]))
+    assert deficient >= 50
+
+
+def test_prefix_eliminations_match_the_elimination_of_each_tuple():
+    """Tuples in lexicographic order share their prefixes' steps; each
+    state is still that of eliminating the tuple's vectors afresh."""
+    rng = random.Random(2203)
+    for _ in range(40):
+        n, k = rng.randint(1, 5), rng.randint(1, 6)
+        vectors = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+        for inverse in (False, True):
+            tuples = sorted(t for size in range(k + 1) for t in combinations(range(k), size))
+            states = _prefix_eliminations(n, tuples, vectors, inverse)
+            for t, state in zip(tuples, states):
+                cols = [vectors[i] for i in t]
+                a = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n)]
+                assert state == _echelon(a, inverse)[1:], (vectors, t)

@@ -141,12 +141,14 @@ _Quotient = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 
 @dataclass
 class _ConeGeometry:
+    """A cone's face data, every ray set a bitmask over the ray labels."""
+
     dim: int
     pointed: bool
     span_eqs: List[List[int]]           # (rank - dim) x rank: orbit projection, zero on the span
     section: List[List[int]]            # rank x (rank - dim): integer right inverse of span_eqs
-    facets: List[Tuple[Tuple[int, ...], FrozenSet[int]]]  # (ambient normal, local zero set)
-    face_masks: Set[int]                # faces as bitmasks over the ray labels
+    facets: List[Tuple[Tuple[int, ...], int]]  # (ambient normal, zero set), in order of rays
+    face_masks: Set[int]                # every face
     nonextreme: List[int]               # listed rays that are not extreme
     labels: Tuple[int, ...]             # the ray label of each vector, in order
 
@@ -218,12 +220,12 @@ def _cone_geometry(
             f"the facet search would try more than {FACET_SUBSET_LIMIT} ray subsets"
         )
 
-    # facet zero set bitmask -> (local normal, zero set as local indices)
-    seen: Dict[int, Tuple[Tuple[int, ...], FrozenSet[int]]] = {}
+    # facet zero set -> local normal
+    seen: Dict[int, Tuple[int, ...]] = {}
     full = sum(bit)
     if k == d:
         for j in range(k):
-            seen[full ^ bit[j]] = (_opposite_normal(h[:d], j), frozenset(range(k)) - {j})
+            seen[full ^ bit[j]] = _opposite_normal(h[:d], j)
         # every ray subset spans a face
         faces, sub = {0}, full
         while sub:
@@ -251,12 +253,11 @@ def _cone_geometry(
                 vals = [-v for v in vals]
             else:
                 continue
-            zero = frozenset(j for j in range(k) if vals[j] == 0)
-            zero_mask = sum(bit[j] for j in zero)
-            if zero_mask not in seen:
-                seen[zero_mask] = (primitive_vector(w_loc), zero)
+            zero = sum(bit[j] for j in range(k) if vals[j] == 0)
+            if zero not in seen:
+                seen[zero] = primitive_vector(w_loc)
 
-        pointed = lin_rank([normal for normal, _ in seen.values()]) == d
+        pointed = lin_rank(list(seen.values())) == d
         faces = {full}
         frontier = set(seen)
         while frontier:
@@ -264,10 +265,11 @@ def _cone_geometry(
             frontier = {f & z for f in frontier for z in seen} - faces
         nonextreme = [j for j in range(k) if bit[j] not in faces]
 
-    facets = []
     coord_cols = list(zip(*u[:d]))
-    for w_loc, zero in sorted(seen.values(), key=lambda item: sorted(item[1])):
-        facets.append((tuple(sum(map(mul, w_loc, col)) for col in coord_cols), zero))
+    facets = [
+        (tuple(sum(map(mul, seen[zero], col)) for col in coord_cols), zero)
+        for zero in sorted(seen, key=_bits)
+    ]
     return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme, labels)
 
 
@@ -332,7 +334,8 @@ class Fan:
 
     Cones are stored explicitly, including the zero cone, sorted by
     (dimension, ray indices).  `strata[p]` lists the indices of the cones
-    of codimension p.
+    of codimension p.  The only face data kept is each cone's facets, the
+    faces one dimension lower, as cone indices.
     """
 
     def __init__(
@@ -341,13 +344,14 @@ class Fan:
         rays: Tuple[Tuple[int, ...], ...],
         cones: Tuple[Cone, ...],
         name: Optional[str],
-        max_faces: Dict[int, Set[int]],
+        facets: Tuple[Tuple[int, ...], ...],
         quotients: Tuple[_Quotient, ...],
     ):
         self.rank = rank
         self.rays = rays
         self.cones = cones
         self.name = name
+        self._facets = facets
         self._quotients = quotients
         # the ray set of each cone, as a bitmask over the ray indices
         masks = self.ray_masks = tuple(_mask(c.rays) for c in cones)
@@ -356,20 +360,8 @@ class Fan:
             tuple(i for i, c in enumerate(cones) if rank - c.dim == p)
             for p in range(rank + 1)
         )
-        # The faces of a cone are the faces of any maximal cone holding it
-        # that lie inside it; they come before it in the (dim, rays) order.
-        self._faces: List[Tuple[int, ...]] = [()] * len(cones)
-        proper: Set[int] = set()
-        for mmask, faces in max_faces.items():
-            members = sorted(self._index[f] for f in faces)
-            member_masks = [masks[j] for j in members]
-            for k, ci in enumerate(members):
-                if not self._faces[ci]:
-                    mc = masks[ci]
-                    self._faces[ci] = tuple([
-                        j for j, m in zip(members[: k + 1], member_masks) if m | mc == mc
-                    ])
-            proper.update(self._index[f] for f in faces if f != mmask)
+        # a cone that is a proper face of another is a facet of one
+        proper = {si for fs in facets for si in fs}
         self._maximal = tuple(i for i in range(len(cones)) if i not in proper)
         self._memo: Dict[tuple, object] = {}
 
@@ -387,7 +379,13 @@ class Fan:
         return [self.rays[i] for i in self.cones[ci].rays]
 
     def faces_of(self, ci: int) -> Tuple[int, ...]:
-        return self._faces[ci]
+        """Cone ci and all its faces, in cone order: its facets, theirs,
+        and so on down to the zero cone."""
+        faces, frontier = {ci}, {ci}
+        while frontier:
+            frontier = {si for ti in frontier for si in self._facets[ti]} - faces
+            faces |= frontier
+        return tuple(sorted(faces))
 
     def orbit_quotient(self, ci: int) -> _Quotient:
         """(P, R) for cone ci: P maps the lattice onto Z^codim with kernel
@@ -405,15 +403,7 @@ class Fan:
     @_per_fan
     def facet_pairs(self) -> List[Tuple[int, int]]:
         """Pairs (si, ti) where cone si is a codimension-one face of cone ti."""
-        dims = [c.dim for c in self.cones]
-        out = [
-            (si, ti)
-            for ti, faces in enumerate(self._faces)
-            for si in faces
-            if dims[si] == dims[ti] - 1
-        ]
-        out.sort()
-        return out
+        return sorted((si, ti) for ti, fs in enumerate(self._facets) for si in fs)
 
     @_per_fan
     def is_complete(self) -> bool:
@@ -436,8 +426,8 @@ class Fan:
         if any(self.cones[ci].dim != self.rank for ci in self._maximal):
             return False
         sides: Dict[int, List[int]] = {wi: [] for wi in self.strata[1]}
-        for wi, ci in self.facet_pairs():
-            if wi in sides:
+        for ci in self.strata[0]:
+            for wi in self._facets[ci]:
                 wall = self.cones[wi].rays
                 v = next(self.rays[i] for i in self.cones[ci].rays if i not in wall)
                 sides[wi].append(sum(map(mul, self.orbit_quotient(wi)[0][0], v)))
@@ -500,8 +490,7 @@ def _supporting(geo: _ConeGeometry, face: int) -> Tuple[int, ...]:
     """The sum of the inward normals of the facets containing the face
     (a ray bitmask) of the cone: >= 0 on the cone, and zero on it exactly
     along that face."""
-    local = frozenset(j for j, i in enumerate(geo.labels) if face >> i & 1)
-    support = [normal for normal, zero in geo.facets if local <= zero]
+    support = [normal for normal, zero in geo.facets if face & zero == face]
     return tuple(sum(col) for col in zip(*support))
 
 
@@ -574,10 +563,11 @@ def from_maximal_cones(
 ) -> Fan:
     """Build a fan from ray vectors and maximal cones given as ray index sets.
 
-    The zero cone is implicit.  Face closure is computed by exact facet
-    enumeration per maximal cone; every cone's dimension, orbit projection
-    and section come from one integer elimination of its rays, which for a
-    face extends the elimination of its ray prefix by one column.  Pairwise
+    The zero cone is implicit.  Each maximal cone's facet enumeration
+    gives its faces and facets, and the facets of each of its faces;
+    every cone's dimension, orbit projection and section come from one
+    integer elimination of its rays, which for a face extends the
+    elimination of its ray prefix by one column.  Pairwise
     intersection validation (a separation certificate, then Fourier-Motzkin
     for the pairs it cannot certify) runs by default for rank <= 4 and can
     be forced either way with `validate_pairs`.  Ray entries and cone
@@ -627,7 +617,7 @@ def from_maximal_cones(
     if not max_sets:
         max_sets = [frozenset()]
 
-    used = set().union(*max_sets) if max_sets else set()
+    used = set().union(*max_sets)
     for i in range(len(ray_list)):
         if i not in used:
             raise ValidationError(f"ray {ray_list[i]} not used by any maximal cone")
@@ -642,7 +632,8 @@ def from_maximal_cones(
         )
 
     geo_by_mask: Dict[int, _ConeGeometry] = {}
-    faces_by_mask: Dict[int, Set[int]] = {}
+    # each face -> the facet zero sets of a maximal cone holding it
+    outer: Dict[int, List[int]] = {}
     quotients: Dict[int, Tuple[IntMatrix, IntMatrix]] = {}
     cells = tried = 0
     for mset in max_sets:
@@ -659,12 +650,12 @@ def from_maximal_cones(
             )
         mask = _mask(order)
         geo_by_mask[mask] = geo
-        faces_by_mask[mask] = geo.face_masks
+        outer.update(dict.fromkeys(geo.face_masks - outer.keys(), [z for _, z in geo.facets]))
         quotients[mask] = (geo.span_eqs, geo.section)
         cells = _count_cells(cells, rank - geo.dim)
     # the other faces in lexicographic order of their rays, each extending
     # the elimination of its ray prefix by one column step
-    rays_of = {face: _bits(face) for fs in faces_by_mask.values() for face in fs}
+    rays_of = {face: _bits(face) for face in outer}
     faces = sorted((face for face in rays_of if face not in quotients), key=rays_of.__getitem__)
     states = _prefix_eliminations(rank, map(rays_of.__getitem__, faces), ray_list, True)
     for face, state in zip(faces, states):
@@ -676,6 +667,13 @@ def from_maximal_cones(
     dim_rays = {m: (rank - len(q[0]), tuple(rays_of[m])) for m, q in quotients.items()}
     cone_list = sorted(dim_rays, key=dim_rays.__getitem__)
     cones = tuple(Cone(rays, dim) for dim, rays in map(dim_rays.__getitem__, cone_list))
+    # The facets of a face t of a cone are the t & z, over the cone's
+    # facets z, one dimension below t (Cox, Little & Schenck, section 1.2).
+    index = {m: i for i, m in enumerate(cone_list)}
+    facets = tuple(
+        tuple(index[f] for f in {t & z for z in outer[t]} if dim_rays[f][0] == dim_rays[t][0] - 1)
+        for t in cone_list
+    )
     cone_quotients = tuple(
         (tuple(map(tuple, quotients[m][0])), tuple(map(tuple, quotients[m][1])))
         for m in cone_list
@@ -685,7 +683,7 @@ def from_maximal_cones(
         for (a, geo_a), (b, geo_b) in combinations(geo_by_mask.items(), 2):
             _check_pair(ray_list, a, geo_a, b, geo_b)
 
-    return Fan(rank, tuple(ray_list), cones, name, faces_by_mask, cone_quotients)
+    return Fan(rank, tuple(ray_list), cones, name, facets, cone_quotients)
 
 
 def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:

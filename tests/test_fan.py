@@ -105,6 +105,82 @@ def test_face_lattice_matches_all_pairs_containment():
         assert fan.maximal_cones() == maximal, fan
 
 
+def _overlapping_fans(count):
+    """count seeded unvalidated fans of rank 3 to 5, with their listed
+    maximal cones: 3 to 6 random subsets of up to rank + 1 rays drawn in
+    the half-space x_0 > 0, so that the cones crowd and overlap, and in
+    half the fans also the first ray of the first cone, listed as a cone
+    of its own.  Inputs the build rejects (a listed ray that is not
+    extreme) are drawn again."""
+    rng = random.Random(1808)
+    out = []
+    while len(out) < count:
+        rank = rng.randint(3, 5)
+        pool = sorted({
+            primitive_vector([rng.randint(1, 2)] + [rng.randint(-1, 2) for _ in range(rank - 1)])
+            for _ in range(rank + 3)
+        })
+        listed = [rng.sample(range(len(pool)), rng.randint(2, min(rank + 1, len(pool))))
+                  for _ in range(rng.randint(3, 6))]
+        if rng.randrange(2):
+            listed.append(listed[0][:1])
+        used = sorted(set().union(*listed))
+        rays = [pool[i] for i in used]
+        listed = [sorted(used.index(i) for i in c) for c in listed]
+        try:
+            out.append((from_maximal_cones(rank, rays, listed, validate_pairs=False), listed))
+        except ValidationError:
+            continue
+    return out
+
+
+def test_faces_come_from_each_cones_own_geometry():
+    """Every cone's faces are the faces its own facet enumeration finds,
+    its facet pairs those one dimension lower, and the maximal cones those
+    no other cone has as a proper face, which for a listed input are the
+    listed cones that no other listed cone has as one.  cyclic57 is one of
+    the fans/*.json; the twice-wound rank-2 fan and the seeded fans are
+    built unvalidated, and most of the seeded fans' cones overlap."""
+    twice_wound = from_maximal_cones(
+        2,
+        [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+        [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]],
+        validate_pairs=False,
+    )
+    overlapping = _overlapping_fans(50)
+    rejected = 0
+    for fan, listed in overlapping:
+        try:
+            from_maximal_cones(fan.rank, fan.rays, listed, validate_pairs=True)
+        except BadIntersection:
+            rejected += 1
+    assert rejected >= 40
+    assert sum(not fan.is_simplicial() for fan, _ in overlapping) >= 25
+    fans = oracle_fans() + [reduce(product_fan, [projective_space_fan(1)] * 6), twice_wound]
+    fans += [fan for fan, _ in overlapping]
+    for fan in fans:
+        faces = [
+            sorted(
+                fan.cone_index(_bits(m))
+                for m in _cone_geometry(fan.rank, fan.cone_vectors(ci), cone.rays).face_masks
+            )
+            for ci, cone in enumerate(fan.cones)
+        ]
+        dims = [c.dim for c in fan.cones]
+        pairs = sorted((si, ti) for ti, f in enumerate(faces) for si in f if dims[si] == dims[ti] - 1)
+        proper = {si for ti, f in enumerate(faces) for si in f if si != ti}
+        assert fan.facet_pairs() == pairs, fan
+        assert fan.maximal_cones() == tuple(i for i in range(len(faces)) if i not in proper), fan
+        assert [list(fan.faces_of(ci)) for ci in range(len(faces))] == faces, fan
+    for fan, listed in overlapping + [(twice_wound, [[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]])]:
+        listed = {tuple(c) for c in listed}
+        proper = set()
+        for c in listed:
+            geo = _cone_geometry(fan.rank, [fan.rays[i] for i in c], c)
+            proper |= {tuple(_bits(m)) for m in geo.face_masks} - {c}
+        assert {fan.cones[ci].rays for ci in fan.maximal_cones()} == listed - proper, fan
+
+
 def _brute_cone_faces(vectors):
     """Facet zero sets, faces and non-extreme rays of the cone on the given
     vectors: a facet from every (d-1)-subset of rank d - 1 whose hyperplane
@@ -195,12 +271,12 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
     for rank, vectors in cones:
         geo = _cone_geometry(rank, vectors)
         facets, faces, nonextreme = _brute_cone_faces(vectors)
-        assert [zero for _, zero in geo.facets] == facets, vectors
+        assert [frozenset(_bits(zero)) for _, zero in geo.facets] == facets, vectors
         for normal, zero in geo.facets:
             assert gcd(*normal) == 1, vectors
             vals = [sum(a * b for a, b in zip(normal, v)) for v in vectors]
             assert all(x >= 0 for x in vals), vectors
-            assert {j for j, x in enumerate(vals) if x == 0} == zero, vectors
+            assert {j for j, x in enumerate(vals) if x == 0} == set(_bits(zero)), vectors
         assert {frozenset(_bits(m)) for m in geo.face_masks} == faces, vectors
         assert geo.nonextreme == nonextreme, vectors
     assert not _cone_geometry(2, [(1, 0), (-1, 0), (0, 1)]).pointed

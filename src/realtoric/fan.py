@@ -335,7 +335,9 @@ class Fan:
     Cones are stored explicitly, including the zero cone, sorted by
     (dimension, ray indices).  `strata[p]` lists the indices of the cones
     of codimension p.  The only face data kept is each cone's facets, the
-    faces one dimension lower, as cone indices.
+    faces one dimension lower, as cone indices.  `ray_masks` holds the ray
+    set of each cone as a bitmask over the ray indices.  Only
+    from_maximal_cones builds a Fan, and it hands over all of these.
     """
 
     def __init__(
@@ -346,6 +348,9 @@ class Fan:
         name: Optional[str],
         facets: Tuple[Tuple[int, ...], ...],
         quotients: Tuple[_Quotient, ...],
+        ray_masks: Tuple[int, ...],
+        index: Dict[int, int],
+        strata: Tuple[Tuple[int, ...], ...],
     ):
         self.rank = rank
         self.rays = rays
@@ -353,13 +358,9 @@ class Fan:
         self.name = name
         self._facets = facets
         self._quotients = quotients
-        # the ray set of each cone, as a bitmask over the ray indices
-        masks = self.ray_masks = tuple(_mask(c.rays) for c in cones)
-        self._index = {m: i for i, m in enumerate(masks)}
-        self.strata: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(i for i, c in enumerate(cones) if rank - c.dim == p)
-            for p in range(rank + 1)
-        )
+        self.ray_masks = ray_masks
+        self._index = index  # ray mask -> cone index
+        self.strata = strata
         # a cone that is a proper face of another is a facet of one
         proper = {si for fs in facets for si in fs}
         self._maximal = tuple(i for i in range(len(cones)) if i not in proper)
@@ -679,11 +680,18 @@ def from_maximal_cones(
         for m in cone_list
     )
 
+    strata: List[List[int]] = [[] for _ in range(rank + 1)]
+    for i, m in enumerate(cone_list):
+        strata[rank - dim_rays[m][0]].append(i)
+
     if validate_pairs:
         for (a, geo_a), (b, geo_b) in combinations(geo_by_mask.items(), 2):
             _check_pair(ray_list, a, geo_a, b, geo_b)
 
-    return Fan(rank, tuple(ray_list), cones, name, facets, cone_quotients)
+    return Fan(
+        rank, tuple(ray_list), cones, name, facets, cone_quotients,
+        tuple(cone_list), index, tuple(map(tuple, strata)),
+    )
 
 
 def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:

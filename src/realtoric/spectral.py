@@ -15,7 +15,9 @@ every graded piece, hence G1 (Edelsbrunner, Letscher & Zomorodian 2002).
 Its pivot pairing does not depend on the order within a level, so each
 level lists its subsets S and, for each, its cones: y^S of every cone is
 then one shift of the same coordinate, and each row of a y block is placed
-once for all the facet pairs that share it.
+once for all the facet pairs that share it.  The boundaries are reduced in
+increasing degree, and rows that the previous degree's pivots show to
+reduce to zero are skipped (clearing; Chen & Kerber 2011).
 The first G page is expected to match the second E page under
 reindexing, and the match is tested rather than assumed.
 
@@ -24,16 +26,21 @@ pairs, each checked for surjectivity once.  The E side takes every
 exterior power of m from one Laplace pass over m's rows; the real side
 takes the group-algebra map of m to the y basis by subset transforms.  The
 E side never reads the y blocks, although their diagonal blocks are the
-exterior powers, so that E2 = G1 stays an independent cross-check.
+exterior powers, so that E2 = G1 stays an independent cross-check.  On
+both sides d o d = 0 is checked from those blocks, not from the assembled
+boundaries.  Each block of d_p o d_{p+1} is a sum of products of two
+blocks along its chains; its signature, the products that occur an odd
+number of times, is computed once per fan, and each distinct signature is
+summed once.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
-from typing import Dict, List, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .fan import Fan, _per_fan
+from .fan import Fan, _bits, _per_fan
 from .gf2 import (
     ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, assemble_blocks, exterior_powers,
     subset_masks, subset_shift_masks,
@@ -137,6 +144,80 @@ def _boundary(fan: Fan, p: int, row_size: int, col_size: int, blocks: List[Mat2]
 
 
 @_per_fan
+def _composition_signatures(fan: Fan) -> List[List[Tuple[Tuple[int, int], ...]]]:
+    """For each p in 1 .. rank - 1, the distinct non-empty signatures of the
+    blocks of d_p o d_{p+1}, each as a tuple of codes (i, j).
+
+    Block (a, c) of d_p o d_{p+1} is the sum, over the chains a > b > c of
+    facet pairs, of B_p[i] B_{p+1}[j], with i and j the positions of the
+    pairs' projections in _projection_groups(fan)[p] and [p + 1].  Over
+    GF(2) a code that occurs twice cancels, so the block is the sum over its
+    signature, the codes that occur an odd number of times: blocks with one
+    signature are one matrix, and an empty signature is a zero block."""
+    groups = _projection_groups(fan)
+    out: List[List[Tuple[Tuple[int, int], ...]]] = [[]]
+    for p in range(1, fan.rank):
+        width = len(groups[p + 1])
+        count = len(fan.strata[p + 1])
+        # each b's pairs with the cones a above it; a chain a > b > c is the
+        # key a * count + c and the bit of code (i, j), i * width + j
+        up: List[List[Tuple[int, int]]] = [[] for _ in fan.strata[p]]
+        for i, (_, where) in enumerate(groups[p]):
+            bit = 1 << i * width
+            for a, b in where:
+                up[b].append((a * count, bit))
+        signatures: Dict[int, int] = {}
+        for j, (_, where) in enumerate(groups[p + 1]):
+            for b, c in where:
+                for a, bit in up[b]:
+                    signatures[a + c] = signatures.get(a + c, 0) ^ bit << j
+        distinct = set(signatures.values())
+        distinct.discard(0)
+        out.append([tuple(divmod(code, width) for code in _bits(s)) for s in distinct])
+    return out
+
+
+def _composition_sums(
+    fan: Fan, blocks: List[List[Sequence[int]]]
+) -> Iterator[Tuple[int, List[int]]]:
+    """(p, the rows of its sum) for each distinct signature of d_p o d_{p+1},
+    p = 1 .. rank - 1, where d_p has the block with rows blocks[p][i] for
+    each facet pair whose projection is at position i of
+    _projection_groups(fan)[p].  Each sum is made from one product per code
+    (i, j), and every block of every composition is one of the sums: they
+    are all zero iff d o d = 0, as a dense product would show."""
+    signatures = _composition_signatures(fan)
+    for p in range(1, fan.rank):
+        left, right = blocks[p], blocks[p + 1]
+        products: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        for signature in signatures[p]:
+            total = [0] * len(left[0])
+            for code in signature:
+                rows = products.get(code)
+                if rows is None:
+                    i, j = code
+                    rows = products[code] = _mul_rows(left[i], right[j])
+                total = [x ^ y for x, y in zip(total, rows)]
+            yield p, total
+
+
+def _d_o_d_error(p: int) -> CrossCheckFailed:
+    return CrossCheckFailed(f"d o d != 0 between degrees {p + 1} and {p - 1}")
+
+
+def _direct_sum(powers: List[Mat2]) -> List[int]:
+    """The rows of the block-diagonal matrix of powers, in order: the direct
+    sum over q of a projection's exterior powers is its block in the direct
+    sum over q of the E1 row complexes."""
+    rows: List[int] = []
+    shift = 0
+    for pw in powers:
+        rows += [r << shift for r in pw.rows]
+        shift += pw.ncols
+    return rows
+
+
+@_per_fan
 def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     """First page of the complex orbit spectral sequence.
 
@@ -145,9 +226,23 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     of codimension-p cones; boundary blocks are exterior powers of the
     induced projections over facet pairs, all of them from one pass of
     exterior_powers per distinct projection m.  Only m's rows are read.
+    Gate: d o d = 0 on every row complex, checked block by block once per
+    distinct signature (_composition_sums).
     """
     n = fan.rank
     powers = [[exterior_powers(m) for m, _ in groups] for groups in _projection_groups(fan)]
+    # d o d of all row complexes at once, on their direct sum over q: row r of
+    # a degree-p block there is a row of its layers[p][r]-th power, and the
+    # failure reported is the first in q, then in p, as checking one row
+    # complex after another would find it
+    layers = [[q for q in range(p) for _ in range(comb(p - 1, q))] for p in range(n + 1)]
+    failed = [
+        (min(layers[p][r] for r, x in enumerate(total) if x), p)
+        for p, total in _composition_sums(fan, [list(map(_direct_sum, pws)) for pws in powers])
+        if any(total)
+    ]
+    if failed:
+        raise _d_o_d_error(min(failed)[1])
     entries: Dict[Tuple[int, int], int] = {}
     complexes: Dict[int, ChainComplex] = {}
     for q in range(n + 1):
@@ -211,13 +306,35 @@ def _y_block(m: Mat2) -> Mat2:
     return block
 
 
-def _reduce(b: Mat2, row_levels: List[int], col_levels: List[int]) -> Counter[Tuple[int, int]]:
+def _reduce(
+    b: Mat2,
+    row_levels: List[int],
+    col_levels: List[int],
+    cleared: AbstractSet[int] = frozenset(),
+    found: Optional[Set[int]] = None,
+) -> Counter[Tuple[int, int]]:
     """Reduce the rows of b from the last to the first, each against the
     pivot rows found so far, keyed by their lowest set bit; count the
-    pivots by (row level, column level)."""
+    pivots by (row level, column level).  The rows in cleared are skipped,
+    and the column of each pivot is added to found.
+
+    Read as columns, the rows of the degree-p boundary are the coboundary
+    from degree p - 1 to p, and this is its standard column reduction with
+    the columns in reversed coordinate order; degree p has one coordinate
+    order, for the columns here and for the rows of the degree-(p + 1)
+    boundary.  Clearing (Chen & Kerber 2011) skips, in that next boundary,
+    each row i that is a pivot column here, and changes no count: a reduced
+    row r with lowest bit i is a coboundary e_i + (a sum of e_k, k > i),
+    which the next coboundary kills, so row i of the next boundary is the
+    sum of its rows k over the other bits k of r, all reduced before row i.
+    Row i lies in the span of the pivots found by then, would reduce to
+    zero, and adds none."""
     pivots: Dict[int, int] = {}
     out: Counter[Tuple[int, int]] = Counter()
-    for i, r in reversed(list(enumerate(b.rows))):
+    for i in range(b.nrows - 1, -1, -1):
+        if i in cleared:
+            continue
+        r = b.rows[i]
         while r:
             low = (r & -r).bit_length()
             pivot = pivots.get(low)
@@ -226,6 +343,8 @@ def _reduce(b: Mat2, row_levels: List[int], col_levels: List[int]) -> Counter[Tu
                 out[row_levels[i], col_levels[low - 1]] += 1
                 break
             r ^= pivot
+    if found is not None:
+        found.update(low - 1 for low in pivots)
     return out
 
 
@@ -238,7 +357,10 @@ def real_complex(fan: Fan) -> RealComplex:
     reduced once.  Gates: a row of level k has no entry in a column of level
     above k, and d o d = 0, which implies it in the point basis (the y basis
     is a conjugate by an involution) and on every graded piece (each
-    boundary is block-triangular)."""
+    boundary is block-triangular).  d o d is checked block by block from
+    the y blocks, once per distinct signature (_composition_sums).  The
+    boundaries are reduced in increasing degree, each skipping the rows that
+    the previous one's pivot columns clear (_reduce)."""
     sizes = [len(stratum) for stratum in fan.strata]
     levels = [
         [k for k in range(p, -1, -1) for _ in range(n * comb(p, k))] for p, n in enumerate(sizes)
@@ -252,11 +374,12 @@ def real_complex(fan: Fan) -> RealComplex:
         for k, start in enumerate(starts[p]):
             for i, s in enumerate(subset_masks(p, k)):
                 at[p][s] = start + i * n
+    y_blocks = [[_y_block(m) for m, _ in groups] for groups in _projection_groups(fan)]
     boundaries = []
     for p in range(1, fan.rank + 1):
         b = Mat2(len(levels[p - 1]), len(levels[p]))
-        for m, where in _projection_groups(fan)[p]:
-            for t, r in enumerate(_y_block(m).rows):
+        for y, (_, where) in zip(y_blocks[p], _projection_groups(fan)[p]):
+            for t, r in enumerate(y.rows):
                 placed = 0
                 while r:
                     low = r & -r
@@ -269,8 +392,16 @@ def real_complex(fan: Fan) -> RealComplex:
         if any(r & above[k] for r, k in zip(b.rows, levels[p - 1])):
             raise CrossCheckFailed("boundary does not respect the augmentation filtration")
         boundaries.append(b)
-    chain = ChainComplex([len(lv) for lv in levels], boundaries)
-    return RealComplex(chain, levels, list(map(_reduce, boundaries, levels, levels[1:])))
+    for p, total in _composition_sums(fan, [[y.rows for y in ys] for ys in y_blocks]):
+        if any(total):
+            raise _d_o_d_error(p)
+    pivot_levels = []
+    cleared: Set[int] = set()
+    for b, row_levels, col_levels in zip(boundaries, levels, levels[1:]):
+        found: Set[int] = set()
+        pivot_levels.append(_reduce(b, row_levels, col_levels, cleared, found))
+        cleared = found
+    return RealComplex(ChainComplex([len(lv) for lv in levels], boundaries), levels, pivot_levels)
 
 
 @_per_fan

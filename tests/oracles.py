@@ -6,7 +6,9 @@ projection.  The definitions here are the model it was first written in:
 group-algebra elements in the point basis, the change to the y basis, the
 graded pieces of the augmentation filtration, and the plain `Mat2`
 helpers (entries, matrix-vector products, transposes, matrices from
-columns, identities) that the tests build their references from.
+columns, identities) that the tests build their references from.  The
+dense d o d gate, one product of whole consecutive boundaries, is the
+reference that the blockwise gate of the spectral module is tested against.
 `realtoric` never imports this module.
 """
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from math import comb
 from typing import List, Sequence
 
-from realtoric.gf2 import ChainComplex, Mat2, subset_masks, subset_shift_masks
+from realtoric.gf2 import ChainComplex, CrossCheckFailed, Mat2, subset_masks, subset_shift_masks
 
 
 def entry(m: Mat2, i: int, j: int) -> int:
@@ -56,6 +58,14 @@ def identity(n: int) -> Mat2:
 
 def total_dim(cc: ChainComplex) -> int:
     return sum(cc.dims)
+
+
+def dense_d_o_d(boundaries: Sequence[Mat2]) -> None:
+    """Raise CrossCheckFailed at the first k with boundaries[k] @
+    boundaries[k + 1] != 0, boundaries[k] mapping degree k + 1 to degree k."""
+    for k in range(len(boundaries) - 1):
+        if not (boundaries[k] @ boundaries[k + 1]).is_zero():
+            raise CrossCheckFailed(f"d o d != 0 between degrees {k + 2} and {k}")
 
 
 def torus_homology_dims(p: int) -> List[int]:

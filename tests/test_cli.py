@@ -541,3 +541,51 @@ def test_filtration_gate_fires_under_optimize(monkeypatch, tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == f"realtoric compute: cross-check failed: {gate}\n"
+
+
+# the degree-0 power of the first degree-2 projection flipped to zero: the
+# real side never reads it, and the E side, whose only gate is d o d, finds
+# d_1 o d_2 != 0 in its q = 0 row complex
+FLIP_ONE_EXTERIOR_POWER = """
+import sys
+import realtoric.cli, realtoric.spectral
+assert False, "unreachable: python -O strips assert statements"
+powers = realtoric.spectral.exterior_powers
+flipped = []
+def corrupted(m):
+    out = powers(m)
+    if m.ncols == 2 and not flipped:
+        flipped.append(m)
+        out[0].rows[0] ^= 1
+    return out
+realtoric.spectral.exterior_powers = corrupted
+sys.exit(realtoric.cli.main(sys.argv[1:]))
+"""
+
+
+def test_e_side_d_o_d_gate_fires_under_optimize(monkeypatch, tmp_path):
+    gate = "d o d != 0 between degrees 2 and 0"
+    fan = projective_space_fan(2)
+    first = spectral._projection_groups(fan)[2][0][0]
+    powers = spectral.exterior_powers
+
+    def corrupted(m):
+        out = powers(m)
+        if m is first:
+            out[0].rows[0] ^= 1
+        return out
+
+    monkeypatch.setattr(spectral, "exterior_powers", corrupted)
+    with pytest.raises(CrossCheckFailed, match=f"^{gate}$"):
+        spectral.e2_dims(fan)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FLIP_ONE_EXTERIOR_POWER,
+         "compute", "--json", str(FANS / "p2.json")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"realtoric compute: cross-check failed: {gate}\n"

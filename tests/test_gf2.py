@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import minors_mod2
-from oracles import entry, from_cols, identity, mul_vec, total_dim, transpose
+from oracles import dense_d_o_d, entry, from_cols, identity, mul_vec, total_dim, transpose
 
 from realtoric.gf2 import ChainComplex, Mat2, assemble_blocks, exterior_power, exterior_powers
 from realtoric.intlin import determinant
@@ -256,9 +256,11 @@ def test_assemble_blocks_rejects_bad_shape():
 
 
 def test_chain_complex_rejects_nonzero_composition():
+    # ChainComplex checks shapes only; the dense reference rejects d o d != 0
     eye = identity(2)
-    with pytest.raises(AssertionError):
-        ChainComplex([2, 2, 2], [eye, eye])
+    cc = ChainComplex([2, 2, 2], [eye, eye])
+    with pytest.raises(AssertionError, match="^d o d != 0 between degrees 2 and 0$"):
+        dense_d_o_d(cc.boundaries)
 
 
 def test_chain_complex_rejects_bad_shapes():

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from conftest import apply_unimodular, mat_mul, minors_mod2, oracle_fans, relabel_rays
-from oracles import entry
+from conftest import FANS, apply_unimodular, mat_mul, minors_mod2, oracle_fans, relabel_rays
+from oracles import dense_d_o_d, entry
 from hypothesis import given, seed, settings
 
 from realtoric import spectral
@@ -22,7 +23,7 @@ from realtoric.constructions import (
     torus_fan,
     weighted_projective_fan,
 )
-from realtoric.fan import Fan
+from realtoric.fan import Fan, read_json
 from realtoric.gf2 import CrossCheckFailed, Mat2, exterior_power, exterior_powers
 from realtoric.orbitalg import (
     group_algebra_map, induced_projection_mod2, orbit_lattice, y_basis_change,
@@ -58,6 +59,13 @@ def random_sample(count: int = 24):
         profile = ("complete", "subfan", "affine")[(i // 3) % 3]
         fans.append(random_fan(rank, 1000 + i, profile))
     return fans
+
+
+def gate_fans():
+    """The fans the blockwise d o d gate and the cleared reduction are
+    compared on: oracle_fans() (every fans/*.json among them), the random
+    sample, and P^1 to the sixth."""
+    return oracle_fans() + random_sample() + [reduce(product_fan, [projective_space_fan(1)] * 6)]
 
 
 def test_positions_are_inverse_bijections():
@@ -423,3 +431,147 @@ def test_reduction_counts_do_not_depend_on_the_order_within_a_level(filtered, da
     assert spectral._reduce(moved, row_levels, col_levels) == spectral._reduce(
         b, row_levels, col_levels
     )
+
+
+def test_blockwise_d_o_d_passes_where_the_dense_reference_does():
+    for fan in gate_fans():
+        _, rows = e1_page(fan)
+        for cc in rows.values():
+            dense_d_o_d(cc.boundaries)
+        dense_d_o_d(real_complex(fan).chain.boundaries)
+
+
+def test_signature_sums_are_the_blocks_of_the_dense_composition():
+    # random blocks of one size per degree: the non-zero sums, one per
+    # distinct signature, are the distinct non-zero blocks of the dense
+    # product of the boundaries assembled from those blocks
+    rng = random.Random(1919)
+    for fan in gate_fans():
+        groups = spectral._projection_groups(fan)
+        size = [rng.randint(1, 3) for _ in range(fan.rank + 1)]
+        blocks = [
+            [Mat2(size[p - 1], size[p], [rng.getrandbits(size[p]) for _ in range(size[p - 1])])
+             for _ in groups[p]] if p else []
+            for p in range(fan.rank + 1)
+        ]
+        boundaries = [
+            spectral._boundary(fan, p, size[p - 1], size[p], blocks[p])
+            for p in range(1, fan.rank + 1)
+        ]
+        sums = {}
+        for p, total in spectral._composition_sums(fan, [[b.rows for b in bs] for bs in blocks]):
+            sums.setdefault(p, set()).add(tuple(total))
+        for p in range(1, fan.rank):
+            dense = boundaries[p - 1] @ boundaries[p]
+            want = {
+                tuple(r >> (c * size[p + 1]) & ((1 << size[p + 1]) - 1)
+                      for r in dense.rows[a * size[p - 1]:(a + 1) * size[p - 1]])
+                for a in range(len(fan.strata[p - 1]))
+                for c in range(len(fan.strata[p + 1]))
+            }
+            zero = (0,) * size[p - 1]
+            assert sums.get(p, set()) - {zero} == want - {zero}, (fan, p)
+
+
+MUTATED_FANS = [
+    lambda: projective_space_fan(2),
+    lambda: projective_space_fan(3),
+    lambda: hirzebruch_fan(2),
+    lambda: reduce(product_fan, [projective_space_fan(1)] * 3),
+    lambda: read_json(str(FANS / "cyclic57.json")),
+]
+
+
+def gate_message(compute):
+    """The CrossCheckFailed message of compute(), or None if it passes."""
+    try:
+        compute()
+    except CrossCheckFailed as exc:
+        return str(exc)
+    return None
+
+
+def test_flipped_exterior_power_entry_fails_where_the_dense_reference_does(monkeypatch):
+    # one entry of one exterior power of one distinct projection, shared by
+    # every facet pair with that projection; the reference assembles the
+    # boundaries pair by pair from the integer projections
+    powers = spectral.exterior_powers
+    fired = cases = 0
+    for make in MUTATED_FANS:
+        base = make()
+        for p, groups in enumerate(spectral._projection_groups(base)):
+            for g, (target, _) in enumerate(groups):
+                for q in range(p):
+                    fan = make()
+                    first = spectral._projection_groups(fan)[p][g][0]
+
+                    def flipped(m, first=first, q=q):
+                        out = powers(m)
+                        if m is first:
+                            out[q].rows[0] ^= 1
+                        return out
+
+                    def reference(m, target=target, q=q):
+                        out = exterior_power(m, q)
+                        if m == target:
+                            out.rows[0] ^= 1
+                        return out
+
+                    def dense():
+                        for k in range(fan.rank + 1):
+                            block = reference if k == q else lambda m, k=k: exterior_power(m, k)
+                            dense_d_o_d([
+                                per_pair_boundary(fan, d, comb(d - 1, k), comb(d, k), block)
+                                for d in range(1, fan.rank + 1)
+                            ])
+
+                    want = gate_message(dense)
+                    monkeypatch.setattr(spectral, "exterior_powers", flipped)
+                    assert gate_message(lambda: e1_page(fan)) == want, (fan, p, g, q)
+                    monkeypatch.undo()
+                    fired += want is not None
+                    cases += 1
+    assert fired > 20 and cases - fired > 20
+
+
+def test_flipped_y_block_entry_fails_where_the_dense_reference_does(monkeypatch):
+    # in the level-0 column of one distinct projection's y block, the entry
+    # of the level-0 row or of the top row, both allowed by the filtration
+    y_block = spectral._y_block
+    fired = cases = 0
+    for make in MUTATED_FANS:
+        base = make()
+        for p, groups in enumerate(spectral._projection_groups(base)):
+            for (g, (target, _)), row in product(enumerate(groups), (0, -1)):
+                fan = make()
+                first = spectral._projection_groups(fan)[p][g][0]
+
+                def flipped(m, first=first, row=row):
+                    out = y_block(m)
+                    if m is first:
+                        out.rows[row] ^= 1
+                    return out
+
+                def reference(m, target=target, row=row):
+                    out = y_block(m)
+                    if m == target:
+                        out.rows[row] ^= 1
+                    return out
+
+                want = gate_message(lambda: dense_d_o_d([
+                    per_pair_boundary(fan, d, 1 << (d - 1), 1 << d, reference)
+                    for d in range(1, fan.rank + 1)
+                ]))
+                monkeypatch.setattr(spectral, "_y_block", flipped)
+                assert gate_message(lambda: real_complex(fan)) == want, (fan, p, g, row)
+                monkeypatch.undo()
+                fired += want is not None
+                cases += 1
+    assert fired > 20 and cases - fired > 20
+
+
+def test_cleared_reduction_counts_as_the_full_one():
+    for fan in gate_fans():
+        rc = real_complex(fan)
+        full = list(map(spectral._reduce, rc.chain.boundaries, rc.levels, rc.levels[1:]))
+        assert rc.pivot_levels == full, fan

@@ -15,11 +15,13 @@ timing each:
   projections      _projection_groups: every facet pair's induced
                    projection mod 2 with its face check, and the
                    surjectivity check of each distinct projection
-  e1_e2            e2_dims (E1 assembly and its row homology)
-  real_complex     betti_real: the y-basis blocks, each row placed once
-                   and shifted into the real complex for each of its facet
-                   pairs, the filtration and d o d gates, and the one
-                   reduction of each boundary
+  e1_e2            e2_dims (E1 assembly and its row homology); it also
+                   pays the d o d signature walk, which runs first here
+                   and which real_complex then reuses
+  real_complex     betti_real: the y-basis blocks, placed by _place, each
+                   row once and shifted into the real complex for each of
+                   its facet pairs, the filtration and d o d gates, and the
+                   one reduction of each boundary
   g_pages          g_pages: G0/G1 read from the pivots of that reduction
   m_verdict        m_verdict, whose pages are cached by then: the E2 = G1
                    cross-check and the verdict

@@ -201,8 +201,8 @@ def dim3_theorem_batch(
     fan is serialized.  With `workers` > 1 the fans run in a process pool
     of that size, otherwise serially; no environment variable is read.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if count < 1 or not ranks or not profiles:
+        raise ValueError("count must be >= 1, and ranks and profiles non-empty")
     if any(r not in (1, 2, 3) for r in ranks):
         raise WrongRank("batch ranks must be within 1..3")
     cases = []

@@ -8,30 +8,30 @@ Real side: the closed-support homology of the real points is computed by
 a cellular complex whose degree-p term is the direct sum of the group
 algebras F_2[V(sigma)] over codimension-p cones.  Filtering each group
 algebra by powers of the augmentation ideal yields G pages indexed in
-the second quadrant.  The complex is assembled once, in the y basis with
-its coordinates in filtration order, and reduced once: that one
-reduction gives the Betti numbers of the real points and the rank of
-every graded piece, hence G1 (Edelsbrunner, Letscher & Zomorodian 2002).
-Its pivot pairing does not depend on the order within a level, so each
-level lists its subsets S and, for each, its cones: y^S of every cone is
-then one shift of the same coordinate, and each row of a y block is placed
-once for all the facet pairs that share it.  The boundaries are reduced in
-increasing degree, and rows that the previous degree's pivots show to
-reduce to zero are skipped (clearing; Chen & Kerber 2011).
-The first G page is expected to match the second E page under
-reindexing, and the match is tested rather than assumed.
+the second quadrant.  The complex is assembled once, in the y basis, and
+reduced once in increasing degree, skipping the rows that the previous
+degree's pivots show to reduce to zero (clearing; Chen & Kerber 2011):
+that one reduction gives the Betti numbers of the real points and the
+rank of every graded piece, hence G1 (Edelsbrunner, Letscher &
+Zomorodian 2002).  The first G page is expected to match the second E
+page under reindexing, and the match is tested rather than assumed.
 
 Both sides are built from the distinct induced projections m of the facet
 pairs, each checked for surjectivity once.  The E side takes every
 exterior power of m from one Laplace pass over m's rows; the real side
 takes the group-algebra map of m to the y basis by subset transforms.  The
 E side never reads the y blocks, although their diagonal blocks are the
-exterior powers, so that E2 = G1 stays an independent cross-check.  On
-both sides d o d = 0 is checked from those blocks, not from the assembled
-boundaries.  Each block of d_p o d_{p+1} is a sum of products of two
-blocks along its chains; its signature, the products that occur an odd
-number of times, is computed once per fan, and each distinct signature is
-summed once.
+exterior powers, so that E2 = G1 stays an independent cross-check.  One
+function places the blocks of both sides, each row once for all the facet
+pairs that share it, slot by slot and then cone by cone.  A real slot is a
+y^S, by level |S| from p down to 0 and then in subset_masks order (the
+pivot pairing does not depend on the order within a level); an E1 slot is
+a q-subset in that order, the order of exterior_powers, so each E1 row is
+laid out like its level of the real complex.  On both sides d o d = 0 is
+checked from those blocks, not from the assembled boundaries.  Each block
+of d_p o d_{p+1} is a sum of products of two blocks along its chains; its
+signature, the products that occur an odd number of times, is computed
+once per fan, and each distinct signature is summed once.
 """
 from __future__ import annotations
 
@@ -42,8 +42,8 @@ from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, T
 
 from .fan import Fan, _bits, _per_fan
 from .gf2 import (
-    ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, assemble_blocks, exterior_powers,
-    subset_masks, subset_shift_masks,
+    ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, exterior_powers, subset_masks,
+    subset_shift_masks,
 )
 from .orbitalg import augmentation_filtration_dims, group_algebra_map, orbit_lattice
 
@@ -132,15 +132,26 @@ def _projection_groups(fan: Fan) -> List[List[Tuple[Mat2, List[Tuple[int, int]]]
     ]
 
 
-def _boundary(fan: Fan, p: int, row_size: int, col_size: int, blocks: List[Mat2]) -> Mat2:
+def _place(
+    fan: Fan, p: int, blocks: Sequence[Mat2], row_slots: Sequence[int], col_slots: Sequence[int]
+) -> Mat2:
     """Degree-p boundary whose block for each facet pair is blocks[i], i the
-    position of its induced projection in _projection_groups(fan)[p]."""
-    placed = {}
-    for b, (_, where) in zip(blocks, _projection_groups(fan)[p]):
-        placed.update((rc, b) for rc in where)
-    return assemble_blocks(
-        [row_size] * len(fan.strata[p - 1]), [col_size] * len(fan.strata[p]), placed
-    )
+    position of its induced projection in _projection_groups(fan)[p]: row t
+    and column j of a block go to slots row_slots[t] and col_slots[j], slot s
+    of the cone at stratum position c to coordinate s * |stratum| + c."""
+    rows, cols = len(fan.strata[p - 1]), len(fan.strata[p])
+    b = Mat2(len(row_slots) * rows, len(col_slots) * cols)
+    for block, (_, where) in zip(blocks, _projection_groups(fan)[p]):
+        for t, r in enumerate(block.rows):
+            placed = 0
+            while r:
+                low = r & -r
+                placed |= 1 << col_slots[low.bit_length() - 1] * cols
+                r ^= low
+            row = row_slots[t] * rows
+            for a, c in where:
+                b.rows[row + a] |= placed << c
+    return b
 
 
 @_per_fan
@@ -226,6 +237,8 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     of codimension-p cones; boundary blocks are exterior powers of the
     induced projections over facet pairs, all of them from one pass of
     exterior_powers per distinct projection m.  Only m's rows are read.
+    Degree p lists its q-subsets in subset_masks order, each with its cones
+    in stratum order, as real_complex lists its level-q coordinates.
     Gate: d o d = 0 on every row complex, checked block by block once per
     distinct signature (_composition_sums).
     """
@@ -248,7 +261,7 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     for q in range(n + 1):
         dims = [len(fan.strata[p]) * comb(p, q) for p in range(n + 1)]
         boundaries = [
-            _boundary(fan, p, comb(p - 1, q), comb(p, q), [pw[q] for pw in powers[p]])
+            _place(fan, p, [pw[q] for pw in powers[p]], range(comb(p - 1, q)), range(comb(p, q)))
             if q <= p else Mat2(0, 0)
             for p in range(1, n + 1)
         ]
@@ -352,8 +365,7 @@ def _reduce(
 def real_complex(fan: Fan) -> RealComplex:
     """Chain complex of 2-torsion group algebras computing the closed-support
     mod-2 homology of the real points, filtered by the augmentation ideal.
-    Each row of each distinct y-basis block is placed once and OR-ed, shifted
-    by its cone, into every facet pair of its projection; each boundary is
+    Each boundary is placed from the distinct y-basis blocks (_place) and
     reduced once.  Gates: a row of level k has no entry in a column of level
     above k, and d o d = 0, which implies it in the point basis (the y basis
     is a conjugate by an involution) and on every graded piece (each
@@ -365,30 +377,17 @@ def real_complex(fan: Fan) -> RealComplex:
     levels = [
         [k for k in range(p, -1, -1) for _ in range(n * comb(p, k))] for p, n in enumerate(sizes)
     ]
-    # the first level-k coordinate of degree p (after those of the augmentation
-    # ideal's (k + 1)-th power) is starts[p][k]; y^S of the cone at stratum
-    # position c is at[p][S] + c
-    starts = [[n * d for d in augmentation_filtration_dims(p)[1:]] for p, n in enumerate(sizes)]
-    at = [[0] * (1 << p) for p in range(fan.rank + 1)]
-    for p, n in enumerate(sizes):
-        for k, start in enumerate(starts[p]):
-            for i, s in enumerate(subset_masks(p, k)):
-                at[p][s] = start + i * n
+    # y^S is in slot slots[p][S]: after the levels above |S|, in subset_masks order
+    starts = [augmentation_filtration_dims(p)[1:] for p in range(fan.rank + 1)]
+    slots = [
+        {s: d + i for k, d in enumerate(starts[p]) for i, s in enumerate(subset_masks(p, k))}
+        for p in range(fan.rank + 1)
+    ]
     y_blocks = [[_y_block(m) for m, _ in groups] for groups in _projection_groups(fan)]
     boundaries = []
     for p in range(1, fan.rank + 1):
-        b = Mat2(len(levels[p - 1]), len(levels[p]))
-        for y, (_, where) in zip(y_blocks[p], _projection_groups(fan)[p]):
-            for t, r in enumerate(y.rows):
-                placed = 0
-                while r:
-                    low = r & -r
-                    placed |= 1 << at[p][low.bit_length() - 1]
-                    r ^= low
-                row = at[p - 1][t]
-                for a, c in where:
-                    b.rows[row + a] |= placed << c
-        above = [(1 << start) - 1 for start in starts[p]]  # the columns of level above k
+        b = _place(fan, p, y_blocks[p], slots[p - 1], slots[p])
+        above = [(1 << sizes[p] * start) - 1 for start in starts[p]]  # columns of level above k
         if any(r & above[k] for r, k in zip(b.rows, levels[p - 1])):
             raise CrossCheckFailed("boundary does not respect the augmentation filtration")
         boundaries.append(b)

@@ -127,6 +127,14 @@ def test_batch_tallies_and_rejections():
         dim3_theorem_batch(3, seed=0, ranks=(4,))
 
 
+def test_batch_rejects_empty_ranks_or_profiles(monkeypatch):
+    # raised before any fan is built, as for count < 1
+    monkeypatch.setattr(analysis, "_batch_case", lambda case: pytest.fail("a fan was built"))
+    for empty in ({"ranks": ()}, {"profiles": ()}):
+        with pytest.raises(ValueError, match="ranks and profiles non-empty"):
+            dim3_theorem_batch(3, seed=1, **empty)
+
+
 def test_batch_restricted_ranks_and_profiles():
     rep = dim3_theorem_batch(6, seed=9, ranks=(2,), profiles=("complete",))
     assert rep.per_rank == {2: 6}

@@ -26,7 +26,8 @@ from realtoric.constructions import (
 from realtoric.fan import Fan, read_json
 from realtoric.gf2 import CrossCheckFailed, Mat2, exterior_power, exterior_powers
 from realtoric.orbitalg import (
-    group_algebra_map, induced_projection_mod2, orbit_lattice, y_basis_change,
+    augmentation_filtration_dims, group_algebra_map, induced_projection_mod2, orbit_lattice,
+    y_basis_change,
 )
 from realtoric.spectral import (
     betti_real,
@@ -266,6 +267,12 @@ def filtration_order(fan, p):
     return [i for k in range(p, -1, -1) for i in level_coordinates(fan, p, k)]
 
 
+def slot_order(fan, p, size):
+    """The degree-p coordinates of the cone-by-cone complex with size slots
+    per cone in the E1 row complexes' order: slot by slot, then cone."""
+    return [c * size + s for s in range(size) for c in range(len(fan.strata[p]))]
+
+
 def test_shared_blocks_match_per_pair_assembly():
     for fan in oracle_fans():
         n = fan.rank
@@ -274,14 +281,41 @@ def test_shared_blocks_match_per_pair_assembly():
         zeta = [block_diagonal(y_basis_change(p), len(fan.strata[p])) for p in range(n + 1)]
         for p in range(1, n + 1):
             for q in range(n + 1):
-                want = per_pair_boundary(
+                d = per_pair_boundary(
                     fan, p, comb(p - 1, q), comb(p, q), lambda m: exterior_power(m, q)
+                )
+                want = d.submatrix(
+                    slot_order(fan, p - 1, comb(p - 1, q)), slot_order(fan, p, comb(p, q))
                 )
                 assert rows[q].boundaries[p - 1] == want, (fan, p, q)
             d = per_pair_boundary(fan, p, 1 << (p - 1), 1 << p, group_algebra_map)
             conj = zeta[p - 1] @ d @ zeta[p]
             want = conj.submatrix(filtration_order(fan, p - 1), filtration_order(fan, p))
             assert rc.chain.boundaries[p - 1] == want, (fan, p)
+
+
+def level_range(fan, p, q):
+    """The level-q coordinates of degree p of the real complex, after the
+    cells of the levels above q."""
+    n = len(fan.strata[p])
+    start = n * augmentation_filtration_dims(p)[q + 1]
+    return range(start, start + n * comb(p, q))
+
+
+def test_each_e1_row_is_a_diagonal_block_of_the_real_complex():
+    # the E1 row q in degree p is laid out like the level-q coordinates of
+    # the real complex, and its boundary is their diagonal block entry for
+    # entry: a statement stronger than E2 = G1, which compares ranks only
+    blocks = 0
+    for fan in oracle_fans() + [reduce(product_fan, [projective_space_fan(1)] * 6)]:
+        _, rows = e1_page(fan)
+        real = real_complex(fan).chain.boundaries
+        for p in range(1, fan.rank + 1):
+            for q in range(p):
+                want = real[p - 1].submatrix(level_range(fan, p - 1, q), level_range(fan, p, q))
+                assert rows[q].boundaries[p - 1] == want, (fan, p, q)
+                blocks += 1
+    assert blocks > 342  # 342 on oracle_fans() alone
 
 
 def test_exterior_powers_of_every_distinct_projection_are_minors():
@@ -454,10 +488,16 @@ def test_signature_sums_are_the_blocks_of_the_dense_composition():
              for _ in groups[p]] if p else []
             for p in range(fan.rank + 1)
         ]
-        boundaries = [
-            spectral._boundary(fan, p, size[p - 1], size[p], blocks[p])
-            for p in range(1, fan.rank + 1)
-        ]
+        # the boundaries, cone-major: block (a, c) at rows a * size[p - 1]
+        # and columns c * size[p]
+        boundaries = []
+        for p in range(1, fan.rank + 1):
+            d = Mat2(size[p - 1] * len(fan.strata[p - 1]), size[p] * len(fan.strata[p]))
+            for b, (_, where) in zip(blocks[p], groups[p]):
+                for a, c in where:
+                    for t, r in enumerate(b.rows):
+                        d.rows[a * size[p - 1] + t] |= r << c * size[p]
+            boundaries.append(d)
         sums = {}
         for p, total in spectral._composition_sums(fan, [[b.rows for b in bs] for bs in blocks]):
             sums.setdefault(p, set()).add(tuple(total))

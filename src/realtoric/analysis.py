@@ -11,8 +11,8 @@ might still vanish for reasons the dimension count cannot see.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fan import Fan, fan_to_json
 from .gf2 import CrossCheckFailed, Mat2
@@ -70,8 +70,7 @@ class TheoremViolation(AnalysisError):
         self.fan_json = fan_json
 
 
-@dataclass(frozen=True)
-class MVerdict:
+class MVerdict(NamedTuple):
     status: str  # "CertifiedM" | "Inconclusive"
     sum_betti_real: int
     total_e2: int
@@ -117,8 +116,7 @@ def m_verdict(fan: Fan) -> MVerdict:
     return MVerdict(status, sbr, total_e2, total_g1, gap, tuple(notes))
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     case: int
     betti_real: Tuple[int, int, int]
     betti_complex: Tuple[int, int, int, int, int]
@@ -174,14 +172,13 @@ def _batch_case(case: Tuple[int, int, str]) -> Tuple[int, str, str, int, Optiona
     return (rank, profile, verdict.status, verdict.gap, fan_json)
 
 
-@dataclass
-class BatchReport:
+class BatchReport(NamedTuple):
     count: int
     seed: int
     certified: int
     max_gap: int
-    per_rank: Dict[int, int] = field(default_factory=dict)
-    per_profile: Dict[str, int] = field(default_factory=dict)
+    per_rank: Dict[int, int]
+    per_profile: Dict[str, int]
 
 
 def dim3_theorem_batch(
@@ -198,26 +195,27 @@ def dim3_theorem_batch(
     Any non-certified verdict raises TheoremViolation carrying the fan's
     JSON: maximality is a theorem in dimension <= 3, so a failure here
     means a bug, not a finding.  Each fan is built once, and only a failing
-    fan is serialized.  With `workers` > 1 the fans run in a process pool
-    of that size, otherwise serially; no environment variable is read.
+    fan is serialized.  Serially the cases are generated and checked one
+    at a time, so memory does not grow with `count`.  With `workers` > 1
+    the fans run in a process pool of that size, whose `map` takes in every
+    case before it yields a result; no environment variable is read.
     """
     if count < 1 or not ranks or not profiles:
         raise ValueError("count must be >= 1, and ranks and profiles non-empty")
     if any(r not in (1, 2, 3) for r in ranks):
         raise WrongRank("batch ranks must be within 1..3")
-    cases = []
-    for i in range(count):
-        rank = ranks[i % len(ranks)]
-        profile = profiles[(i // len(ranks)) % len(profiles)]
-        cases.append((rank, seed + i, profile))
+    cases = (
+        (ranks[i % len(ranks)], seed + i, profiles[(i // len(ranks)) % len(profiles)])
+        for i in range(count)
+    )
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_case, cases, chunksize=8))
     else:
-        results = [_batch_case(s) for s in cases]
-    report = BatchReport(count=count, seed=seed, certified=0, max_gap=0)
+        results = map(_batch_case, cases)
+    max_gap, per_rank, per_profile = 0, Counter(), Counter()
     for rank, profile, status, gap, fan_json in results:
         if status != "CertifiedM":
             raise TheoremViolation(
@@ -226,11 +224,10 @@ def dim3_theorem_batch(
                 "indicates an implementation bug",
                 fan_json,
             )
-        report.certified += 1
-        report.max_gap = max(report.max_gap, gap)
-        report.per_rank[rank] = report.per_rank.get(rank, 0) + 1
-        report.per_profile[profile] = report.per_profile.get(profile, 0) + 1
-    return report
+        max_gap = max(max_gap, gap)
+        per_rank[rank] += 1
+        per_profile[profile] += 1
+    return BatchReport(count, seed, count, max_gap, dict(per_rank), dict(per_profile))
 
 
 def _mod2_regular(fan: Fan, ci: int) -> bool:
@@ -268,8 +265,7 @@ def isolated_singularities_shape(fan: Fan) -> bool:
     return all(d == 0 or p - q in (0, 1) for (p, q), d in e2.entries.items())
 
 
-@dataclass(frozen=True)
-class Dim3KernelReport:
+class Dim3KernelReport(NamedTuple):
     has_codim2_cones: bool
     injective: Optional[bool]
     kernel_dim: int

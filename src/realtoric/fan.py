@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
 from operator import mul
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .intlin import (
     IntMatrix,
@@ -124,8 +123,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(NamedTuple):
     """A cone of the fan, identified by its set of ray indices."""
 
     rays: Tuple[int, ...]
@@ -139,8 +137,7 @@ class Cone:
 _Quotient = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
 
 
-@dataclass
-class _ConeGeometry:
+class _ConeGeometry(NamedTuple):
     """A cone's face data, every ray set a bitmask over the ray labels."""
 
     dim: int

@@ -13,9 +13,8 @@ g is that of g without its low bit, plus the column of m at that bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .fan import Fan, _per_fan
 from .gf2 import CrossCheckFailed, Mat2, _mul_rows, _rank
@@ -30,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OrbitLattice:
+class OrbitLattice(NamedTuple):
     """Quotient lattice data for one cone.
 
     projection maps the ambient lattice onto Z^codim with kernel the

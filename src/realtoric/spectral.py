@@ -36,9 +36,8 @@ once per fan, and each distinct signature is summed once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
-from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .fan import Fan, _bits, _per_fan
 from .gf2 import (
@@ -61,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class PageTable:
+class PageTable(NamedTuple):
     """Dimensions of one spectral-sequence page.
 
     entries maps (p, q) to a dimension; structural zeros are stored so
@@ -283,8 +281,7 @@ def e2_dims(fan: Fan) -> PageTable:
     return PageTable("E2", entries)
 
 
-@dataclass
-class RealComplex:
+class RealComplex(NamedTuple):
     """Cellular complex of the real points in the y basis, reduced once.
     Degree p lists the y^S of its cones by level |S| from p down to 0, then
     by S in subset_masks order, then by cone; levels[p][i] is the level of
@@ -293,8 +290,11 @@ class RealComplex:
     pivots to the rank of its level-k diagonal block."""
 
     chain: ChainComplex
-    levels: List[List[int]] = field(repr=False)
-    pivot_levels: List[Counter[Tuple[int, int]]] = field(repr=False)
+    levels: List[List[int]]
+    pivot_levels: List[Counter[Tuple[int, int]]]
+
+    def __repr__(self) -> str:
+        return f"RealComplex(chain={self.chain!r})"
 
 
 def _y_block(m: Mat2) -> Mat2:

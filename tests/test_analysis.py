@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import json
+import tracemalloc
 
 import pytest
 
@@ -160,6 +160,27 @@ def test_batch_reads_no_worker_count_from_the_environment(monkeypatch):
     assert dim3_theorem_batch(6, seed=3).certified == 6
 
 
+def test_batch_memory_does_not_grow_with_the_count(monkeypatch):
+    # the cases are generated one at a time, so a batch of a million fans
+    # holds no list of a million cases before its first fan
+    class FirstCase(Exception):
+        pass
+
+    def first_case(case):
+        raise FirstCase(case)
+
+    monkeypatch.setattr(analysis, "_batch_case", first_case)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstCase) as exc:
+            dim3_theorem_batch(10**6, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.args == ((1, 0, "complete"),)
+    assert peak < 10**6
+
+
 def test_certified_batch_serializes_no_fan(monkeypatch):
     serialized = []
     monkeypatch.setattr(analysis, "fan_to_json", serialized.append)
@@ -174,7 +195,7 @@ def test_batch_violation_carries_the_failing_fan(monkeypatch):
     def failing(fan):
         verdict = m_verdict(fan)
         if fan.name == "random-subfan-r2-s104":
-            return dataclasses.replace(verdict, status="Inconclusive", gap=1)
+            return verdict._replace(status="Inconclusive", gap=1)
         return verdict
 
     monkeypatch.setattr(analysis, "m_verdict", failing)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import realtoric
-from realtoric import cli, spectral
+from realtoric import analysis, cli, spectral
 from realtoric.analysis import TheoremViolation
 from realtoric.constructions import product_fan, projective_space_fan
 from realtoric.fan import fan_from_json, read_json, write_json
@@ -460,6 +460,21 @@ def test_installed_console_script():
     assert json.loads(proc.stdout)["rank"] == 2
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # start-up is most of a cold compute on a small fan, and these two
+    # modules, with the ast, dis and tokenize that inspect pulls in, would
+    # be a large share of it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, realtoric.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 FLIP_ONE_BIT_OF_EVERY_BLOCK = """
 import sys
 import realtoric.cli, realtoric.orbitalg, realtoric.spectral
@@ -533,6 +548,61 @@ def test_filtration_gate_fires_under_optimize(monkeypatch, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-O", "-c", UNFILTERED_UNIT_BLOCK,
          "compute", "--json", str(FANS / "p1.json")],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=child_env(),
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == f"realtoric compute: cross-check failed: {gate}\n"
+
+
+# m_verdict's two gates, each made to fire by patching one of its inputs.
+# On p2 every total is 3: one G1 entry one higher breaks total G1 = total
+# E2, and a Betti sum of exactly total G1 + 1 is the least that breaks
+# sum b(R) <= total G1.
+ONE_MORE_G1 = """
+real_pages = analysis.g_pages
+def skewed(fan):
+    g0, g1 = real_pages(fan)
+    first = min(g1.entries)
+    return g0, g1._replace(entries={**g1.entries, first: g1.entries[first] + 1})
+analysis.g_pages = skewed
+"""
+ONE_MORE_BETTI = """
+real_betti = analysis.betti_real
+def skewed(fan):
+    b = real_betti(fan)
+    return [b[0] + 1, *b[1:]]
+analysis.betti_real = skewed
+"""
+
+
+@pytest.mark.parametrize(
+    "patch, gate",
+    [
+        (ONE_MORE_G1, "total G1 = 4 != total E2 = 3"),
+        (ONE_MORE_BETTI, "Betti sum 4 exceeds the page total 3"),
+    ],
+    ids=["g1-equals-e2", "betti-sum-bound"],
+)
+def test_m_verdict_gates_fire_under_optimize(monkeypatch, tmp_path, patch, gate):
+    # setting each name to itself makes monkeypatch restore what exec rebinds
+    for name in ("g_pages", "betti_real"):
+        monkeypatch.setattr(analysis, name, getattr(analysis, name))
+    exec(patch, {"analysis": analysis})
+    with pytest.raises(CrossCheckFailed, match=f"^{gate}$"):
+        analysis.m_verdict(projective_space_fan(2))
+    script = "\n".join([
+        "import sys",
+        "from realtoric import analysis, cli",
+        'assert False, "unreachable: python -O strips assert statements"',
+        patch,
+        "sys.exit(cli.main(sys.argv[1:]))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "compute", "--json", str(FANS / "p2.json")],
         capture_output=True,
         text=True,
         cwd=tmp_path,

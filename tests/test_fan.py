@@ -426,6 +426,16 @@ def test_rejects_cones_meeting_off_a_face():
         from_maximal_cones(3, rays, [[0, 1, 2], [1, 3, 4]])
 
 
+@pytest.mark.parametrize("cones, which", [([[0, 2, 4], [0, 1, 2, 3]], "second"),
+                                          ([[0, 1, 2, 3], [0, 2, 4]], "first")])
+def test_rejects_shared_rays_that_are_a_diagonal(cones, which):
+    # rays 0 and 2 span a face of the simplicial cone but a diagonal of the
+    # square one, so the face check alone rejects the pair, in either order
+    rays = [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (0, 1, -1)]
+    with pytest.raises(BadIntersection, match=f"shared rays are not a face of the {which}$"):
+        from_maximal_cones(3, rays, cones)
+
+
 @pytest.mark.parametrize(
     "rank, rays, cones",
     [

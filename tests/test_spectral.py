@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import random
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
+from operator import add
 
 import hypothesis.strategies as st
 import pytest
@@ -13,6 +14,7 @@ from oracles import dense_d_o_d, entry
 from hypothesis import given, seed, settings
 
 from realtoric import spectral
+from realtoric.analysis import m_verdict
 from realtoric.constructions import (
     affine_fan,
     hirzebruch_fan,
@@ -200,6 +202,47 @@ def test_pages_invariant_under_relabeling_and_unimodular_change():
             assert e2_dims(other).entries == base_e2
             assert g_pages(other)[1].entries == base_g1
             assert betti_real(other) == base_b
+
+
+def _graded(fan):
+    """The non-zero entries of betti_real, E2 and G1, each keyed by its
+    degree as a tuple."""
+    return [
+        {(i,): d for i, d in enumerate(betti_real(fan)) if d},
+        {k: d for k, d in e2_dims(fan).entries.items() if d},
+        {k: d for k, d in g_pages(fan)[1].entries.items() if d},
+    ]
+
+
+def _tensor(a, b):
+    """The graded dimensions of a tensor product over GF(2): the
+    convolution of the factors', degrees added coordinate by coordinate."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            k = tuple(map(add, i, j))
+            out[k] = out.get(k, 0) + x * y
+    return out
+
+
+def test_products_follow_kunneth(cyclic_fan):
+    # The real points of a product are the product of the factors' real
+    # points, and the real complex and both filtrations are the tensor
+    # products of the factors', so over GF(2) every entry of betti_real, E2
+    # and G1 is a convolution of the factors' entries; a product of
+    # M-varieties is one.  Each product is moved by a unimodular map and its
+    # rays relabelled, so no coordinate or ray order shows its factors.
+    profiles = ("complete", "subfan", "affine")
+    factors = [random_fan(rank, 700 + 3 * rank + j, profile)
+               for rank in (1, 2, 3) for j, profile in enumerate(profiles)]
+    factors += [torus_fan(1), torus_fan(2)]
+    pairs = list(combinations_with_replacement(factors, 2))
+    pairs.append((cyclic_fan, projective_space_fan(1)))
+    rng = random.Random(4242)
+    for f, g in pairs:
+        prod = relabel_rays(apply_unimodular(product_fan(f, g), rng), rng)
+        assert _graded(prod) == list(map(_tensor, _graded(f), _graded(g))), prod.name
+        assert m_verdict(prod).status == "CertifiedM", prod.name
 
 
 def test_boundaries_compose_to_zero_explicitly():

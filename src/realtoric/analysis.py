@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .constructions import _PROFILES, random_fan
 from .fan import Fan, fan_to_json
 from .gf2 import CrossCheckFailed, Mat2
 from .spectral import betti_real, e1_page, e2_dims, g_pages, real_complex
@@ -152,12 +153,7 @@ def betti_complex_nonsingular_complete(fan: Fan) -> List[int]:
     return out
 
 
-_PROFILES = ("complete", "subfan", "affine")
-
-
-def _batch_case(case: Tuple[int, int, str]) -> Tuple[int, str, str, int, Optional[str]]:
-    from .constructions import random_fan
-
+def _batch_case(case: Tuple[int, int, str]) -> None:
     rank, seed, profile = case
     fan = random_fan(rank, seed, profile)
     verdict = m_verdict(fan)
@@ -168,8 +164,13 @@ def _batch_case(case: Tuple[int, int, str]) -> Tuple[int, str, str, int, Optiona
             raise CrossCheckFailed(f"betti_real != surface closed form: {fan_to_json(fan)}")
         if sum(rep.betti_complex) != verdict.total_e2:
             raise CrossCheckFailed(f"total E2 != surface closed form: {fan_to_json(fan)}")
-    fan_json = None if verdict.status == "CertifiedM" else fan_to_json(fan)
-    return (rank, profile, verdict.status, verdict.gap, fan_json)
+    if verdict.status != "CertifiedM":
+        raise TheoremViolation(
+            f"rank-{rank} {profile} fan not certified (gap {verdict.gap}); "
+            "this contradicts the dimension <= 3 theorem and "
+            "indicates an implementation bug",
+            fan_to_json(fan),
+        )
 
 
 class BatchReport(NamedTuple):
@@ -190,44 +191,32 @@ def dim3_theorem_batch(
     workers: int = 1,
 ) -> BatchReport:
     """Generate `count` seeded random fans across the given ranks (all
-    <= 3) and profiles and certify every one.
+    <= 3) and profiles and certify every one, in this process.
 
     Any non-certified verdict raises TheoremViolation carrying the fan's
     JSON: maximality is a theorem in dimension <= 3, so a failure here
-    means a bug, not a finding.  Each fan is built once, and only a failing
-    fan is serialized.  Serially the cases are generated and checked one
-    at a time, so memory does not grow with `count`.  With `workers` > 1
-    the fans run in a process pool of that size, whose `map` takes in every
-    case before it yields a result; no environment variable is read.
+    means a bug, not a finding.  The fans are built and checked one at a
+    time, so memory does not grow with `count`; only a failing fan is
+    serialized.  A returned report holds only CertifiedM fans, and
+    `m_verdict` certifies exactly when the gap is 0, so `max_gap` is 0.
     """
     if count < 1 or not ranks or not profiles:
         raise ValueError("count must be >= 1, and ranks and profiles non-empty")
     if any(r not in (1, 2, 3) for r in ranks):
         raise WrongRank("batch ranks must be within 1..3")
-    cases = (
-        (ranks[i % len(ranks)], seed + i, profiles[(i // len(ranks)) % len(profiles)])
-        for i in range(count)
-    )
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_case, cases, chunksize=8))
-    else:
-        results = map(_batch_case, cases)
-    max_gap, per_rank, per_profile = 0, Counter(), Counter()
-    for rank, profile, status, gap, fan_json in results:
-        if status != "CertifiedM":
-            raise TheoremViolation(
-                f"rank-{rank} {profile} fan not certified (gap {gap}); "
-                "this contradicts the dimension <= 3 theorem and "
-                "indicates an implementation bug",
-                fan_json,
-            )
-        max_gap = max(max_gap, gap)
+    for profile in profiles:
+        if profile not in _PROFILES:
+            raise ValueError(f"unknown profile {profile!r}")
+    if workers != 1:
+        raise ValueError("the batch runs in one process: workers must be 1")
+    per_rank, per_profile = Counter(), Counter()
+    for i in range(count):
+        rank = ranks[i % len(ranks)]
+        profile = profiles[(i // len(ranks)) % len(profiles)]
+        _batch_case((rank, seed + i, profile))
         per_rank[rank] += 1
         per_profile[profile] += 1
-    return BatchReport(count, seed, count, max_gap, dict(per_rank), dict(per_profile))
+    return BatchReport(count, seed, count, 0, dict(per_rank), dict(per_profile))
 
 
 def _mod2_regular(fan: Fan, ci: int) -> bool:

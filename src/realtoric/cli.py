@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import TheoremViolation, dim3_theorem_batch, m_verdict
 from .constructions import (
+    _PROFILES,
     cyclic_polytope_normal_fan,
     hirzebruch_fan,
     product_fan,
@@ -267,11 +268,7 @@ def cmd_search(args) -> None:
         raise _Usage("--count must be >= 1")
     if args.dim < 1 or args.dim > 3:
         raise _Usage("--dim must be 1..3")
-    profiles = (
-        ("complete", "subfan", "affine")
-        if args.profile == "all"
-        else (args.profile,)
-    )
+    profiles = _PROFILES if args.profile == "all" else (args.profile,)
     rep = dim3_theorem_batch(
         args.count,
         args.seed,
@@ -394,7 +391,7 @@ def _build_parser() -> _Parser:
     s.add_argument(
         "--profile",
         default="all",
-        choices=("complete", "subfan", "affine", "all"),
+        choices=_PROFILES + ("all",),
         help="fan profile (default: cycle through all)",
     )
     s.set_defaults(func=cmd_search)

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 Vector = Tuple[int, ...]
+_PROFILES = ("complete", "subfan", "affine")
 
 
 def projective_space_fan(n: int) -> Fan:
@@ -289,9 +290,8 @@ def _random_rank3_complete(rng: random.Random) -> Tuple[List[Vector], List[List[
         facets = _hull3_facets(rays)
         if facets is None:
             continue
-        used = sorted({i for f in facets for i in f})
-        if len(used) < len(rays):
-            continue
+        # every ray is a vertex: by Euler's formula a 3-polytope with V vertices
+        # has at most 2V - 4 triangular facets, so 2n - 4 triangles force V = n
         return rays, [list(f) for f in facets]
     raise RuntimeError("random rank-3 generator failed to converge")
 
@@ -388,7 +388,7 @@ def random_fan(rank: int, seed: int, profile: str = "complete") -> Fan:
     """
     if rank not in (1, 2, 3):
         raise ValueError("random_fan supports ranks 1..3")
-    if profile not in ("complete", "subfan", "affine"):
+    if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     rng = random.Random(f"{seed}:{rank}:{profile}")
     if profile == "affine":

@@ -4,6 +4,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -141,14 +142,19 @@ def test_batch_restricted_ranks_and_profiles():
     assert rep.per_profile == {"complete": 6}
 
 
-def test_batch_parallel_matches_serial():
-    serial = dim3_theorem_batch(8, seed=77)
-    parallel = dim3_theorem_batch(8, seed=77, workers=2)
-    assert serial.per_rank == parallel.per_rank
-    assert serial.per_profile == parallel.per_profile
-    assert parallel.certified == 8
-    # a worker count below one runs serially
-    assert dim3_theorem_batch(8, seed=77, workers=0) == serial
+def test_batch_runs_in_one_process(monkeypatch):
+    assert dim3_theorem_batch(8, seed=77, workers=1) == dim3_theorem_batch(8, seed=77)
+    # any other worker count is refused before any fan is built
+    monkeypatch.setattr(analysis, "_batch_case", lambda case: pytest.fail("a fan was built"))
+    for workers in (2, 0):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            dim3_theorem_batch(8, seed=77, workers=workers)
+
+
+def test_batch_rejects_an_unknown_profile_before_any_fan(monkeypatch):
+    monkeypatch.setattr(analysis, "_batch_case", lambda case: pytest.fail("a fan was built"))
+    with pytest.raises(ValueError, match="unknown profile 'bogus'"):
+        dim3_theorem_batch(10, seed=0, profiles=("complete", "bogus"))
 
 
 def test_batch_reads_no_worker_count_from_the_environment(monkeypatch):
@@ -294,6 +300,27 @@ def test_kernel_analysis_on_cube(cubefan):
     # the dangerous kernel does not break certification
     assert m_verdict(cubefan).status == "CertifiedM"
     assert betti_real(cubefan) == [1, 1, 10, 4]
+
+
+def test_kernel_analysis_sees_a_pivot_across_levels(cubefan, monkeypatch):
+    # no tested real complex has a pivot across levels, so move one (k, k)
+    # pivot of the top boundary to (k + 1, k): its rank stays, and the graded
+    # kernels now exceed the unfiltered one by that pivot
+    real_complex = analysis.real_complex
+
+    def across(fan):
+        rc = real_complex(fan)
+        top = Counter(rc.pivot_levels[2])
+        top[1, 1] -= 1
+        top[2, 1] += 1
+        return rc._replace(pivot_levels=rc.pivot_levels[:2] + [top])
+
+    monkeypatch.setattr(analysis, "real_complex", across)
+    rep = dim3_kernel_analysis(cubefan)
+    assert rep.top_chain_kernel_dim == 4
+    assert rep.top_graded_kernel_dim == 5
+    assert rep.top_degeneration is False
+    assert rep.note == "graded and unfiltered top kernels differ"
 
 
 def test_kernel_analysis_on_torus():

@@ -1,5 +1,5 @@
 """Public names: every export resolves, and so does every function the
-benchmark's tracer rebinds."""
+benchmark's tracer rebinds; and the package imports no process pool."""
 from __future__ import annotations
 
 import ast
@@ -10,6 +10,7 @@ from pathlib import Path
 import realtoric
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "realtoric"
 
 
 def _tracer_targets():
@@ -35,3 +36,22 @@ def test_exports_and_tracer_targets_resolve():
         for attr in dotted.split("."):
             assert hasattr(obj, attr), (module_name, dotted)
             obj = getattr(obj, attr)
+
+
+def test_package_imports_no_process_or_thread_pool():
+    # every computation runs in the caller's process
+    found, paths = [], sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                (path.name, m) for m in modules
+                if m.split(".")[0] in ("concurrent", "multiprocessing")
+            ]
+    assert found == []

@@ -18,8 +18,8 @@ from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
-    "CrossCheckFailed", "Mat2", "subset_masks", "subset_shift_masks", "exterior_power",
-    "exterior_powers", "assemble_blocks", "ChainComplex",
+    "CrossCheckFailed", "Mat2", "subset_masks", "subset_shift_masks", "exterior_powers",
+    "ChainComplex",
 ]
 
 
@@ -92,24 +92,6 @@ class Mat2:
     def rank(self) -> int:
         return _rank(self.rows)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat2":
-        # spread[j]: the output bits that copy column j (several if j repeats)
-        spread: Dict[int, int] = {}
-        mask = 0
-        for jj, j in enumerate(col_idx):
-            spread[j] = spread.get(j, 0) | 1 << jj
-            mask |= 1 << j
-        out = []
-        for i in row_idx:
-            r = self.rows[i] & mask
-            acc = 0
-            while r:
-                low = r & -r
-                acc |= spread[low.bit_length() - 1]
-                r ^= low
-            out.append(acc)
-        return Mat2(len(row_idx), len(col_idx), out)
-
 
 def _mul_rows(a: Iterable[int], b: Sequence[int]) -> Tuple[int, ...]:
     """Rows of the product of the matrices with rows a and b: row i is the
@@ -172,7 +154,9 @@ def _subset_index_bits(n: int) -> Tuple[int, ...]:
 
 def exterior_powers(m: Mat2) -> List[Mat2]:
     """The exterior powers of m for q = 0 .. max(nrows, ncols), from one
-    Laplace pass: out[q] is exterior_power(m, q).
+    Laplace pass: rows and columns of out[q] are indexed by the q-element
+    subsets of the row and column indices in subset_masks order, and each
+    entry is the corresponding q x q minor over GF(2).
 
     The minors of a row subset R are a bitset over the column subsets C.
     That of the empty R holds the empty C only; otherwise R is expanded
@@ -203,39 +187,6 @@ def exterior_powers(m: Mat2) -> List[Mat2]:
                 x ^= low
             rows.append(acc)
         out.append(Mat2(len(rows), comb(m.ncols, q), rows))
-    return out
-
-
-def exterior_power(m: Mat2, q: int) -> Mat2:
-    """q-th exterior power: rows and columns are indexed by the q-element
-    subsets of the row and column indices in lexicographic order; each
-    entry is the corresponding q x q minor over GF(2)."""
-    if q < 0:
-        raise ValueError(f"exterior power of negative degree {q}")
-    if q > max(m.nrows, m.ncols):
-        return Mat2(0, 0)
-    return exterior_powers(m)[q]
-
-
-def assemble_blocks(
-    row_dims: Sequence[int],
-    col_dims: Sequence[int],
-    blocks: Dict[Tuple[int, int], Mat2],
-) -> Mat2:
-    """Assemble a block matrix; missing blocks are zero."""
-    row_off = [0]
-    for d in row_dims:
-        row_off.append(row_off[-1] + d)
-    col_off = [0]
-    for d in col_dims:
-        col_off.append(col_off[-1] + d)
-    out = Mat2(row_off[-1], col_off[-1])
-    for (bi, bj), blk in blocks.items():
-        assert blk.nrows == row_dims[bi] and blk.ncols == col_dims[bj]
-        shift = col_off[bj]
-        base = row_off[bi]
-        for i, r in enumerate(blk.rows):
-            out.rows[base + i] |= r << shift
     return out
 
 

@@ -6,10 +6,11 @@ subgroup of the quotient torus is canonically V.  The homology of that
 finite group is the group algebra F_2[V], with elements bit-packed over
 the 2^p group elements.
 
-The induced projection of a facet pair is the bit product of the mod-2
-rows of the two cones' lattice data, and the group-algebra map of a
-linear map m fills its image table one low bit at a time: the image of
-g is that of g without its low bit, plus the column of m at that bit.
+The induced projections of the facet pairs, bit products of the two
+cones' mod-2 lattice data, are grouped by `spectral._projection_groups`.
+The group-algebra map of a linear map m fills its image table one low
+bit at a time: the image of g is that of g without its low bit, plus the
+column of m at that bit.
 """
 from __future__ import annotations
 
@@ -17,14 +18,12 @@ from math import comb
 from typing import List, NamedTuple, Tuple
 
 from .fan import Fan, _per_fan
-from .gf2 import CrossCheckFailed, Mat2, _mul_rows, _rank
+from .gf2 import Mat2
 
 __all__ = [
     "OrbitLattice",
     "orbit_lattice",
-    "induced_projection_mod2",
     "group_algebra_map",
-    "y_basis_change",
     "augmentation_filtration_dims",
 ]
 
@@ -61,23 +60,6 @@ def orbit_lattice(fan: Fan, ci: int) -> OrbitLattice:
     )
 
 
-def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
-    """Mod-2 matrix of the surjection from the orbit space of cone si onto
-    that of cone ti, for si a face of ti.
-
-    The projection of ti composed with the section of si, both reduced
-    mod 2: reduction is a ring map, so this is the integral product
-    reduced, independent of any mod-2 lift choice.
-    """
-    if fan.ray_masks[si] & ~fan.ray_masks[ti]:
-        raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
-    source, target = orbit_lattice(fan, si), orbit_lattice(fan, ti)
-    rows = _mul_rows(target.mod2.rows, source.section_mod2.rows)
-    if _rank(rows) != len(rows):
-        raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
-    return Mat2(target.codim, source.codim, rows)
-
-
 def group_algebra_map(m: Mat2) -> Mat2:
     """Functorial map F_2[source group] -> F_2[target group] induced by a
     linear map m of F_2 vector spaces: the basis point g goes to m(g).
@@ -95,20 +77,6 @@ def group_algebra_map(m: Mat2) -> Mat2:
         image[g] = h = image[g ^ low] ^ cols[low.bit_length() - 1]
         rows[h] |= 1 << g
     return Mat2(1 << b, 1 << a, rows)
-
-
-def y_basis_change(rank: int) -> Mat2:
-    """Matrix whose column S is the y-basis element y^S written in the
-    point basis: the subset containment matrix, an involution mod 2."""
-    size = 1 << rank
-    rows = []
-    for t in range(size):
-        acc = 0
-        for s in range(size):
-            if s & t == t:
-                acc |= 1 << s
-        rows.append(acc)
-    return Mat2(size, size, rows)
 
 
 def augmentation_filtration_dims(rank: int) -> List[int]:

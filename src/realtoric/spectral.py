@@ -299,11 +299,13 @@ class RealComplex(NamedTuple):
 
 def _y_block(m: Mat2) -> Mat2:
     """The block of m in the y basis, coordinate i being y^S for the subset S
-    with bitmask i, of level i.bit_count(): y_basis_change(m.nrows) @
-    group_algebra_map(m) @ y_basis_change(m.ncols), as subset transforms of
-    group_algebra_map(m) in place.  On the column side each row becomes its
-    subset sums (m.ncols shift-and-mask steps); on the row side row T
-    becomes the sum of the rows of its supersets (m.nrows butterfly passes)."""
+    with bitmask i, of level i.bit_count(): Z(m.nrows) @ group_algebra_map(m)
+    @ Z(m.ncols), Z(n) the 2^n x 2^n subset containment matrix (column S is
+    y^S in the point basis; the dense reference is y_basis_change in
+    tests/oracles.py), as subset transforms of group_algebra_map(m) in
+    place.  On the column side each row becomes its subset sums (m.ncols
+    shift-and-mask steps); on the row side row T becomes the sum of the
+    rows of its supersets (m.nrows butterfly passes)."""
     block = group_algebra_map(m)
     rows = block.rows
     moves = [(keep, 1 << c) for c, keep in enumerate(subset_shift_masks(m.ncols))]

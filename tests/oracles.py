@@ -6,17 +6,32 @@ projection.  The definitions here are the model it was first written in:
 group-algebra elements in the point basis, the change to the y basis, the
 graded pieces of the augmentation filtration, and the plain `Mat2`
 helpers (entries, matrix-vector products, transposes, matrices from
-columns, identities) that the tests build their references from.  The
-dense d o d gate, one product of whole consecutive boundaries, is the
-reference that the blockwise gate of the spectral module is tested against.
+columns, identities, submatrices) that the tests build their references
+from.  The dense d o d gate, one product of whole consecutive boundaries,
+is the reference that the blockwise gate of the spectral module is tested
+against.  One exterior power at a time, block matrices from a dict of
+blocks, the induced projection of one facet pair and the dense y-basis
+change are the references for `gf2.exterior_powers`, `spectral._place`,
+`spectral._projection_groups` and `spectral._y_block`.
 `realtoric` never imports this module.
 """
 from __future__ import annotations
 
 from math import comb
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from realtoric.gf2 import ChainComplex, CrossCheckFailed, Mat2, subset_masks, subset_shift_masks
+from realtoric.fan import Fan
+from realtoric.gf2 import (
+    ChainComplex,
+    CrossCheckFailed,
+    Mat2,
+    _mul_rows,
+    _rank,
+    exterior_powers,
+    subset_masks,
+    subset_shift_masks,
+)
+from realtoric.orbitalg import orbit_lattice
 
 
 def entry(m: Mat2, i: int, j: int) -> int:
@@ -54,6 +69,58 @@ def from_cols(nrows: int, col_masks: Sequence[int]) -> Mat2:
 
 def identity(n: int) -> Mat2:
     return Mat2(n, n, [1 << i for i in range(n)])
+
+
+def submatrix(m: Mat2, row_idx: Sequence[int], col_idx: Sequence[int]) -> Mat2:
+    # spread[j]: the output bits that copy column j (several if j repeats)
+    spread: Dict[int, int] = {}
+    mask = 0
+    for jj, j in enumerate(col_idx):
+        spread[j] = spread.get(j, 0) | 1 << jj
+        mask |= 1 << j
+    out = []
+    for i in row_idx:
+        r = m.rows[i] & mask
+        acc = 0
+        while r:
+            low = r & -r
+            acc |= spread[low.bit_length() - 1]
+            r ^= low
+        out.append(acc)
+    return Mat2(len(row_idx), len(col_idx), out)
+
+
+def exterior_power(m: Mat2, q: int) -> Mat2:
+    """q-th exterior power: rows and columns are indexed by the q-element
+    subsets of the row and column indices in lexicographic order; each
+    entry is the corresponding q x q minor over GF(2)."""
+    if q < 0:
+        raise ValueError(f"exterior power of negative degree {q}")
+    if q > max(m.nrows, m.ncols):
+        return Mat2(0, 0)
+    return exterior_powers(m)[q]
+
+
+def assemble_blocks(
+    row_dims: Sequence[int],
+    col_dims: Sequence[int],
+    blocks: Dict[Tuple[int, int], Mat2],
+) -> Mat2:
+    """Assemble a block matrix; missing blocks are zero."""
+    row_off = [0]
+    for d in row_dims:
+        row_off.append(row_off[-1] + d)
+    col_off = [0]
+    for d in col_dims:
+        col_off.append(col_off[-1] + d)
+    out = Mat2(row_off[-1], col_off[-1])
+    for (bi, bj), blk in blocks.items():
+        assert blk.nrows == row_dims[bi] and blk.ncols == col_dims[bj]
+        shift = col_off[bj]
+        base = row_off[bi]
+        for i, r in enumerate(blk.rows):
+            out.rows[base + i] |= r << shift
+    return out
 
 
 def total_dim(cc: ChainComplex) -> int:
@@ -140,6 +207,37 @@ class GroupAlgebraElement:
 
     def __repr__(self) -> str:
         return f"GroupAlgebraElement(rank={self.rank}, bits={self.bits:#x})"
+
+
+def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
+    """Mod-2 matrix of the surjection from the orbit space of cone si onto
+    that of cone ti, for si a face of ti.
+
+    The projection of ti composed with the section of si, both reduced
+    mod 2: reduction is a ring map, so this is the integral product
+    reduced, independent of any mod-2 lift choice.
+    """
+    if fan.ray_masks[si] & ~fan.ray_masks[ti]:
+        raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
+    source, target = orbit_lattice(fan, si), orbit_lattice(fan, ti)
+    rows = _mul_rows(target.mod2.rows, source.section_mod2.rows)
+    if _rank(rows) != len(rows):
+        raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
+    return Mat2(target.codim, source.codim, rows)
+
+
+def y_basis_change(rank: int) -> Mat2:
+    """Matrix whose column S is the y-basis element y^S written in the
+    point basis: the subset containment matrix, an involution mod 2."""
+    size = 1 << rank
+    rows = []
+    for t in range(size):
+        acc = 0
+        for s in range(size):
+            if s & t == t:
+                acc |= 1 << s
+        rows.append(acc)
+    return Mat2(size, size, rows)
 
 
 def y_coords(rank: int, bits: int) -> int:

@@ -11,7 +11,16 @@ from itertools import combinations
 from math import comb
 
 from conftest import apply_unimodular, cube_fan, relabel_rays, square_pyramid_fan
-from oracles import GroupAlgebraElement, diagonal_class_check, entry, graded_piece_basis, identity
+from oracles import (
+    GroupAlgebraElement,
+    diagonal_class_check,
+    entry,
+    exterior_power,
+    graded_piece_basis,
+    identity,
+    submatrix,
+    y_basis_change,
+)
 
 from realtoric.analysis import (
     dim3_theorem_batch,
@@ -31,8 +40,8 @@ from realtoric.constructions import (
     torus_fan,
     weighted_projective_fan,
 )
-from realtoric.gf2 import Mat2, exterior_power
-from realtoric.orbitalg import augmentation_filtration_dims, group_algebra_map, y_basis_change
+from realtoric.gf2 import Mat2
+from realtoric.orbitalg import augmentation_filtration_dims, group_algebra_map
 from realtoric.spectral import (
     betti_real,
     complex_position_of_real,
@@ -193,7 +202,7 @@ def test_criterion_6_group_algebra_suite():
         for k in range(b + 1):
             rows = [sum(1 << i for i in c) for c in combinations(range(b), k)]
             cols = [sum(1 << i for i in c) for c in combinations(range(a), k)]
-            assert conj.submatrix(rows, cols) == exterior_power(m, k)
+            assert submatrix(conj, rows, cols) == exterior_power(m, k)
 
     assert diagonal_class_check()
 
@@ -229,7 +238,8 @@ def test_criterion_7_structural_invariants(cyclic_fan):
                 assert (a @ b).is_zero()
         for k in range(fan.rank + 1):
             graded = [
-                b.submatrix(
+                submatrix(
+                    b,
                     [i for i, level in enumerate(rc.levels[p]) if level == k],
                     [i for i, level in enumerate(rc.levels[p + 1]) if level == k],
                 )

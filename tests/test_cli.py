@@ -19,9 +19,9 @@ from realtoric.analysis import TheoremViolation
 from realtoric.constructions import product_fan, projective_space_fan
 from realtoric.fan import fan_from_json, read_json, write_json
 from realtoric.gf2 import CrossCheckFailed, Mat2
-from realtoric.orbitalg import induced_projection_mod2
 
 from conftest import child_env, moment_cone_json
+from oracles import induced_projection_mod2
 
 FANS = Path(__file__).resolve().parents[1] / "fans"
 
@@ -352,6 +352,22 @@ def test_reference_tables_detects_mismatch(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "reference-tables")
     assert code == 4
     assert "MISMATCH" in err
+
+
+def test_transpose_check_reports_each_mismatch_once(monkeypatch, capsys):
+    g_pages = cli.g_pages
+
+    def raised(fan):
+        g0, g1 = g_pages(fan)
+        entries = dict(g1.entries)
+        entries[(-2, 6)] += 1
+        return g0, g1._replace(entries=entries)
+
+    monkeypatch.setattr(cli, "g_pages", raised)
+    code, _, err = run_cli(capsys, "reference-tables", "--transpose-check")
+    assert code == 4
+    lines = [line for line in err.splitlines() if line.startswith("MISMATCH: transpose:")]
+    assert lines == ["MISMATCH: transpose: G1[-2,6] = 22 != E2[4,2] = 21"]
 
 
 def test_search_small_batch(capsys):

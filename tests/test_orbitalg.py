@@ -13,23 +13,21 @@ from oracles import (
     GroupAlgebraElement,
     diagonal_class_check,
     entry,
+    exterior_power,
     graded_piece_basis,
     identity,
+    induced_projection_mod2,
     mul_vec,
+    submatrix,
     torus_homology_dims,
+    y_basis_change,
     y_coords,
 )
 
 from realtoric.constructions import projective_space_fan, weighted_projective_fan
-from realtoric.gf2 import Mat2, exterior_power
+from realtoric.gf2 import Mat2
 from realtoric.intlin import identity as int_identity
-from realtoric.orbitalg import (
-    augmentation_filtration_dims,
-    group_algebra_map,
-    induced_projection_mod2,
-    orbit_lattice,
-    y_basis_change,
-)
+from realtoric.orbitalg import augmentation_filtration_dims, group_algebra_map, orbit_lattice
 
 
 def span_dim(vectors: List[int]) -> int:
@@ -304,7 +302,7 @@ def test_graded_pieces_of_group_algebra_map_are_exterior_powers():
         for k in range(b + 1):
             rows = [sum(1 << i for i in c) for c in combinations(range(b), k)]
             cols = [sum(1 << i for i in c) for c in combinations(range(a), k)]
-            block = conj.submatrix(rows, cols)
+            block = submatrix(conj, rows, cols)
             assert block == exterior_power(m, k)
 
 

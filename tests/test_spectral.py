@@ -10,7 +10,14 @@ from operator import add
 import hypothesis.strategies as st
 import pytest
 from conftest import FANS, apply_unimodular, mat_mul, minors_mod2, oracle_fans, relabel_rays
-from oracles import dense_d_o_d, entry
+from oracles import (
+    dense_d_o_d,
+    entry,
+    exterior_power,
+    induced_projection_mod2,
+    submatrix,
+    y_basis_change,
+)
 from hypothesis import given, seed, settings
 
 from realtoric import spectral
@@ -26,11 +33,8 @@ from realtoric.constructions import (
     weighted_projective_fan,
 )
 from realtoric.fan import Fan, read_json
-from realtoric.gf2 import CrossCheckFailed, Mat2, exterior_power, exterior_powers
-from realtoric.orbitalg import (
-    augmentation_filtration_dims, group_algebra_map, induced_projection_mod2, orbit_lattice,
-    y_basis_change,
-)
+from realtoric.gf2 import CrossCheckFailed, Mat2, exterior_powers
+from realtoric.orbitalg import augmentation_filtration_dims, group_algebra_map, orbit_lattice
 from realtoric.spectral import (
     betti_real,
     complex_position_of_real,
@@ -327,13 +331,13 @@ def test_shared_blocks_match_per_pair_assembly():
                 d = per_pair_boundary(
                     fan, p, comb(p - 1, q), comb(p, q), lambda m: exterior_power(m, q)
                 )
-                want = d.submatrix(
-                    slot_order(fan, p - 1, comb(p - 1, q)), slot_order(fan, p, comb(p, q))
+                want = submatrix(
+                    d, slot_order(fan, p - 1, comb(p - 1, q)), slot_order(fan, p, comb(p, q))
                 )
                 assert rows[q].boundaries[p - 1] == want, (fan, p, q)
             d = per_pair_boundary(fan, p, 1 << (p - 1), 1 << p, group_algebra_map)
             conj = zeta[p - 1] @ d @ zeta[p]
-            want = conj.submatrix(filtration_order(fan, p - 1), filtration_order(fan, p))
+            want = submatrix(conj, filtration_order(fan, p - 1), filtration_order(fan, p))
             assert rc.chain.boundaries[p - 1] == want, (fan, p)
 
 
@@ -355,7 +359,7 @@ def test_each_e1_row_is_a_diagonal_block_of_the_real_complex():
         real = real_complex(fan).chain.boundaries
         for p in range(1, fan.rank + 1):
             for q in range(p):
-                want = real[p - 1].submatrix(level_range(fan, p - 1, q), level_range(fan, p, q))
+                want = submatrix(real[p - 1], level_range(fan, p - 1, q), level_range(fan, p, q))
                 assert rows[q].boundaries[p - 1] == want, (fan, p, q)
                 blocks += 1
     assert blocks > 342  # 342 on oracle_fans() alone
@@ -418,7 +422,7 @@ def level_block(rc, p, k):
     """The level-k diagonal block of the degree-p boundary."""
     rows = [i for i, level in enumerate(rc.levels[p - 1]) if level == k]
     cols = [i for i, level in enumerate(rc.levels[p]) if level == k]
-    return rc.chain.boundaries[p - 1].submatrix(rows, cols)
+    return submatrix(rc.chain.boundaries[p - 1], rows, cols)
 
 
 def test_pivots_count_the_ranks_of_each_boundary_and_graded_piece():

@@ -1,6 +1,7 @@
 """Verdicts, closed-form oracles, batch certification, and rank-3 diagnostics."""
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import tracemalloc
 from collections import Counter
@@ -142,8 +143,6 @@ def test_batch_restricted_ranks_and_profiles():
 
 
 def test_batch_runs_in_one_process(monkeypatch):
-    # no worker count is read from the environment
-    monkeypatch.setenv("TORHOM_THREADS", "4")
     assert dim3_theorem_batch(8, seed=77, workers=1) == dim3_theorem_batch(8, seed=77)
     # any other worker count is refused before any fan is built
     monkeypatch.setattr(analysis, "_batch_case", lambda case: pytest.fail("a fan was built"))
@@ -156,6 +155,18 @@ def test_batch_rejects_an_unknown_profile_before_any_fan(monkeypatch):
     monkeypatch.setattr(analysis, "_batch_case", lambda case: pytest.fail("a fan was built"))
     with pytest.raises(ValueError, match="unknown profile 'bogus'"):
         dim3_theorem_batch(10, seed=0, profiles=("complete", "bogus"))
+
+
+def test_batch_reads_no_worker_count_from_the_environment(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the batch started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.delenv("TORHOM_THREADS", raising=False)
+    unset = dim3_theorem_batch(6, seed=3)
+    monkeypatch.setenv("TORHOM_THREADS", "4")
+    assert dim3_theorem_batch(6, seed=3) == unset
+    assert unset.certified == 6
 
 
 def test_batch_memory_does_not_grow_with_the_count(monkeypatch):

@@ -91,10 +91,11 @@ class BadIntersection(ValidationError):
 # pair check may hold before the input is rejected as too large.
 FM_ROW_LIMIT = 200000
 
-# Largest number of ray subsets, summed over the maximal cones, that the
-# facet searches of one build may try: a cone of k rays spanning d
-# dimensions counts C(k, d - 1), a simplicial one too, though it reads its
-# facets off its own elimination.  cyclic57 counts 714, p1^8 2,048.
+# Largest count, summed over the maximal cones, of the facet searches of
+# one build: a cone of k rays spanning d dimensions counts C(k, d - 1), its
+# (d - 1)-subsets of rays, a simplicial one too.  A facet holds d - 1
+# independent rays, so the count also bounds every facet list of the
+# cone's double description.  cyclic57 counts 714, p1^8 2,048.
 FACET_SUBSET_LIMIT = 5000
 
 # Largest number of pairs of maximal cones that pair validation may check:
@@ -194,17 +195,24 @@ def _cone_geometry(
     """Exact face data for the cone spanned by the given integer vectors;
     the faces are bitmasks over labels, the ray indices of the vectors
     (default: their positions).  ResourceLimitExceeded is raised before the
-    facet search if it would try more than budget subsets of the vectors;
-    a simplicial cone counts as trying C(k, d - 1) = k of them.
+    facet search if C(k, d - 1), for k vectors spanning d dimensions, is
+    more than budget; a simplicial cone counts C(d, d - 1) = d.  The count
+    bounds the facets of the cone on any of the vectors, so every facet
+    list of the search.
 
     One `span_elimination` of the vectors gives the dimension d, the span
     coordinates (rows ..d of U, in which the vectors are the columns of H),
-    the orbit projection and its section.  For k = d independent vectors
-    H[:d] is square and upper triangular, and each facet normal comes from
-    its back substitution.  Otherwise the hyperplane through d - 1 of
-    them, when they are independent, is row d - 1 of the U of their own
-    elimination in those coordinates, the (d - 1)-subsets taken in
-    lexicographic order so that they share their prefixes' eliminations.
+    the orbit projection and its section.  The pivot columns of H[:d] are
+    d independent vectors whose square part is upper triangular, and each
+    facet normal of their simplicial cone comes from its back substitution;
+    for k = d that cone is the whole.  Otherwise the other vectors are
+    added one at a time by double description in exact integers (Motzkin
+    et al. 1953; Fukuda & Prodon, "Double description method revisited",
+    1996): a facet >= 0 on the new vector stays, and each adjacent pair of
+    a facet > 0 and a facet < 0 on it is combined into the facet through
+    the vector and the ridge they share.  Two facets are adjacent when no
+    third facet's zero set holds their common one.  The work follows the
+    facet lists, not the C(k, d - 1) subsets.
     """
     k = len(vectors)
     labels = tuple(range(k) if labels is None else labels)
@@ -218,11 +226,9 @@ def _cone_geometry(
         )
 
     # facet zero set -> local normal
-    seen: Dict[int, Tuple[int, ...]] = {}
     full = sum(bit)
     if k == d:
-        for j in range(k):
-            seen[full ^ bit[j]] = _opposite_normal(h[:d], j)
+        seen = {full ^ bit[j]: _opposite_normal(h[:d], j) for j in range(k)}
         # every ray subset spans a face
         faces, sub = {0}, full
         while sub:
@@ -230,29 +236,38 @@ def _cone_geometry(
             sub = (sub - 1) & full
         pointed, nonextreme = True, []
     else:
-        coords = [list(col) for col in zip(*h[:d])]
-
-        def fresh(subset: Tuple[int, ...]) -> bool:
-            # inside a facet found already: its hyperplane, if any, is that facet's
-            mask = sum(bit[j] for j in subset)
-            return not any(mask & z == mask for z in seen)
-
-        subsets = filter(fresh, combinations(range(k), d - 1))
-        for u_sub, _, r in _prefix_eliminations(d, subsets, coords, False):
-            if r < d - 1:
-                continue
-            w_loc = u_sub[d - 1]
-            vals = [sum(map(mul, w_loc, coords[j])) for j in range(k)]
-            if all(v >= 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals):
-                w_loc = [-x for x in w_loc]
-                vals = [-v for v in vals]
-            else:
-                continue
-            zero = sum(bit[j] for j in range(k) if vals[j] == 0)
-            if zero not in seen:
-                seen[zero] = primitive_vector(w_loc)
+        # first the simplicial cone on the pivot columns of H, whose square
+        # part is upper triangular, then the other vectors one at a time
+        pivots = [row.index(next(filter(None, row))) for row in h[:d]]
+        square = [[row[j] for j in pivots] for row in h[:d]]
+        base = sum(bit[j] for j in pivots)
+        seen = {base ^ bit[j]: _opposite_normal(square, i) for i, j in enumerate(pivots)}
+        coords = list(zip(*h[:d]))
+        for j in (j for j in range(k) if j not in pivots):
+            kept: Dict[int, Tuple[int, ...]] = {}
+            pos, neg = [], []
+            for zero, normal in seen.items():
+                s = sum(map(mul, normal, coords[j]))
+                if s > 0:
+                    kept[zero] = normal
+                    pos.append((zero, normal, s))
+                elif s < 0:
+                    neg.append((zero, normal, s))
+                else:
+                    kept[zero | bit[j]] = normal
+            for zero_a, normal_a, s_a in pos:
+                for zero_b, normal_b, s_b in neg:
+                    common = zero_a & zero_b
+                    # the zero set of a ridge spans d - 2 dimensions, so it
+                    # holds d - 2 vectors at least
+                    if common.bit_count() < d - 2 or any(
+                        common & z == common for z in seen if z != zero_a and z != zero_b
+                    ):
+                        continue
+                    kept[common | bit[j]] = primitive_vector(
+                        [s_a * y - s_b * x for x, y in zip(normal_a, normal_b)]
+                    )
+            seen = kept
 
         pointed = lin_rank(list(seen.values())) == d
         faces = {full}
@@ -561,20 +576,21 @@ def from_maximal_cones(
 ) -> Fan:
     """Build a fan from ray vectors and maximal cones given as ray index sets.
 
-    The zero cone is implicit.  Each maximal cone's facet enumeration
-    gives its faces and facets, and the facets of each of its faces;
-    every cone's dimension, orbit projection and section come from one
-    integer elimination of its rays, which for a face extends the
-    elimination of its ray prefix by one column.  Pairwise
-    intersection validation (a separation certificate, then Fourier-Motzkin
-    for the pairs it cannot certify) runs by default for rank <= 4 and can
-    be forced either way with `validate_pairs`.  Ray entries and cone
-    indices must be ints; nothing is coerced.  ResourceLimitExceeded is
-    raised for an intersection too large to decide within FM_ROW_LIMIT,
-    and before the work they bound for more than PAIR_LIMIT pairs to
-    validate, for facet searches that would try more than
-    FACET_SUBSET_LIMIT ray subsets in all, and for a real complex of more
-    than REAL_CELL_LIMIT cells: they are counted as the cones are found,
+    The zero cone is implicit.  Each maximal cone's facet search (a
+    double description, see `_cone_geometry`) gives its faces and facets,
+    and the facets of each of its faces; every cone's dimension, orbit
+    projection and section come from one integer elimination of its rays,
+    which for a face extends the elimination of its ray prefix by one
+    column.  Pairwise intersection validation (a separation certificate,
+    then Fourier-Motzkin for the pairs it cannot certify) runs by default
+    for rank <= 4 and can be forced either way with `validate_pairs`.  Ray
+    entries and cone indices must be ints; nothing is coerced.
+    ResourceLimitExceeded is raised for an intersection too large to
+    decide within FM_ROW_LIMIT, and before the work they bound for more
+    than PAIR_LIMIT pairs to validate, for facet searches that count more
+    than FACET_SUBSET_LIMIT ray subsets in all (C(k, d - 1) for a maximal
+    cone of k rays spanning d dimensions, a bound on each of its facet
+    lists), and for a real complex of more than REAL_CELL_LIMIT cells: they are counted as the cones are found,
     the zero cone's 2**rank before anything is built and each ray's
     2**(rank - 1) before any facet search.
     """
@@ -655,7 +671,7 @@ def from_maximal_cones(
     # the elimination of its ray prefix by one column step
     rays_of = {face: _bits(face) for face in outer}
     faces = sorted((face for face in rays_of if face not in quotients), key=rays_of.__getitem__)
-    states = _prefix_eliminations(rank, map(rays_of.__getitem__, faces), ray_list, True)
+    states = _prefix_eliminations(rank, map(rays_of.__getitem__, faces), ray_list)
     for face, state in zip(faces, states):
         quotients[face] = _quotient(*state)
         cells = _count_cells(cells, len(quotients[face][0]))

@@ -127,15 +127,16 @@ def _echelon(
 
 
 def _prefix_eliminations(
-    n: int, tuples: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]], inverse: bool
+    n: int, tuples: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]]
 ) -> Iterator[Tuple[IntMatrix, IntMatrix, int]]:
-    """(U, W, r) of `_echelon` on the columns vectors[i], i in t, of length
-    n, for each tuple t in turn.  The states of the prefixes t shares with
-    the tuple before it are kept on a stack, one per prefix length, and
-    extended by one `_column_step` per further index, so tuples visited in
-    lexicographic order share their prefixes' eliminations.
+    """(U, W, r) of `_echelon`, with the inverse kept, on the columns
+    vectors[i], i in t, of length n, for each tuple t in turn.  The states
+    of the prefixes t shares with the tuple before it are kept on a stack,
+    one per prefix length, and extended by one `_column_step` per further
+    index, so tuples visited in lexicographic order share their prefixes'
+    eliminations.
     """
-    stack = [(identity(n), identity(n) if inverse else [], 0)]
+    stack = [(identity(n), identity(n), 0)]
     prev: Sequence[int] = ()
     for t in tuples:
         keep = 0

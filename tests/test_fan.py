@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import random
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd, prod
 from operator import mul
 
@@ -282,6 +282,79 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
     assert not _cone_geometry(2, [(1, 0), (-1, 0), (0, 1)]).pointed
 
 
+def test_cone_geometry_edge_cases_match_the_sympy_oracle():
+    """The double description against `_brute_cone_faces` where it could
+    go wrong: cones holding a line or a plane, a vector inside a facet or
+    inside the cone, cones of dimension 1 and 2 with opposite rays, and
+    every order of the vectors of three small cones, so that the result
+    cannot depend on which vectors become the pivots of the elimination."""
+    # (rank, vectors, pointed)
+    cones = [
+        # a line, then a plane, in ranks 3, 4 and 5; the last is all of Z^3
+        (3, [(0, 1, 0), (1, 1, 1), (-1, -1, -1), (0, 0, 1), (1, 0, 0)], False),
+        (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 1, 1)], False),
+        (4, [(1, 1, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1)], False),
+        (4, [(1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)], False),
+        (4, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)], False),
+        (5, [(1, 0, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 1, 1, 1), (0, 0, 0, 0, 1)], False),
+        (5, [(1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (-1, 0, -1, 0, 0), (0, -1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 1, 1), (0, 0, 0, 0, 1)], False),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], False),
+        # a vector inside a facet and one inside the cone
+        (3, [(1, 1, 0), (1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)], True),
+        (4, [(1, 1, 0, 0), (1, 0, 0, 0)] + [(1, a, b, c) for a, b, c in product((1, -1), repeat=3)], True),
+        # dimension 1, and dimension 2 with opposite rays
+        (2, [(1, 2), (-1, -2)], False),
+        (3, [(0, 1, 1), (0, -1, -1)], False),
+        (3, [(0, 1, -1)], True),
+        (2, [(1, 0), (1, 1), (0, 1)], True),
+        (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], False),
+        (3, [(1, 0, 1), (-1, 0, -1), (0, 1, 0), (1, 1, 1)], False),
+    ]
+    for rank, vectors, pointed in cones:
+        geo = _cone_geometry(rank, vectors)
+        facets, faces, nonextreme = _brute_cone_faces(vectors)
+        assert [frozenset(_bits(zero)) for _, zero in geo.facets] == facets, vectors
+        assert {frozenset(_bits(m)) for m in geo.face_masks} == faces, vectors
+        assert geo.nonextreme == nonextreme and geo.pointed == pointed, vectors
+    # every order, each vector labelled by its place in the first: the
+    # facets, normals included, and the faces are those of the first order
+    small = [
+        (3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+        (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 1, 1)]),
+    ]
+    for rank, vectors in small:
+        first = _cone_geometry(rank, vectors)
+        facets, faces, nonextreme = _brute_cone_faces(vectors)
+        assert [frozenset(_bits(zero)) for _, zero in first.facets] == facets, vectors
+        assert {frozenset(_bits(m)) for m in first.face_masks} == faces, vectors
+        for order in permutations(range(len(vectors))):
+            geo = _cone_geometry(rank, [vectors[i] for i in order], order)
+            assert geo.facets == first.facets and geo.face_masks == first.face_masks, order
+            assert sorted(order[j] for j in geo.nonextreme) == nonextreme, order
+            assert geo.pointed == first.pointed, order
+
+
+def test_moment_cone_facets_pass_gales_evenness_up_to_the_limit():
+    """The cone on the rays (1, t, ..., t**(r - 1)), t = 0 .. k - 1, is the
+    cone over a cyclic polytope.  By Gale's evenness condition an
+    (r - 1)-subset S of the rays is a facet exactly when every run of
+    consecutive t in S that is bounded on both sides by t outside S has
+    even length.  Each cone counts C(k, r - 1) within FACET_SUBSET_LIMIT."""
+    expected = {(3, 60): 60, (4, 30): 56, (5, 20): 170, (6, 16): 156, (7, 14): 210, (8, 12): 112}
+    for (r, k), count in expected.items():
+        assert comb(k, r - 1) <= FACET_SUBSET_LIMIT
+        geo = _cone_geometry(r, [tuple(t**i for i in range(r)) for t in range(k)])
+        gale = set()
+        for subset in combinations(range(k), r - 1):
+            outside = [t for t in range(k) if t not in subset]
+            if all((b - a) % 2 for a, b in zip(outside, outside[1:])):
+                gale.add(subset)
+        assert len(gale) == count
+        assert {tuple(_bits(zero)) for _, zero in geo.facets} == gale, (r, k)
+        assert geo.pointed and not geo.nonextreme, (r, k)
+
+
 def _random_deficient_rows(rng, d):
     """d - 1 random rows of length d with entries in [-9, 9].  In a third
     of the cases (d >= 3) the last row repeats an earlier one, in another
@@ -297,7 +370,7 @@ def _random_deficient_rows(rng, d):
 
 
 def test_span_elimination_null_row_is_proportional_to_signed_cofactors():
-    """The facet normal of `_cone_geometry`: for d - 1 vectors in Z^d the
+    """The null row of `span_elimination`: for d - 1 vectors in Z^d the
     elimination has full rank d - 1 exactly when their signed cofactors
     (the generalized cross product) are not all zero, and then its P is
     one primitive row, proportional to the cofactors, killing every row."""

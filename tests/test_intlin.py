@@ -191,10 +191,9 @@ def test_prefix_eliminations_match_the_elimination_of_each_tuple():
     for _ in range(40):
         n, k = rng.randint(1, 5), rng.randint(1, 6)
         vectors = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-        for inverse in (False, True):
-            tuples = sorted(t for size in range(k + 1) for t in combinations(range(k), size))
-            states = _prefix_eliminations(n, tuples, vectors, inverse)
-            for t, state in zip(tuples, states):
-                cols = [vectors[i] for i in t]
-                a = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n)]
-                assert state == _echelon(a, inverse)[1:], (vectors, t)
+        tuples = sorted(t for size in range(k + 1) for t in combinations(range(k), size))
+        states = _prefix_eliminations(n, tuples, vectors)
+        for t, state in zip(tuples, states):
+            cols = [vectors[i] for i in t]
+            a = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n)]
+            assert state == _echelon(a, True)[1:], (vectors, t)

@@ -590,9 +590,10 @@ def from_maximal_cones(
     than PAIR_LIMIT pairs to validate, for facet searches that count more
     than FACET_SUBSET_LIMIT ray subsets in all (C(k, d - 1) for a maximal
     cone of k rays spanning d dimensions, a bound on each of its facet
-    lists), and for a real complex of more than REAL_CELL_LIMIT cells: they are counted as the cones are found,
-    the zero cone's 2**rank before anything is built and each ray's
-    2**(rank - 1) before any facet search.
+    lists), and for a real complex of more than REAL_CELL_LIMIT cells:
+    they are counted as the cones are found, the zero cone's 2**rank
+    before anything is built and each ray's 2**(rank - 1) before any
+    facet search.
     """
     if not _is_int(rank) or rank < 1:
         raise ValidationError(f"rank must be a positive integer, got {rank!r}")

@@ -293,15 +293,19 @@ def test_cone_geometry_edge_cases_match_the_sympy_oracle():
         # a line, then a plane, in ranks 3, 4 and 5; the last is all of Z^3
         (3, [(0, 1, 0), (1, 1, 1), (-1, -1, -1), (0, 0, 1), (1, 0, 0)], False),
         (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 1, 1)], False),
-        (4, [(1, 1, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 1, 1)], False),
-        (4, [(1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1)], False),
+        (4, [(1, 1, 0, 0), (0, 1, 0, 0), (-1, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (0, 1, 1, 1)], False),
+        (4, [(1, 0, 0, 0), (0, 0, 1, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+             (0, 0, 1, 1), (0, 0, 0, 1)], False),
         (4, [(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)], False),
-        (5, [(1, 0, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 1, 1, 1), (0, 0, 0, 0, 1)], False),
-        (5, [(1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (-1, 0, -1, 0, 0), (0, -1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 1, 1), (0, 0, 0, 0, 1)], False),
+        (5, [(1, 0, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+             (0, 0, 0, 1, 0), (0, 1, 1, 1, 1), (0, 0, 0, 0, 1)], False),
+        (5, [(1, 0, 1, 0, 0), (0, 1, 0, 0, 0), (-1, 0, -1, 0, 0), (0, -1, 0, 0, 0),
+             (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, 1, 1, 1), (0, 0, 0, 0, 1)], False),
         (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], False),
         # a vector inside a facet and one inside the cone
         (3, [(1, 1, 0), (1, 0, 0), (1, 1, 1), (0, 1, 0), (0, 0, 1)], True),
-        (4, [(1, 1, 0, 0), (1, 0, 0, 0)] + [(1, a, b, c) for a, b, c in product((1, -1), repeat=3)], True),
+        (4, [(1, 1, 0, 0), (1, 0, 0, 0)] + [(1, *v) for v in product((1, -1), repeat=3)], True),
         # dimension 1, and dimension 2 with opposite rays
         (2, [(1, 2), (-1, -2)], False),
         (3, [(0, 1, 1), (0, -1, -1)], False),

@@ -14,7 +14,7 @@ from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .fan import Fan, ValidationError, _cone_geometry, _count_cells, from_maximal_cones
+from .fan import Fan, ValidationError, _bits, _cone_geometry, _count_cells, from_maximal_cones
 from .gf2 import CrossCheckFailed
 from .intlin import determinant, lin_rank, primitive_vector, quotient_with_section
 
@@ -288,49 +288,21 @@ def _random_rank3_complete(rng: random.Random) -> Tuple[List[Vector], List[List[
         if len(rays) < 4:
             continue
         facets = _hull3_facets(rays)
-        if facets is None:
-            continue
-        # every ray is a vertex: by Euler's formula a 3-polytope with V vertices
-        # has at most 2V - 4 triangular facets, so 2n - 4 triangles force V = n
-        return rays, [list(f) for f in facets]
+        if facets is not None:
+            return rays, facets
     raise RuntimeError("random rank-3 generator failed to converge")
 
 
-def _hull3_facets(rays: Sequence[Vector]) -> Optional[List[Tuple[int, ...]]]:
-    """Facet triangles of the convex hull of the given points in rank 3,
-    or None when the origin is not strictly interior or some supporting
-    plane holds more than 3 of the points (kept simplicial by rejection)."""
-    n = len(rays)
-    facets = []
-    for sub in combinations(range(n), 3):
-        a, b, c = (rays[i] for i in sub)
-        nrm = (
-            (b[1] - a[1]) * (c[2] - a[2]) - (b[2] - a[2]) * (c[1] - a[1]),
-            (b[2] - a[2]) * (c[0] - a[0]) - (b[0] - a[0]) * (c[2] - a[2]),
-            (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]),
-        )
-        if nrm == (0, 0, 0):
-            continue
-        off = sum(x * y for x, y in zip(nrm, a))
-        vals = [
-            sum(x * y for x, y in zip(nrm, rays[i]))
-            for i in range(n)
-            if i not in sub
-        ]
-        if all(v < off for v in vals):
-            pass
-        elif all(v > off for v in vals):
-            nrm = tuple(-x for x in nrm)
-            off = -off
-        else:
-            continue
-        if off <= 0:
-            return None  # origin not strictly inside
-        facets.append(sub)
-    # a simplicial hull of n points in general position has 2n-4 triangles
-    if len(facets) != 2 * n - 4:
+def _hull3_facets(rays: Sequence[Vector]) -> Optional[List[List[int]]]:
+    """Facet triangles of the convex hull of the given points in rank 3, in
+    combinations order, from the double description of the cone over the
+    points lifted to height 1; None unless every point is a vertex, every
+    facet a triangle and the origin strictly interior (a positive first
+    entry of every facet normal)."""
+    geo = _cone_geometry(4, [(1,) + v for v in rays])
+    if geo.nonextreme or any(z.bit_count() != 3 or nrm[0] <= 0 for nrm, z in geo.facets):
         return None
-    return facets
+    return [_bits(z) for _, z in geo.facets]
 
 
 def _random_affine(rng: random.Random, rank: int) -> Fan:

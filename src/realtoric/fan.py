@@ -18,7 +18,6 @@ from .intlin import (
     _prefix_eliminations,
     _quotient,
     identity,
-    lin_rank,
     primitive_vector,
     span_elimination,
 )
@@ -212,7 +211,10 @@ def _cone_geometry(
     a facet > 0 and a facet < 0 on it is combined into the facet through
     the vector and the ridge they share.  Two facets are adjacent when no
     third facet's zero set holds their common one.  The work follows the
-    facet lists, not the C(k, d - 1) subsets.
+    facet lists, not the C(k, d - 1) subsets.  The faces are the
+    intersections of facet zero sets, and the cone is pointed iff the
+    empty set is one of them: the rays on every facet span the lineality
+    space, which is {0} iff no ray lies on every facet.
     """
     k = len(vectors)
     labels = tuple(range(k) if labels is None else labels)
@@ -269,12 +271,12 @@ def _cone_geometry(
                     )
             seen = kept
 
-        pointed = lin_rank(list(seen.values())) == d
         faces = {full}
         frontier = set(seen)
         while frontier:
             faces |= frontier
             frontier = {f & z for f in frontier for z in seen} - faces
+        pointed = 0 in faces
         nonextreme = [j for j in range(k) if bit[j] not in faces]
 
     coord_cols = list(zip(*u[:d]))
@@ -312,9 +314,7 @@ def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool
                 s, t = -an[v], ap[v]
                 b = tuple(s * x + t * y for x, y in zip(ap, an))
                 d = s * cp + t * cn
-                g = abs(d)
-                for x in b:
-                    g = gcd(g, x)
+                g = gcd(d, *b)
                 if g > 1:
                     b = tuple(x // g for x in b)
                     d //= g
@@ -606,10 +606,7 @@ def from_maximal_cones(
             raise ValidationError(f"ray {vec} has an entry that is not an int")
         if len(vec) != rank:
             raise ValidationError(f"ray {vec} does not have length {rank}")
-        g = 0
-        for x in vec:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*vec) != 1:
             raise NonPrimitiveRay(vec)
         if vec in seen_rays:
             raise ValidationError(f"duplicate ray {vec}")

@@ -195,9 +195,7 @@ def quotient_with_section(
 
 def primitive_vector(vec: Sequence[int]) -> Tuple[int, ...]:
     """Divide out the gcd of the entries; the zero vector is returned as is."""
-    g = 0
-    for x in vec:
-        g = gcd(g, x)
+    g = gcd(*vec)
     if g <= 1:
         return tuple(vec)
     return tuple(x // g for x in vec)

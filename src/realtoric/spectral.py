@@ -242,18 +242,10 @@ def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
     """
     n = fan.rank
     powers = [[exterior_powers(m) for m, _ in groups] for groups in _projection_groups(fan)]
-    # d o d of all row complexes at once, on their direct sum over q: row r of
-    # a degree-p block there is a row of its layers[p][r]-th power, and the
-    # failure reported is the first in q, then in p, as checking one row
-    # complex after another would find it
-    layers = [[q for q in range(p) for _ in range(comb(p - 1, q))] for p in range(n + 1)]
-    failed = [
-        (min(layers[p][r] for r, x in enumerate(total) if x), p)
-        for p, total in _composition_sums(fan, [list(map(_direct_sum, pws)) for pws in powers])
-        if any(total)
-    ]
-    if failed:
-        raise _d_o_d_error(min(failed)[1])
+    # d o d of all row complexes at once, on their direct sum over q
+    for p, total in _composition_sums(fan, [list(map(_direct_sum, pws)) for pws in powers]):
+        if any(total):
+            raise _d_o_d_error(p)
     entries: Dict[Tuple[int, int], int] = {}
     complexes: Dict[int, ChainComplex] = {}
     for q in range(n + 1):

@@ -12,13 +12,15 @@ is the reference that the blockwise gate of the spectral module is tested
 against.  One exterior power at a time, block matrices from a dict of
 blocks, the induced projection of one facet pair and the dense y-basis
 change are the references for `gf2.exterior_powers`, `spectral._place`,
-`spectral._projection_groups` and `spectral._y_block`.
+`spectral._projection_groups` and `spectral._y_block`.  A scan of every
+triple of points is the reference for `constructions._hull3_facets`.
 `realtoric` never imports this module.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from realtoric.fan import Fan
 from realtoric.gf2 import (
@@ -278,3 +280,40 @@ def diagonal_class_check() -> bool:
     y12 = y1 * y2
     assert y12.bits == (1 << 0) | (1 << 1) | (1 << 2) | (1 << 3)
     return diag == y1 + y2 + y12
+
+
+def hull3_facets(rays: Sequence[Tuple[int, ...]]) -> Optional[List[Tuple[int, ...]]]:
+    """Facet triangles of the convex hull of the given points in rank 3,
+    or None when the origin is not strictly interior or some supporting
+    plane holds more than 3 of the points (kept simplicial by rejection)."""
+    n = len(rays)
+    facets = []
+    for sub in combinations(range(n), 3):
+        a, b, c = (rays[i] for i in sub)
+        nrm = (
+            (b[1] - a[1]) * (c[2] - a[2]) - (b[2] - a[2]) * (c[1] - a[1]),
+            (b[2] - a[2]) * (c[0] - a[0]) - (b[0] - a[0]) * (c[2] - a[2]),
+            (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]),
+        )
+        if nrm == (0, 0, 0):
+            continue
+        off = sum(x * y for x, y in zip(nrm, a))
+        vals = [
+            sum(x * y for x, y in zip(nrm, rays[i]))
+            for i in range(n)
+            if i not in sub
+        ]
+        if all(v < off for v in vals):
+            pass
+        elif all(v > off for v in vals):
+            nrm = tuple(-x for x in nrm)
+            off = -off
+        else:
+            continue
+        if off <= 0:
+            return None  # origin not strictly inside
+        facets.append(sub)
+    # a simplicial hull of n points in general position has 2n-4 triangles
+    if len(facets) != 2 * n - 4:
+        return None
+    return facets

@@ -1,6 +1,7 @@
 """Named fan builders and the seeded random generator."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
@@ -24,6 +25,8 @@ from realtoric.constructions import (
 )
 from realtoric.fan import NotPointed, ValidationError, fan_to_json, from_maximal_cones
 from realtoric.spectral import betti_real, e2_dims
+
+from oracles import hull3_facets
 
 # primitive inner facet normals of the hull of (k, k^2, ..., k^5), k = 0..6
 CYCLIC_RAYS = {
@@ -295,3 +298,52 @@ def test_random_fan_rejections():
         random_fan(4, 0)
     with pytest.raises(ValueError):
         random_fan(2, 0, "bogus")
+
+
+def test_hull3_facets_match_the_triple_scan():
+    """The rank-3 hull from the double description against a scan of every
+    triple of points: the same triangles in the same order, or the same
+    None, on seeded sets of 4 to 8 distinct primitive points in [-5, 5]^3
+    (the generator's draws) and on named degenerate sets."""
+    tetrahedron = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+    # (points, accepted)
+    named = [
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], True),
+        (tetrahedron, True),
+        # square facets
+        ([(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)], False),
+        # (1, 0, 0) strictly inside, then on the edge from (1, 1, 1) to (1, -1, -1)
+        ([(5, -1, -1), (-1, 5, -1), (-1, -1, 5), (-1, -1, -1), (1, 0, 0)], False),
+        (tetrahedron + [(1, 0, 0)], False),
+        # the origin inside the facet on the first three points, then outside
+        ([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], False),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], False),
+        # coplanar: a square through the origin, a pentagon in z = 1
+        ([(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)], False),
+        ([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 1)], False),
+    ]
+    for points, accepted in named:
+        got = constructions._hull3_facets(points)
+        assert (got is not None) == accepted, points
+        want = hull3_facets(points)
+        assert got == (None if want is None else [list(f) for f in want]), points
+    assert len(constructions._hull3_facets(named[0][0])) == 8
+
+    rng = random.Random(3017)
+    accepted = 0
+    for _ in range(2000):
+        points: List[Tuple[int, ...]] = []
+        for _ in range(rng.randint(4, 8)):
+            v = (0, 0, 0)
+            while not any(v):
+                v = tuple(rng.randint(-5, 5) for _ in range(3))
+            v = tuple(x // gcd(*v) for x in v)
+            if v not in points:
+                points.append(v)
+        if len(points) < 4:
+            continue
+        got = constructions._hull3_facets(points)
+        want = hull3_facets(points)
+        assert got == (None if want is None else [list(f) for f in want]), points
+        accepted += got is not None
+    assert accepted >= 300

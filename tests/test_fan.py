@@ -182,14 +182,15 @@ def test_faces_come_from_each_cones_own_geometry():
 
 
 def _brute_cone_faces(vectors):
-    """Facet zero sets, faces and non-extreme rays of the cone on the given
-    vectors: a facet from every (d-1)-subset of rank d - 1 whose hyperplane
-    (a sympy nullspace vector not vanishing on the cone) supports the cone,
-    and a face from every subset that equals the intersection of the
-    facets containing it."""
+    """Facet zero sets, faces, non-extreme rays and pointedness of the cone
+    on the given vectors: a facet from every (d-1)-subset of rank d - 1
+    whose hyperplane (a sympy nullspace vector not vanishing on the cone)
+    supports the cone, a face from every subset that equals the
+    intersection of the facets containing it, and pointed when the facet
+    normals, as functions on the span of the vectors, have rank d."""
     k = len(vectors)
     d = Matrix(vectors).rank()
-    facets = set()
+    facets = {}
     for subset in combinations(range(k), d - 1):
         rows = Matrix([vectors[j] for j in subset]) if subset else None
         if rows is not None and rows.rank() != d - 1:
@@ -200,7 +201,7 @@ def _brute_cone_faces(vectors):
             if any(vals):
                 break
         if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
-            facets.add(frozenset(j for j in range(k) if vals[j] == 0))
+            facets[frozenset(j for j in range(k) if vals[j] == 0)] = vals
     faces = set()
     for size in range(k + 1):
         for subset in combinations(range(k), size):
@@ -211,7 +212,8 @@ def _brute_cone_faces(vectors):
             if closure == set(subset):
                 faces.add(frozenset(subset))
     nonextreme = [j for j in range(k) if frozenset((j,)) not in faces]
-    return sorted(facets, key=sorted), faces, nonextreme
+    pointed = Matrix(list(facets.values()) or [[0] * k]).rank() == d
+    return sorted(facets, key=sorted), faces, nonextreme, pointed
 
 
 def _random_cone(rng, rank):
@@ -228,6 +230,14 @@ def _random_cone(rng, rank):
             g = gcd(g, x)
         vectors.add(tuple(x // g for x in v))
     return sorted(vectors)
+
+
+def _random_unpointed_cone(rng, rank):
+    """A `_random_cone` with the opposites of one or two of its vectors
+    added, so that it holds a line or a plane."""
+    vectors = _random_cone(rng, rank)
+    opposites = [tuple(-x for x in v) for v in rng.sample(vectors, rng.randint(1, 2))]
+    return vectors + opposites
 
 
 def _random_simplicial_cone(rng, rank, d, unimodular):
@@ -249,6 +259,8 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
     rng = random.Random(4417)
     cones = [(5, cyclic_fan.cone_vectors(ci)) for ci in cyclic_fan.maximal_cones()]
     cones += [(rank, _random_cone(rng, rank)) for rank in (3, 4, 5) for _ in range(10)]
+    unpointed = [(rank, _random_unpointed_cone(rng, rank)) for rank in (3, 4, 5) for _ in range(4)]
+    cones += unpointed
     # not pointed: the cones hold the line through (1, 0, 0), resp. (1, 0)
     cones += [
         (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
@@ -270,7 +282,7 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
     cones += simplicial
     for rank, vectors in cones:
         geo = _cone_geometry(rank, vectors)
-        facets, faces, nonextreme = _brute_cone_faces(vectors)
+        facets, faces, nonextreme, pointed = _brute_cone_faces(vectors)
         assert [frozenset(_bits(zero)) for _, zero in geo.facets] == facets, vectors
         for normal, zero in geo.facets:
             assert gcd(*normal) == 1, vectors
@@ -278,8 +290,8 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
             assert all(x >= 0 for x in vals), vectors
             assert {j for j, x in enumerate(vals) if x == 0} == set(_bits(zero)), vectors
         assert {frozenset(_bits(m)) for m in geo.face_masks} == faces, vectors
-        assert geo.nonextreme == nonextreme, vectors
-    assert not _cone_geometry(2, [(1, 0), (-1, 0), (0, 1)]).pointed
+        assert geo.nonextreme == nonextreme and geo.pointed == pointed, vectors
+    assert not any(_cone_geometry(rank, vectors).pointed for rank, vectors in unpointed)
 
 
 def test_cone_geometry_edge_cases_match_the_sympy_oracle():
@@ -314,12 +326,12 @@ def test_cone_geometry_edge_cases_match_the_sympy_oracle():
         (2, [(1, 0), (0, 1), (-1, 0), (0, -1)], False),
         (3, [(1, 0, 1), (-1, 0, -1), (0, 1, 0), (1, 1, 1)], False),
     ]
-    for rank, vectors, pointed in cones:
+    for rank, vectors, expected in cones:
         geo = _cone_geometry(rank, vectors)
-        facets, faces, nonextreme = _brute_cone_faces(vectors)
+        facets, faces, nonextreme, pointed = _brute_cone_faces(vectors)
         assert [frozenset(_bits(zero)) for _, zero in geo.facets] == facets, vectors
         assert {frozenset(_bits(m)) for m in geo.face_masks} == faces, vectors
-        assert geo.nonextreme == nonextreme and geo.pointed == pointed, vectors
+        assert geo.nonextreme == nonextreme and geo.pointed == pointed == expected, vectors
     # every order, each vector labelled by its place in the first: the
     # facets, normals included, and the faces are those of the first order
     small = [
@@ -329,7 +341,7 @@ def test_cone_geometry_edge_cases_match_the_sympy_oracle():
     ]
     for rank, vectors in small:
         first = _cone_geometry(rank, vectors)
-        facets, faces, nonextreme = _brute_cone_faces(vectors)
+        facets, faces, nonextreme, _ = _brute_cone_faces(vectors)
         assert [frozenset(_bits(zero)) for _, zero in first.facets] == facets, vectors
         assert {frozenset(_bits(m)) for m in first.face_masks} == faces, vectors
         for order in permutations(range(len(vectors))):

@@ -9,13 +9,9 @@ integers and bit-packed GF(2) linear algebra).
 """
 from .analysis import (
     BatchReport,
-    Dim3KernelReport,
     MVerdict,
     SurfaceReport,
-    betti_complex_nonsingular_complete,
-    dim3_kernel_analysis,
     dim3_theorem_batch,
-    isolated_singularities_shape,
     m_verdict,
     surface_betti_oracle,
 )
@@ -54,7 +50,6 @@ from .spectral import (
     e2_dims,
     g_pages,
     real_complex,
-    rightmost_column_split,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +58,6 @@ __all__ = [
     "BadIntersection",
     "BatchReport",
     "Cone",
-    "Dim3KernelReport",
     "Fan",
     "FanError",
     "MVerdict",
@@ -76,10 +70,8 @@ __all__ = [
     "SurfaceReport",
     "ValidationError",
     "affine_fan",
-    "betti_complex_nonsingular_complete",
     "betti_real",
     "cyclic_polytope_normal_fan",
-    "dim3_kernel_analysis",
     "dim3_theorem_batch",
     "e1_page",
     "e2_dims",
@@ -88,14 +80,12 @@ __all__ = [
     "from_maximal_cones",
     "g_pages",
     "hirzebruch_fan",
-    "isolated_singularities_shape",
     "m_verdict",
     "product_fan",
     "projective_space_fan",
     "random_fan",
     "read_json",
     "real_complex",
-    "rightmost_column_split",
     "same_mod2_surface_fan",
     "surface_betti_oracle",
     "torus_fan",

@@ -12,30 +12,24 @@ might still vanish for reasons the dimension count cannot see.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .constructions import _PROFILES, random_fan
 from .fan import Fan, fan_to_json
-from .gf2 import CrossCheckFailed, Mat2
-from .spectral import betti_real, e1_page, e2_dims, g_pages, real_complex
+from .gf2 import CrossCheckFailed
+from .spectral import betti_real, e2_dims, g_pages
 
 __all__ = [
     "AnalysisError",
     "WrongRank",
     "NotComplete",
-    "Inapplicable",
-    "PreconditionFailed",
     "TheoremViolation",
     "MVerdict",
     "m_verdict",
     "SurfaceReport",
     "surface_betti_oracle",
-    "betti_complex_nonsingular_complete",
     "BatchReport",
     "dim3_theorem_batch",
-    "isolated_singularities_shape",
-    "Dim3KernelReport",
-    "dim3_kernel_analysis",
 ]
 
 
@@ -49,16 +43,6 @@ class WrongRank(AnalysisError):
 
 class NotComplete(AnalysisError):
     pass
-
-
-class Inapplicable(AnalysisError):
-    pass
-
-
-class PreconditionFailed(AnalysisError):
-    def __init__(self, message: str, offenders: Sequence[int] = ()):
-        super().__init__(message)
-        self.offenders = tuple(offenders)
 
 
 class TheoremViolation(AnalysisError):
@@ -138,21 +122,6 @@ def surface_betti_oracle(fan: Fan) -> SurfaceReport:
     return SurfaceReport(1, (1, s - 2, 1), (1, 0, s - 2, 0, 1))
 
 
-def betti_complex_nonsingular_complete(fan: Fan) -> List[int]:
-    """Mod-2 Betti numbers b_0..b_{2n} of the complex points of a
-    complete nonsingular toric variety: even degrees carry the fan's
-    h-vector, odd degrees vanish."""
-    if not fan.is_complete():
-        raise Inapplicable("fan is not complete")
-    if not fan.is_nonsingular():
-        raise Inapplicable("fan is not nonsingular")
-    h = fan.h_vector()
-    out = [0] * (2 * fan.rank + 1)
-    for k, v in enumerate(h):
-        out[2 * k] = v
-    return out
-
-
 def _batch_case(case: Tuple[int, int, str]) -> None:
     rank, seed, profile = case
     fan = random_fan(rank, seed, profile)
@@ -217,114 +186,3 @@ def dim3_theorem_batch(
         per_rank[rank] += 1
         per_profile[profile] += 1
     return BatchReport(count, seed, count, 0, dict(per_rank), dict(per_profile))
-
-
-def _mod2_regular(fan: Fan, ci: int) -> bool:
-    """A cone is mod-2 regular when its rays are independent in N/2N (so
-    they extend to a basis of the mod-2 lattice)."""
-    cone = fan.cones[ci]
-    if len(cone.rays) != cone.dim:
-        return False
-    rows = [[c & 1 for c in fan.rays[i]] for i in cone.rays]
-    return Mat2.from_rows(rows, ncols=fan.rank).rank() == cone.dim
-
-
-def isolated_singularities_shape(fan: Fan) -> bool:
-    """For a complete fan all of whose non-maximal cones are mod-2
-    regular (singularities confined to the deepest orbits), the second
-    complex page must be supported on the two diagonals p = q and
-    p = q + 1; returns whether it is."""
-    if not fan.is_complete():
-        raise PreconditionFailed("fan is not complete")
-    maximal = set(fan.maximal_cones())
-    offenders = [
-        ci
-        for ci in range(len(fan.cones))
-        if ci not in maximal
-        and fan.cones[ci].dim > 0
-        and not _mod2_regular(fan, ci)
-    ]
-    if offenders:
-        raise PreconditionFailed(
-            "non-maximal cones are not mod-2 regular: "
-            + ", ".join(str(fan.cones[ci].rays) for ci in offenders),
-            offenders,
-        )
-    e2 = e2_dims(fan)
-    return all(d == 0 or p - q in (0, 1) for (p, q), d in e2.entries.items())
-
-
-class Dim3KernelReport(NamedTuple):
-    has_codim2_cones: bool
-    injective: Optional[bool]
-    kernel_dim: int
-    all_same_image: Optional[bool]
-    common_image: Optional[Tuple[int, ...]]
-    top_chain_kernel_dim: int
-    top_graded_kernel_dim: int
-    top_degeneration: bool
-    note: str
-
-
-def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
-    """Diagnostic for the one potentially dangerous higher differential
-    in rank 3.
-
-    Reports whether the q = 1 first-page differential out of the deepest
-    column is injective; when it is not, all codimension-2 cones must
-    share one mod-2 image (the kernel is the common line they span), and
-    degeneration at the top chain degree is confirmed by comparing the
-    kernel of the unfiltered top boundary with the summed kernels of its
-    graded pieces, both read from the pivots of its one reduction.
-    """
-    if fan.rank != 3:
-        raise WrongRank(f"kernel analysis needs rank 3, got {fan.rank}")
-    _, rows = e1_page(fan)
-    d_top = rows[1].boundaries[2]  # q=1 row, chain degrees 3 -> 2
-    kernel_dim = d_top.ncols - d_top.rank()
-
-    rc = real_complex(fan)
-    top = rc.pivot_levels[2]  # the pivots of the boundary out of chain degree 3
-    top_chain_kernel = rc.chain.dims[3] - sum(top.values())
-    top_graded_kernel = rc.chain.dims[3] - sum(c for (r, k), c in top.items() if r == k)
-
-    codim2 = fan.strata[2]
-    images = {
-        tuple(c & 1 for c in fan.rays[fan.cones[ci].rays[0]]) for ci in codim2
-    }
-    top_degeneration = top_chain_kernel == top_graded_kernel
-    if not codim2:
-        injective = all_same_image = common_image = None
-        note = "no codimension-2 cones: the target vanishes and injectivity is moot"
-    elif kernel_dim == 0:
-        injective, all_same_image = True, len(images) == 1
-        common_image = next(iter(images)) if all_same_image else None
-        note = (
-            "q=1 differential out of the deepest column is injective; "
-            "no dangerous higher differential"
-        )
-    elif len(images) != 1:
-        raise CrossCheckFailed(
-            "non-injective q=1 differential but codimension-2 cones carry "
-            "distinct mod-2 images; kernel reasoning is broken"
-        )
-    else:
-        injective, all_same_image, common_image = False, True, next(iter(images))
-        note = (
-            "all codimension-2 cones share one mod-2 image; the graded "
-            "and unfiltered top kernels agree, so the dangerous "
-            "differential vanishes"
-            if top_degeneration
-            else "graded and unfiltered top kernels differ"
-        )
-    return Dim3KernelReport(
-        has_codim2_cones=bool(codim2),
-        injective=injective,
-        kernel_dim=kernel_dim,
-        all_same_image=all_same_image,
-        common_image=common_image,
-        top_chain_kernel_dim=top_chain_kernel,
-        top_graded_kernel_dim=top_graded_kernel,
-        top_degeneration=top_degeneration,
-        note=note,
-    )

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fan import Fan, ValidationError, _bits, _cone_geometry, _count_cells, from_maximal_cones
 from .gf2 import CrossCheckFailed
-from .intlin import determinant, lin_rank, primitive_vector, quotient_with_section
+from .intlin import lin_rank, primitive_vector, quotient_with_section
 
 __all__ = [
     "projective_space_fan",
@@ -185,37 +185,12 @@ def _moment_points() -> List[Vector]:
     return [tuple(k ** e for e in range(1, 6)) for k in range(7)]
 
 
-def _cyclic_facets_hull() -> List[Tuple[Tuple[int, ...], Vector, int]]:
-    """Facets of the same polytope by exact hull enumeration: for every
-    5-subset of vertices, the hyperplane through them is a facet iff the
-    remaining vertices lie strictly on one side.  Returns (vertex subset,
-    primitive inner normal, offset) triples."""
-    pts = _moment_points()
-    out = []
-    for sub in combinations(range(7), 5):
-        chosen = [pts[i] for i in sub]
-        # homogeneous 6x6 minors give the hyperplane through 5 points
-        rows = [list(p) + [1] for p in chosen]
-        coeffs = []
-        for j in range(6):
-            minor = [r[:j] + r[j + 1 :] for r in rows]
-            sign = -1 if j & 1 else 1
-            coeffs.append(sign * determinant(minor))
-        normal, c = tuple(coeffs[:5]), -coeffs[5]
-        if all(v == 0 for v in normal):
-            continue
-        rest = [i for i in range(7) if i not in sub]
-        vals = [sum(a * b for a, b in zip(normal, pts[i])) - c for i in rest]
-        if all(v > 0 for v in vals):
-            pass
-        elif all(v < 0 for v in vals):
-            normal = tuple(-a for a in normal)
-            c = -c
-        else:
-            continue
-        g = gcd(*normal)
-        out.append((sub, tuple(a // g for a in normal), c))
-    return out
+def _cyclic_facets_hull() -> List[Tuple[List[int], Vector]]:
+    """Facets of the same polytope by its exact rational hull: the double
+    description of the cone over the vertices lifted to height 1.  Returns
+    (vertex list, primitive inner normal) pairs, in combinations order."""
+    geo = _cone_geometry(6, [(1,) + p for p in _moment_points()])
+    return [(_bits(zero), primitive_vector(normal[1:])) for normal, zero in geo.facets]
 
 
 def cyclic_polytope_normal_fan() -> Fan:
@@ -223,21 +198,20 @@ def cyclic_polytope_normal_fan() -> Fan:
     (k, k^2, k^3, k^4, k^5), k = 0..6.
 
     Facets are enumerated twice, by Gale's evenness condition and by the
-    exact rational hull; the two facet sets must agree.  Rays are the
+    exact rational hull, the double description of the cone over the
+    vertices at height 1; the two facet sets must agree.  Rays are the
     primitive inner facet normals; the maximal cone at a vertex is
     spanned by the normals of the facets through it.
     """
     gale = set(_cyclic_facets_gale())
     hull = _cyclic_facets_hull()
-    if {sub for sub, _, _ in hull} != gale:
+    if {tuple(sub) for sub, _ in hull} != gale:
         raise CrossCheckFailed(
             "facet oracles disagree: Gale evenness and rational hull "
             "produced different facet sets"
         )
-    rays = [normal for _, normal, _ in hull]
-    maximal = [
-        [fi for fi, (sub, _, _) in enumerate(hull) if k in sub] for k in range(7)
-    ]
+    rays = [normal for _, normal in hull]
+    maximal = [[fi for fi, (sub, _) in enumerate(hull) if k in sub] for k in range(7)]
     fan = from_maximal_cones(5, rays, maximal, name="cyclic57")
     assert len(fan.maximal_cones()) == 7
     return fan

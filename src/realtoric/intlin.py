@@ -14,7 +14,6 @@ IntMatrix = List[List[int]]
 
 __all__ = [
     "identity",
-    "determinant",
     "lin_rank",
     "quotient_with_section",
     "span_elimination",
@@ -29,32 +28,6 @@ def identity(n: int) -> IntMatrix:
         row[i] = 1
         out.append(row)
     return out
-
-
-def determinant(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in a), "matrix must be square"
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _column_step(

@@ -54,7 +54,6 @@ __all__ = [
     "real_complex",
     "betti_real",
     "g_pages",
-    "rightmost_column_split",
     "real_position_of_complex",
     "complex_position_of_real",
 ]
@@ -422,16 +421,3 @@ def g_pages(fan: Fan) -> Tuple[PageTable, PageTable]:
             g1_entries[(-k, m + k)] = cells - same[m] - same[m + 1]
     return PageTable("G0", g0_entries), PageTable("G1", g1_entries)
 
-
-def rightmost_column_split(fan: Fan) -> bool:
-    """Whether the real cellular complex splits off the span of the unit group
-    elements, the level-0 y-basis coordinates (the last |Delta^p| of degree p),
-    as a direct summand: the filtration gate keeps the other columns off
-    level-0 rows, so it does when level-0 columns meet level-0 rows only.
-    Then every differential leaving the rightmost G column vanishes."""
-    rc = real_complex(fan)
-    return all(
-        not r >> (b.ncols - len(fan.strata[p]))
-        for p, b in enumerate(rc.chain.boundaries, 1)
-        for r in b.rows[: b.nrows - len(fan.strata[p - 1])]
-    )

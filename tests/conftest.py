@@ -22,9 +22,8 @@ from realtoric.constructions import (
 )
 from realtoric.fan import Fan, from_maximal_cones, read_json
 from realtoric.gf2 import Mat2
-from realtoric.intlin import determinant
 
-from oracles import entry
+from oracles import determinant, entry
 
 settings.register_profile(
     "suite",

@@ -14,14 +14,25 @@ blocks, the induced projection of one facet pair and the dense y-basis
 change are the references for `gf2.exterior_powers`, `spectral._place`,
 `spectral._projection_groups` and `spectral._y_block`.  A scan of every
 triple of points is the reference for `constructions._hull3_facets`.
-`realtoric` never imports this module.
+The fraction-free Bareiss `determinant` is the integer reference for
+minors, cofactors and exterior powers.
+
+The checkers of the paper's lemmas, which the calculator does not run,
+read its pages and complexes and test what each lemma says of them:
+`betti_complex_nonsingular_complete` (the h-vector gives the complex Betti
+numbers of a complete nonsingular fan), `isolated_singularities_shape` (E2
+lies on two diagonals when every non-maximal cone is mod-2 regular),
+`dim3_kernel_analysis` (the one potentially dangerous higher differential
+in rank 3) and `rightmost_column_split` (the level-0 columns of the real
+complex split off).  `realtoric` never imports this module.
 """
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from realtoric.analysis import AnalysisError, WrongRank
 from realtoric.fan import Fan
 from realtoric.gf2 import (
     ChainComplex,
@@ -34,6 +45,7 @@ from realtoric.gf2 import (
     subset_shift_masks,
 )
 from realtoric.orbitalg import orbit_lattice
+from realtoric.spectral import e1_page, e2_dims, real_complex
 
 
 def entry(m: Mat2, i: int, j: int) -> int:
@@ -317,3 +329,179 @@ def hull3_facets(rays: Sequence[Tuple[int, ...]]) -> Optional[List[Tuple[int, ..
     if len(facets) != 2 * n - 4:
         return None
     return facets
+
+
+def determinant(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    n = len(a)
+    if n == 0:
+        return 1
+    assert all(len(row) == n for row in a), "matrix must be square"
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+class Inapplicable(AnalysisError):
+    pass
+
+
+class PreconditionFailed(AnalysisError):
+    def __init__(self, message: str, offenders: Sequence[int] = ()):
+        super().__init__(message)
+        self.offenders = tuple(offenders)
+
+
+def betti_complex_nonsingular_complete(fan: Fan) -> List[int]:
+    """Mod-2 Betti numbers b_0..b_{2n} of the complex points of a
+    complete nonsingular toric variety: even degrees carry the fan's
+    h-vector, odd degrees vanish."""
+    if not fan.is_complete():
+        raise Inapplicable("fan is not complete")
+    if not fan.is_nonsingular():
+        raise Inapplicable("fan is not nonsingular")
+    h = fan.h_vector()
+    out = [0] * (2 * fan.rank + 1)
+    for k, v in enumerate(h):
+        out[2 * k] = v
+    return out
+
+
+def _mod2_regular(fan: Fan, ci: int) -> bool:
+    """A cone is mod-2 regular when its rays are independent in N/2N (so
+    they extend to a basis of the mod-2 lattice)."""
+    cone = fan.cones[ci]
+    if len(cone.rays) != cone.dim:
+        return False
+    rows = [[c & 1 for c in fan.rays[i]] for i in cone.rays]
+    return Mat2.from_rows(rows, ncols=fan.rank).rank() == cone.dim
+
+
+def isolated_singularities_shape(fan: Fan) -> bool:
+    """For a complete fan all of whose non-maximal cones are mod-2
+    regular (singularities confined to the deepest orbits), the second
+    complex page must be supported on the two diagonals p = q and
+    p = q + 1; returns whether it is."""
+    if not fan.is_complete():
+        raise PreconditionFailed("fan is not complete")
+    maximal = set(fan.maximal_cones())
+    offenders = [
+        ci
+        for ci in range(len(fan.cones))
+        if ci not in maximal
+        and fan.cones[ci].dim > 0
+        and not _mod2_regular(fan, ci)
+    ]
+    if offenders:
+        raise PreconditionFailed(
+            "non-maximal cones are not mod-2 regular: "
+            + ", ".join(str(fan.cones[ci].rays) for ci in offenders),
+            offenders,
+        )
+    e2 = e2_dims(fan)
+    return all(d == 0 or p - q in (0, 1) for (p, q), d in e2.entries.items())
+
+
+class Dim3KernelReport(NamedTuple):
+    has_codim2_cones: bool
+    injective: Optional[bool]
+    kernel_dim: int
+    all_same_image: Optional[bool]
+    common_image: Optional[Tuple[int, ...]]
+    top_chain_kernel_dim: int
+    top_graded_kernel_dim: int
+    top_degeneration: bool
+    note: str
+
+
+def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
+    """Diagnostic for the one potentially dangerous higher differential
+    in rank 3.
+
+    Reports whether the q = 1 first-page differential out of the deepest
+    column is injective; when it is not, all codimension-2 cones must
+    share one mod-2 image (the kernel is the common line they span), and
+    degeneration at the top chain degree is confirmed by comparing the
+    kernel of the unfiltered top boundary with the summed kernels of its
+    graded pieces, both read from the pivots of its one reduction.
+    """
+    if fan.rank != 3:
+        raise WrongRank(f"kernel analysis needs rank 3, got {fan.rank}")
+    _, rows = e1_page(fan)
+    d_top = rows[1].boundaries[2]  # q=1 row, chain degrees 3 -> 2
+    kernel_dim = d_top.ncols - d_top.rank()
+
+    rc = real_complex(fan)
+    top = rc.pivot_levels[2]  # the pivots of the boundary out of chain degree 3
+    top_chain_kernel = rc.chain.dims[3] - sum(top.values())
+    top_graded_kernel = rc.chain.dims[3] - sum(c for (r, k), c in top.items() if r == k)
+
+    codim2 = fan.strata[2]
+    images = {
+        tuple(c & 1 for c in fan.rays[fan.cones[ci].rays[0]]) for ci in codim2
+    }
+    top_degeneration = top_chain_kernel == top_graded_kernel
+    if not codim2:
+        injective = all_same_image = common_image = None
+        note = "no codimension-2 cones: the target vanishes and injectivity is moot"
+    elif kernel_dim == 0:
+        injective, all_same_image = True, len(images) == 1
+        common_image = next(iter(images)) if all_same_image else None
+        note = (
+            "q=1 differential out of the deepest column is injective; "
+            "no dangerous higher differential"
+        )
+    elif len(images) != 1:
+        raise CrossCheckFailed(
+            "non-injective q=1 differential but codimension-2 cones carry "
+            "distinct mod-2 images; kernel reasoning is broken"
+        )
+    else:
+        injective, all_same_image, common_image = False, True, next(iter(images))
+        note = (
+            "all codimension-2 cones share one mod-2 image; the graded "
+            "and unfiltered top kernels agree, so the dangerous "
+            "differential vanishes"
+            if top_degeneration
+            else "graded and unfiltered top kernels differ"
+        )
+    return Dim3KernelReport(
+        has_codim2_cones=bool(codim2),
+        injective=injective,
+        kernel_dim=kernel_dim,
+        all_same_image=all_same_image,
+        common_image=common_image,
+        top_chain_kernel_dim=top_chain_kernel,
+        top_graded_kernel_dim=top_graded_kernel,
+        top_degeneration=top_degeneration,
+        note=note,
+    )
+
+
+def rightmost_column_split(fan: Fan) -> bool:
+    """Whether the real cellular complex splits off the span of the unit group
+    elements, the level-0 y-basis coordinates (the last |Delta^p| of degree p),
+    as a direct summand: the filtration gate keeps the other columns off
+    level-0 rows, so it does when level-0 columns meet level-0 rows only.
+    Then every differential leaving the rightmost G column vanishes."""
+    rc = real_complex(fan)
+    return all(
+        not r >> (b.ncols - len(fan.strata[p]))
+        for p, b in enumerate(rc.chain.boundaries, 1)
+        for r in b.rows[: b.nrows - len(fan.strata[p - 1])]
+    )

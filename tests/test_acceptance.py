@@ -18,13 +18,14 @@ from oracles import (
     exterior_power,
     graded_piece_basis,
     identity,
+    isolated_singularities_shape,
+    rightmost_column_split,
     submatrix,
     y_basis_change,
 )
 
 from realtoric.analysis import (
     dim3_theorem_batch,
-    isolated_singularities_shape,
     m_verdict,
     surface_betti_oracle,
 )
@@ -50,7 +51,6 @@ from realtoric.spectral import (
     g_pages,
     real_complex,
     real_position_of_complex,
-    rightmost_column_split,
 )
 
 

@@ -5,21 +5,24 @@ import json
 import tracemalloc
 from collections import Counter
 
+import oracles
 import pytest
+from oracles import (
+    Dim3KernelReport,
+    Inapplicable,
+    PreconditionFailed,
+    betti_complex_nonsingular_complete,
+    dim3_kernel_analysis,
+    isolated_singularities_shape,
+)
 
 from realtoric import analysis
 from realtoric.analysis import (
     BatchReport,
-    Dim3KernelReport,
-    Inapplicable,
     NotComplete,
-    PreconditionFailed,
     TheoremViolation,
     WrongRank,
-    betti_complex_nonsingular_complete,
-    dim3_kernel_analysis,
     dim3_theorem_batch,
-    isolated_singularities_shape,
     m_verdict,
     surface_betti_oracle,
 )
@@ -304,7 +307,7 @@ def test_kernel_analysis_sees_a_pivot_across_levels(cubefan, monkeypatch):
     # no tested real complex has a pivot across levels, so move one (k, k)
     # pivot of the top boundary to (k + 1, k): its rank stays, and the graded
     # kernels now exceed the unfiltered one by that pivot
-    real_complex = analysis.real_complex
+    real_complex = oracles.real_complex
 
     def across(fan):
         rc = real_complex(fan)
@@ -313,7 +316,7 @@ def test_kernel_analysis_sees_a_pivot_across_levels(cubefan, monkeypatch):
         top[2, 1] += 1
         return rc._replace(pivot_levels=rc.pivot_levels[:2] + [top])
 
-    monkeypatch.setattr(analysis, "real_complex", across)
+    monkeypatch.setattr(oracles, "real_complex", across)
     rep = dim3_kernel_analysis(cubefan)
     assert rep.top_chain_kernel_dim == 4
     assert rep.top_graded_kernel_dim == 5

@@ -24,6 +24,7 @@ from realtoric.constructions import (
     weighted_projective_fan,
 )
 from realtoric.fan import NotPointed, ValidationError, fan_to_json, from_maximal_cones
+from realtoric.gf2 import CrossCheckFailed
 from realtoric.spectral import betti_real, e2_dims
 
 from oracles import hull3_facets
@@ -233,6 +234,16 @@ def test_cyclic_fan_structure(cyclic_fan):
 
 def test_cyclic_fan_deterministic(cyclic_fan):
     assert fan_to_json(cyclic_polytope_normal_fan()) == fan_to_json(cyclic_fan)
+
+
+def test_cyclic_fan_refuses_facet_oracles_that_disagree(monkeypatch):
+    # Gale evenness and the rational hull cross-check each other: a facet
+    # missing from one of them stops the build
+    gale = constructions._cyclic_facets_gale()
+    assert len(gale) == 12
+    monkeypatch.setattr(constructions, "_cyclic_facets_gale", lambda: gale[:-1])
+    with pytest.raises(CrossCheckFailed, match="^facet oracles disagree"):
+        cyclic_polytope_normal_fan()
 
 
 def test_random_fan_determinism_and_variation():

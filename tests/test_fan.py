@@ -11,6 +11,7 @@ from operator import mul
 import pytest
 import realtoric.fan
 from conftest import mat_mul, mat_vec, oracle_fans, random_unimodular
+from oracles import determinant
 from sympy import ZZ, Matrix, eye
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -45,7 +46,6 @@ from realtoric.fan import (
     write_json,
 )
 from realtoric.intlin import (
-    determinant,
     lin_rank,
     primitive_vector,
     quotient_with_section,
@@ -218,8 +218,9 @@ def _brute_cone_faces(vectors):
 
 def _random_cone(rng, rank):
     """Primitive vectors in the open half-space x_0 > 0, more of them than
-    the rank; every third cone lies in the hyperplane x_{rank-1} = 0."""
-    flat = rng.randrange(3) == 0
+    the rank; above rank 2, every third cone lies in the hyperplane
+    x_{rank-1} = 0 (in rank 2 that line holds one such vector only)."""
+    flat = rank > 2 and rng.randrange(3) == 0
     vectors = set()
     while len(vectors) < rank + rng.randint(1, 4):
         v = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(rank - 1)]
@@ -280,6 +281,8 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
     negative = sum(any(h[i][i] < 0 for i in range(len(h[0]))) for h in pivots)
     assert sum(len(vs) < rank for rank, vs in simplicial) >= 20 and negative >= 20
     cones += simplicial
+    rank2 = random.Random(5003)
+    cones += [(2, _random_cone(rank2, 2)) for _ in range(10)]
     for rank, vectors in cones:
         geo = _cone_geometry(rank, vectors)
         facets, faces, nonextreme, pointed = _brute_cone_faces(vectors)

@@ -14,6 +14,7 @@ from conftest import minors_mod2
 from oracles import (
     assemble_blocks,
     dense_d_o_d,
+    determinant,
     entry,
     exterior_power,
     from_cols,
@@ -25,7 +26,6 @@ from oracles import (
 )
 
 from realtoric.gf2 import ChainComplex, Mat2, exterior_powers
-from realtoric.intlin import determinant
 
 bit_rows = st.lists(st.integers(0, 1), min_size=1, max_size=6)
 

@@ -8,6 +8,7 @@ from math import gcd
 import hypothesis.strategies as st
 from conftest import mat_mul, mat_vec
 from hypothesis import given
+from oracles import determinant
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -15,7 +16,6 @@ from realtoric.intlin import (
     _column_step,
     _echelon,
     _prefix_eliminations,
-    determinant,
     identity,
     lin_rank,
     primitive_vector,

@@ -15,6 +15,7 @@ from oracles import (
     entry,
     exterior_power,
     induced_projection_mod2,
+    rightmost_column_split,
     submatrix,
     y_basis_change,
 )
@@ -43,7 +44,6 @@ from realtoric.spectral import (
     g_pages,
     real_complex,
     real_position_of_complex,
-    rightmost_column_split,
 )
 
 SMALL_FANS = lambda: [

@@ -11,9 +11,9 @@ timing each:
 
   build            fan_from_json (cone geometry, face lattice, and pair
                    validation at rank <= 4)
-  orbit_lattices   orbit_lattice of every cone
-  projections      _projection_groups: every facet pair's induced
-                   projection mod 2 with its face check, and the
+  projections      _projection_groups: each cone's projection and section
+                   from the build reduced mod 2, every facet pair's
+                   induced projection mod 2 with its face check, and the
                    surjectivity check of each distinct projection
   e1_e2            e2_dims (E1 assembly and its row homology); it also
                    pays the d o d signature walk, which runs first here
@@ -66,7 +66,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 CORPUS = ("cyclic57", "p6", "p7", "p2xp2xp1", "p1^6", "p1^7")
 STAGES = (
-    "build", "orbit_lattices", "projections", "e1_e2",
+    "build", "projections", "e1_e2",
     "real_complex", "g_pages", "m_verdict", "build_validated",
 )
 REPEATS = 15
@@ -77,7 +77,6 @@ def run_stages(path: str) -> dict:
     """Time the pipeline stages on the fan in `path`, in this process."""
     from realtoric.analysis import m_verdict
     from realtoric.fan import fan_from_json
-    from realtoric.orbitalg import orbit_lattice
     from realtoric.spectral import _projection_groups, betti_real, e2_dims, g_pages
 
     with open(path, encoding="utf-8") as fh:
@@ -87,7 +86,6 @@ def run_stages(path: str) -> dict:
     fan = fan_from_json(text)
     ms["build"] = time.perf_counter() - t
     steps = (
-        ("orbit_lattices", lambda: [orbit_lattice(fan, ci) for ci in range(len(fan.cones))]),
         ("projections", lambda: _projection_groups(fan)),
         ("e1_e2", lambda: e2_dims(fan)),
         ("real_complex", lambda: betti_real(fan)),

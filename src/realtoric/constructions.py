@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .fan import Fan, ValidationError, _bits, _cone_geometry, _count_cells, from_maximal_cones
 from .gf2 import CrossCheckFailed
-from .intlin import lin_rank, primitive_vector, quotient_with_section
+from .intlin import primitive_vector, span_elimination
 
 __all__ = [
     "projective_space_fan",
@@ -91,7 +91,7 @@ def weighted_projective_fan(*weights: int) -> Fan:
         raise ValueError("weights must have gcd 1")
     n = len(weights) - 1
     _count_cells(0, n)  # the zero cone, before the (n + 1)-square elimination
-    proj, _ = quotient_with_section(n + 1, [tuple(weights)])
+    proj = span_elimination(n + 1, [weights])[2]
     rays = [tuple(row[i] for row in proj) for i in range(n + 1)]
     for i, v in enumerate(rays):
         if gcd(*v) != 1:
@@ -295,7 +295,7 @@ def _random_affine(rng: random.Random, rank: int) -> Fan:
         if count <= rank:
             # independent rays span a simplicial cone, pointed with every ray
             # extreme, which affine_fan accepts
-            if lin_rank(rays) == count:
+            if span_elimination(rank, rays)[4] == count:
                 return affine_fan(rank, rays)
             continue
         # the cone's own geometry rejects what affine_fan would, unbuilt

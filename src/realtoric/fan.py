@@ -133,10 +133,6 @@ class Cone(NamedTuple):
         return f"Cone(rays={list(self.rays)}, dim={self.dim})"
 
 
-# (P, R) of a cone: its orbit projection and an integer section of it
-_Quotient = Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]
-
-
 class _ConeGeometry(NamedTuple):
     """A cone's face data, every ray set a bitmask over the ray labels."""
 
@@ -224,7 +220,7 @@ def _cone_geometry(
     h, u, proj, sect, d = span_elimination(rank, vectors)
     if comb(k, d - 1) > budget:
         raise ResourceLimitExceeded(
-            f"the facet search would try more than {FACET_SUBSET_LIMIT} ray subsets"
+            f"the facet searches would count more than {FACET_SUBSET_LIMIT} ray subsets"
         )
 
     # facet zero set -> local normal
@@ -359,9 +355,8 @@ class Fan:
         cones: Tuple[Cone, ...],
         name: Optional[str],
         facets: Tuple[Tuple[int, ...], ...],
-        quotients: Tuple[_Quotient, ...],
+        quotients: Tuple[Tuple[IntMatrix, IntMatrix], ...],
         ray_masks: Tuple[int, ...],
-        index: Dict[int, int],
         strata: Tuple[Tuple[int, ...], ...],
     ):
         self.rank = rank
@@ -371,7 +366,6 @@ class Fan:
         self._facets = facets
         self._quotients = quotients
         self.ray_masks = ray_masks
-        self._index = index  # ray mask -> cone index
         self.strata = strata
         # a cone that is a proper face of another is a facet of one
         proper = {si for fs in facets for si in fs}
@@ -385,33 +379,15 @@ class Fan:
             f"cones={len(self.cones)}{label})"
         )
 
-    def cone_index(self, ray_indices: Sequence[int]) -> int:
-        return self._index[_mask(ray_indices)]
-
-    def cone_vectors(self, ci: int) -> List[Tuple[int, ...]]:
-        return [self.rays[i] for i in self.cones[ci].rays]
-
-    def faces_of(self, ci: int) -> Tuple[int, ...]:
-        """Cone ci and all its faces, in cone order: its facets, theirs,
-        and so on down to the zero cone."""
-        faces, frontier = {ci}, {ci}
-        while frontier:
-            frontier = {si for ti in frontier for si in self._facets[ti]} - faces
-            faces |= frontier
-        return tuple(sorted(faces))
-
-    def orbit_quotient(self, ci: int) -> _Quotient:
+    def orbit_quotient(self, ci: int) -> Tuple[IntMatrix, IntMatrix]:
         """(P, R) for cone ci: P maps the lattice onto Z^codim with kernel
         the saturated span of the cone's rays, R is an integer right
-        inverse (P @ R = I).  Both come from the cone's one elimination at
-        build time."""
+        inverse (P @ R = I).  Both are the lists of the cone's one
+        elimination at build time, which callers must not mutate."""
         return self._quotients[ci]
 
     def maximal_cones(self) -> Tuple[int, ...]:
         return self._maximal
-
-    def is_simplicial(self) -> bool:
-        return all(len(c.rays) == c.dim for c in self.cones)
 
     @_per_fan
     def facet_pairs(self) -> List[Tuple[int, int]]:
@@ -445,46 +421,6 @@ class Fan:
                 v = next(self.rays[i] for i in self.cones[ci].rays if i not in wall)
                 sides[wi].append(sum(map(mul, self.orbit_quotient(wi)[0][0], v)))
         return all(len(s) == 2 and s[0] * s[1] < 0 for s in sides.values())
-
-    def is_nonsingular(self) -> bool:
-        """True iff every cone's rays form part of a lattice basis.
-
-        A subset of a basis is part of a basis, so only the maximal cones
-        are checked.  Independent rays span a lattice of index
-        |prod of the pivots| in its saturation, read off the diagonal of H
-        in their `span_elimination` U @ A = [H; 0].
-        """
-        for ci in self._maximal:
-            c = self.cones[ci]
-            if len(c.rays) != c.dim:
-                return False
-            h = span_elimination(self.rank, self.cone_vectors(ci))[0]
-            if any(abs(h[i][i]) != 1 for i in range(c.dim)):
-                return False
-        return True
-
-    def f_vector(self) -> List[int]:
-        """[f_{-1}, f_0, ..., f_{n-1}] where f_{k} counts (k+1)-dimensional cones."""
-        counts = [0] * (self.rank + 1)
-        for c in self.cones:
-            counts[c.dim] += 1
-        return counts
-
-    def h_vector(self) -> List[int]:
-        """Binomial transform of the f-vector.
-
-        Meaningful as a Betti vector only for complete simplicial fans;
-        computed unconditionally.
-        """
-        f = self.f_vector()
-        n = self.rank
-        return [
-            sum(
-                (-1) ** (k - i) * comb(n - i, k - i) * f[i]
-                for i in range(k + 1)
-            )
-            for k in range(n + 1)
-        ]
 
     def to_json_dict(self) -> dict:
         out = {
@@ -686,10 +622,6 @@ def from_maximal_cones(
         tuple(index[f] for f in {t & z for z in outer[t]} if dim_rays[f][0] == dim_rays[t][0] - 1)
         for t in cone_list
     )
-    cone_quotients = tuple(
-        (tuple(map(tuple, quotients[m][0])), tuple(map(tuple, quotients[m][1])))
-        for m in cone_list
-    )
 
     strata: List[List[int]] = [[] for _ in range(rank + 1)]
     for i, m in enumerate(cone_list):
@@ -700,8 +632,8 @@ def from_maximal_cones(
             _check_pair(ray_list, a, geo_a, b, geo_b)
 
     return Fan(
-        rank, tuple(ray_list), cones, name, facets, cone_quotients,
-        tuple(cone_list), index, tuple(map(tuple, strata)),
+        rank, tuple(ray_list), cones, name, facets, tuple(map(quotients.__getitem__, cone_list)),
+        tuple(cone_list), tuple(map(tuple, strata)),
     )
 
 

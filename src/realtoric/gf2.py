@@ -63,9 +63,6 @@ class Mat2:
                 mask |= 1 << i
         return mask
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Mat2)

@@ -14,8 +14,6 @@ IntMatrix = List[List[int]]
 
 __all__ = [
     "identity",
-    "lin_rank",
-    "quotient_with_section",
     "span_elimination",
     "primitive_vector",
 ]
@@ -37,9 +35,9 @@ def _column_step(
 
     Returns (col, U', W', r') with col = U' @ vec, the new column of H:
     rows r.. of col are cleared below the pivot by Euclid's algorithm on
-    the entry of least magnitude, each row operation applied to U and, when
-    kept (non-empty), to W.  The given lists are not changed, so the state
-    (U, W, r) can be extended again by another column.
+    the entry of least magnitude, each row operation applied to U and W.
+    The given lists are not changed, so the state (U, W, r) can be
+    extended again by another column.
     """
     col = [sum(map(mul, row, vec)) for row in u]
     u, w = u[:], w[:]
@@ -59,8 +57,7 @@ def _column_step(
             # the order of their rays, and induced projections repeat
             col.insert(r, col.pop(piv))
             u.insert(r, u.pop(piv))
-            if w:
-                w.insert(r, w.pop(piv))
+            w.insert(r, w.pop(piv))
         ur = u[r]
         done = True
         for i in range(r + 1, nrows):
@@ -69,27 +66,23 @@ def _column_step(
                 # row i -= q * row r, so column r of U^-1 += q * column i
                 col[i] -= q * val
                 u[i] = [x - q * y for x, y in zip(u[i], ur)]
-                if w:
-                    w[r] = [x + q * y for x, y in zip(w[r], w[i])]
+                w[r] = [x + q * y for x, y in zip(w[r], w[i])]
             if col[i]:
                 done = False
         if done:
             return col, u, w, r + 1
 
 
-def _echelon(
-    a: Sequence[Sequence[int]], inverse: bool
-) -> Tuple[IntMatrix, IntMatrix, IntMatrix, int]:
+def _echelon(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     """Unimodular row elimination of the matrix a (a list of rows), one
     `_column_step` per column.
 
     Returns (H, U, W, r) with U @ a = H, U unimodular and H in row echelon
-    form whose first r rows are its non-zero ones, so r is the rank of a.
-    With inverse set, W is the transpose of U^-1 (row i of W is column i
-    of U^-1); otherwise W is empty.
+    form whose first r rows are its non-zero ones, so r is the rank of a,
+    and W is the transpose of U^-1 (row i of W is column i of U^-1).
     """
     u = identity(len(a))
-    w = identity(len(a)) if inverse else []
+    w = identity(len(a))
     r = 0
     cols = []
     for vec in zip(*a):
@@ -102,12 +95,11 @@ def _echelon(
 def _prefix_eliminations(
     n: int, tuples: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]]
 ) -> Iterator[Tuple[IntMatrix, IntMatrix, int]]:
-    """(U, W, r) of `_echelon`, with the inverse kept, on the columns
-    vectors[i], i in t, of length n, for each tuple t in turn.  The states
-    of the prefixes t shares with the tuple before it are kept on a stack,
-    one per prefix length, and extended by one `_column_step` per further
-    index, so tuples visited in lexicographic order share their prefixes'
-    eliminations.
+    """(U, W, r) of `_echelon` on the columns vectors[i], i in t, of length
+    n, for each tuple t in turn.  The states of the prefixes t shares with
+    the tuple before it are kept on a stack, one per prefix length, and
+    extended by one `_column_step` per further index, so tuples visited in
+    lexicographic order share their prefixes' eliminations.
     """
     stack = [(identity(n), identity(n), 0)]
     prev: Sequence[int] = ()
@@ -124,11 +116,6 @@ def _prefix_eliminations(
         yield stack[-1]
 
 
-def lin_rank(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of a list of integer vectors."""
-    return _echelon(vectors, False)[3]
-
-
 def span_elimination(
     rank: int, vectors: Sequence[Sequence[int]]
 ) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, int]:
@@ -142,7 +129,7 @@ def span_elimination(
     right inverse of P.
     """
     assert all(len(vec) == rank for vec in vectors), "vector length must match ambient rank"
-    h, u, w, r = _echelon(list(zip(*vectors)) or [()] * rank, True)
+    h, u, w, r = _echelon(list(zip(*vectors)) or [()] * rank)
     return (h, u) + _quotient(u, w, r) + (r,)
 
 
@@ -150,20 +137,6 @@ def _quotient(u: IntMatrix, w: IntMatrix, r: int) -> Tuple[IntMatrix, IntMatrix]
     """(P, R) of an elimination (U, W, r): P is rows r.. of U and R is
     columns r.. of U^-1, read off W."""
     return u[r:], [list(col) for col in zip(*w[r:])] or [[] for _ in u]
-
-
-def quotient_with_section(
-    rank: int, vectors: Sequence[Sequence[int]]
-) -> Tuple[IntMatrix, IntMatrix]:
-    """Projection P of Z^rank onto the quotient by the saturation of the
-    span of the vectors, together with an integer right inverse R.
-
-    P has shape (rank - r) x rank, R has shape rank x (rank - r), and
-    P @ R is the identity; the kernel of P is exactly the saturation.
-    Both come from `span_elimination`.
-    """
-    _, _, proj, sect, _ = span_elimination(rank, vectors)
-    return proj, sect
 
 
 def primitive_vector(vec: Sequence[int]) -> Tuple[int, ...]:

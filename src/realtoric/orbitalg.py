@@ -1,4 +1,4 @@
-"""Orbit lattices and the mod-2 group algebra of 2-torsion tori.
+"""The mod-2 group algebra of the 2-torsion tori of the orbits.
 
 For a cone of codimension p the quotient lattice has rank p; its mod-2
 reduction V is an F_2 vector space of dimension p, and the 2-torsion
@@ -7,7 +7,8 @@ finite group is the group algebra F_2[V], with elements bit-packed over
 the 2^p group elements.
 
 The induced projections of the facet pairs, bit products of the two
-cones' mod-2 lattice data, are grouped by `spectral._projection_groups`.
+cones' projection and section reduced mod 2, are grouped by
+`spectral._projection_groups`.
 The group-algebra map of a linear map m fills its image table one low
 bit at a time: the image of g is that of g without its low bit, plus the
 column of m at that bit.
@@ -15,49 +16,14 @@ column of m at that bit.
 from __future__ import annotations
 
 from math import comb
-from typing import List, NamedTuple, Tuple
+from typing import List
 
-from .fan import Fan, _per_fan
 from .gf2 import Mat2
 
 __all__ = [
-    "OrbitLattice",
-    "orbit_lattice",
     "group_algebra_map",
     "augmentation_filtration_dims",
 ]
-
-
-class OrbitLattice(NamedTuple):
-    """Quotient lattice data for one cone.
-
-    projection maps the ambient lattice onto Z^codim with kernel the
-    saturated span of the cone's rays; section is an integer right inverse.
-    mod2 and section_mod2 are the two reduced mod 2.
-    """
-
-    cone: int
-    codim: int
-    projection: Tuple[Tuple[int, ...], ...]
-    section: Tuple[Tuple[int, ...], ...]
-    mod2: Mat2
-    section_mod2: Mat2
-
-
-@_per_fan
-def orbit_lattice(fan: Fan, ci: int) -> OrbitLattice:
-    """Projection of the ambient lattice onto the orbit lattice of cone ci:
-    the cone's projection and section from the fan build, reduced mod 2."""
-    proj, sect = fan.orbit_quotient(ci)
-    codim = fan.rank - fan.cones[ci].dim
-    return OrbitLattice(
-        cone=ci,
-        codim=codim,
-        projection=proj,
-        section=sect,
-        mod2=Mat2.from_rows(proj, ncols=fan.rank),
-        section_mod2=Mat2.from_rows(sect, ncols=codim),
-    )
 
 
 def group_algebra_map(m: Mat2) -> Mat2:

@@ -44,7 +44,7 @@ from .gf2 import (
     ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, exterior_powers, subset_masks,
     subset_shift_masks,
 )
-from .orbitalg import augmentation_filtration_dims, group_algebra_map, orbit_lattice
+from .orbitalg import augmentation_filtration_dims, group_algebra_map
 
 __all__ = [
     "PageTable",
@@ -81,9 +81,6 @@ class PageTable(NamedTuple):
         """Flat [(p, q, dim)] listing, sorted by position."""
         return [(p, q, d) for (p, q), d in sorted(self.entries.items())]
 
-    def nonzero(self) -> List[Tuple[int, int, int]]:
-        return [(p, q, d) for (p, q), d in sorted(self.entries.items()) if d]
-
 
 def real_position_of_complex(p: int, q: int) -> Tuple[int, int]:
     """E-page position (p, q) viewed on the G side: (-q, p + q)."""
@@ -102,21 +99,22 @@ def _projection_groups(fan: Fan) -> List[List[Tuple[Mat2, List[Tuple[int, int]]]
     each as (m, its pairs' (row block, column block) positions): the block
     of ti in stratum p - 1, of si in stratum p.
 
-    Each pair's projection is the bit product of ti's mod2 rows and si's
-    section_mod2 rows, grouped by its row tuple; the face check runs on every
-    pair, and the surjectivity check once per distinct row tuple, which
-    every pair with that projection shares."""
+    Each cone's projection P and section R (`Fan.orbit_quotient`) are
+    packed mod 2 once; a pair's projection is the bit product of ti's P
+    rows and si's R rows, grouped by its row tuple.  The face check runs on
+    every pair, and the surjectivity check once per distinct row tuple,
+    which every pair with that projection shares."""
     pos = {ci: j for stratum in fan.strata for j, ci in enumerate(stratum)}
-    lattices = [orbit_lattice(fan, ci) for ci in range(len(fan.cones))]
-    mod2 = [ol.mod2.rows for ol in lattices]
-    section = [ol.section_mod2.rows for ol in lattices]
+    quotients = [fan.orbit_quotient(ci) for ci in range(len(fan.cones))]
+    mod2 = [Mat2.from_rows(proj).rows for proj, _ in quotients]
+    section = [Mat2.from_rows(sect).rows for _, sect in quotients]
     masks = fan.ray_masks
     by_rows: List[Dict[Tuple[int, ...], List[Tuple[int, int]]]] = [{} for _ in fan.strata]
     for si, ti in fan.facet_pairs():
         if masks[si] & ~masks[ti]:
             raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
         rows = _mul_rows(mod2[ti], section[si])
-        seen = by_rows[lattices[si].codim]
+        seen = by_rows[len(quotients[si][0])]
         where = seen.get(rows)
         if where is None:
             if _rank(rows) != len(rows):

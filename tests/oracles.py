@@ -15,7 +15,14 @@ change are the references for `gf2.exterior_powers`, `spectral._place`,
 `spectral._projection_groups` and `spectral._y_block`.  A scan of every
 triple of points is the reference for `constructions._hull3_facets`.
 The fraction-free Bareiss `determinant` is the integer reference for
-minors, cofactors and exterior powers.
+minors, cofactors and exterior powers.  A sympy `lin_rank` and a fresh
+`span_elimination` (`quotient_with_section`) are the references for each
+cone's dimension and (P, R), and `orbit_lattice` reduces a cone's (P, R)
+mod 2 for `induced_projection_mod2`.  The questions the calculator never
+asks of a `Fan` (`cone_index`, `cone_vectors`, `faces_of`,
+`is_simplicial`, `is_nonsingular`, `f_vector`, `h_vector`), of a `Mat2`
+(`is_zero`) and of a `PageTable` (`nonzero`) are answered here for the
+tests.
 
 The checkers of the paper's lemmas, which the calculator does not run,
 read its pages and complexes and test what each lemma says of them:
@@ -32,8 +39,10 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from sympy import Matrix
+
 from realtoric.analysis import AnalysisError, WrongRank
-from realtoric.fan import Fan
+from realtoric.fan import Fan, _mask
 from realtoric.gf2 import (
     ChainComplex,
     CrossCheckFailed,
@@ -44,8 +53,8 @@ from realtoric.gf2 import (
     subset_masks,
     subset_shift_masks,
 )
-from realtoric.orbitalg import orbit_lattice
-from realtoric.spectral import e1_page, e2_dims, real_complex
+from realtoric.intlin import IntMatrix, span_elimination
+from realtoric.spectral import PageTable, e1_page, e2_dims, real_complex
 
 
 def entry(m: Mat2, i: int, j: int) -> int:
@@ -83,6 +92,10 @@ def from_cols(nrows: int, col_masks: Sequence[int]) -> Mat2:
 
 def identity(n: int) -> Mat2:
     return Mat2(n, n, [1 << i for i in range(n)])
+
+
+def is_zero(m: Mat2) -> bool:
+    return not any(m.rows)
 
 
 def submatrix(m: Mat2, row_idx: Sequence[int], col_idx: Sequence[int]) -> Mat2:
@@ -145,7 +158,7 @@ def dense_d_o_d(boundaries: Sequence[Mat2]) -> None:
     """Raise CrossCheckFailed at the first k with boundaries[k] @
     boundaries[k + 1] != 0, boundaries[k] mapping degree k + 1 to degree k."""
     for k in range(len(boundaries) - 1):
-        if not (boundaries[k] @ boundaries[k + 1]).is_zero():
+        if not is_zero(boundaries[k] @ boundaries[k + 1]):
             raise CrossCheckFailed(f"d o d != 0 between degrees {k + 2} and {k}")
 
 
@@ -223,6 +236,13 @@ class GroupAlgebraElement:
         return f"GroupAlgebraElement(rank={self.rank}, bits={self.bits:#x})"
 
 
+def orbit_lattice(fan: Fan, ci: int) -> Tuple[Mat2, Mat2]:
+    """The projection and section of cone ci's orbit lattice,
+    `Fan.orbit_quotient`, reduced mod 2."""
+    proj, sect = fan.orbit_quotient(ci)
+    return Mat2.from_rows(proj, ncols=fan.rank), Mat2.from_rows(sect, ncols=len(proj))
+
+
 def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     """Mod-2 matrix of the surjection from the orbit space of cone si onto
     that of cone ti, for si a face of ti.
@@ -233,11 +253,11 @@ def induced_projection_mod2(fan: Fan, si: int, ti: int) -> Mat2:
     """
     if fan.ray_masks[si] & ~fan.ray_masks[ti]:
         raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
-    source, target = orbit_lattice(fan, si), orbit_lattice(fan, ti)
-    rows = _mul_rows(target.mod2.rows, source.section_mod2.rows)
+    (target, _), (_, source) = orbit_lattice(fan, ti), orbit_lattice(fan, si)
+    rows = _mul_rows(target.rows, source.rows)
     if _rank(rows) != len(rows):
         raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
-    return Mat2(target.codim, source.codim, rows)
+    return Mat2(target.nrows, source.ncols, rows)
 
 
 def y_basis_change(rank: int) -> Mat2:
@@ -357,6 +377,88 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def lin_rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of a list of integer vectors, by sympy."""
+    return Matrix(vectors).rank()
+
+
+def quotient_with_section(
+    rank: int, vectors: Sequence[Sequence[int]]
+) -> Tuple[IntMatrix, IntMatrix]:
+    """(P, R) of a fresh `span_elimination` of the vectors in Z^rank."""
+    _, _, proj, sect, _ = span_elimination(rank, vectors)
+    return proj, sect
+
+
+def cone_index(fan: Fan, ray_indices: Sequence[int]) -> int:
+    return fan.ray_masks.index(_mask(ray_indices))
+
+
+def cone_vectors(fan: Fan, ci: int) -> List[Tuple[int, ...]]:
+    return [fan.rays[i] for i in fan.cones[ci].rays]
+
+
+def faces_of(fan: Fan, ci: int) -> Tuple[int, ...]:
+    """Cone ci and all its faces, in cone order: its facets, theirs,
+    and so on down to the zero cone."""
+    faces, frontier = {ci}, {ci}
+    while frontier:
+        frontier = {si for ti in frontier for si in fan._facets[ti]} - faces
+        faces |= frontier
+    return tuple(sorted(faces))
+
+
+def is_simplicial(fan: Fan) -> bool:
+    return all(len(c.rays) == c.dim for c in fan.cones)
+
+
+def is_nonsingular(fan: Fan) -> bool:
+    """True iff every cone's rays form part of a lattice basis.
+
+    A subset of a basis is part of a basis, so only the maximal cones
+    are checked.  Independent rays span a lattice of index
+    |prod of the pivots| in its saturation, read off the diagonal of H
+    in their `span_elimination` U @ A = [H; 0].
+    """
+    for ci in fan.maximal_cones():
+        c = fan.cones[ci]
+        if len(c.rays) != c.dim:
+            return False
+        h = span_elimination(fan.rank, cone_vectors(fan, ci))[0]
+        if any(abs(h[i][i]) != 1 for i in range(c.dim)):
+            return False
+    return True
+
+
+def f_vector(fan: Fan) -> List[int]:
+    """[f_{-1}, f_0, ..., f_{n-1}] where f_{k} counts (k+1)-dimensional cones."""
+    counts = [0] * (fan.rank + 1)
+    for c in fan.cones:
+        counts[c.dim] += 1
+    return counts
+
+
+def h_vector(fan: Fan) -> List[int]:
+    """Binomial transform of the f-vector.
+
+    Meaningful as a Betti vector only for complete simplicial fans;
+    computed unconditionally.
+    """
+    f = f_vector(fan)
+    n = fan.rank
+    return [
+        sum(
+            (-1) ** (k - i) * comb(n - i, k - i) * f[i]
+            for i in range(k + 1)
+        )
+        for k in range(n + 1)
+    ]
+
+
+def nonzero(table: PageTable) -> List[Tuple[int, int, int]]:
+    return [(p, q, d) for (p, q), d in sorted(table.entries.items()) if d]
+
+
 class Inapplicable(AnalysisError):
     pass
 
@@ -373,9 +475,9 @@ def betti_complex_nonsingular_complete(fan: Fan) -> List[int]:
     h-vector, odd degrees vanish."""
     if not fan.is_complete():
         raise Inapplicable("fan is not complete")
-    if not fan.is_nonsingular():
+    if not is_nonsingular(fan):
         raise Inapplicable("fan is not nonsingular")
-    h = fan.h_vector()
+    h = h_vector(fan)
     out = [0] * (2 * fan.rank + 1)
     for k, v in enumerate(h):
         out[2 * k] = v

@@ -17,7 +17,10 @@ from oracles import (
     entry,
     exterior_power,
     graded_piece_basis,
+    h_vector,
     identity,
+    is_nonsingular,
+    is_zero,
     isolated_singularities_shape,
     rightmost_column_split,
     submatrix,
@@ -141,8 +144,8 @@ def test_criterion_4_h_vector_identity():
         hirzebruch_fan(2),
     ]
     for fan in fans:
-        assert fan.is_nonsingular()
-        assert betti_real(fan) == fan.h_vector(), fan.name
+        assert is_nonsingular(fan)
+        assert betti_real(fan) == h_vector(fan), fan.name
 
 
 def test_criterion_5_dimension_three_batch():
@@ -231,11 +234,11 @@ def test_criterion_7_structural_invariants(cyclic_fan):
     for fan in examples:
         rc = real_complex(fan)
         for a, b in zip(rc.chain.boundaries, rc.chain.boundaries[1:]):
-            assert (a @ b).is_zero()
+            assert is_zero(a @ b)
         _, rows = e1_page(fan)
         for cc in rows.values():
             for a, b in zip(cc.boundaries, cc.boundaries[1:]):
-                assert (a @ b).is_zero()
+                assert is_zero(a @ b)
         for k in range(fan.rank + 1):
             graded = [
                 submatrix(
@@ -246,7 +249,7 @@ def test_criterion_7_structural_invariants(cyclic_fan):
                 for p, b in enumerate(rc.chain.boundaries)
             ]
             for a, b in zip(graded, graded[1:]):
-                assert (a @ b).is_zero()
+                assert is_zero(a @ b)
 
     rng = random.Random(70707)
     for fan in examples:

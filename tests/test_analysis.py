@@ -13,6 +13,7 @@ from oracles import (
     PreconditionFailed,
     betti_complex_nonsingular_complete,
     dim3_kernel_analysis,
+    is_nonsingular,
     isolated_singularities_shape,
 )
 
@@ -218,7 +219,7 @@ def test_theorem_violation_carries_fan_json():
 
 def test_isolated_singularities_shape_on_pyramid(pyramid_fan):
     assert isolated_singularities_shape(pyramid_fan)
-    assert not pyramid_fan.is_nonsingular()
+    assert not is_nonsingular(pyramid_fan)
 
 
 def test_isolated_singularities_shape_on_nonsingular_fan():

@@ -59,6 +59,16 @@ def test_gen_product_tokens(capsys):
     assert fan_from_json(out).rank == 3
 
 
+def test_gen_weighted_writes_the_rays_readme_documents(capsys):
+    # the rays come from the integer elimination of the weight vector
+    code, out, _ = run_cli(capsys, "gen", "weighted", "3", "5", "7")
+    assert code == 0
+    assert out == (
+        '{"maximal_cones": [[0,1],[0,2],[1,2]],"name": "wp3-5-7","rank": 2,'
+        '"rays": [[7,3],[0,1],[-3,-2]]}\n'
+    )
+
+
 def test_gen_usage_errors(capsys):
     assert run_cli(capsys, "gen", "bogus")[0] == 1
     assert run_cli(capsys, "gen", "pn")[0] == 1
@@ -276,7 +286,7 @@ def test_fourier_motzkin_limit_exits_five(tmp_path, monkeypatch, capsys, fm_verd
 
 
 CELLS = "the real complex would have more than 100000 cells"
-SUBSETS = "the facet search would try more than 5000 ray subsets"
+SUBSETS = "the facet searches would count more than 5000 ray subsets"
 PAIRS = "pair validation would check more than 50000 pairs of cones"
 
 

@@ -27,7 +27,7 @@ from realtoric.fan import NotPointed, ValidationError, fan_to_json, from_maximal
 from realtoric.gf2 import CrossCheckFailed
 from realtoric.spectral import betti_real, e2_dims
 
-from oracles import hull3_facets
+from oracles import f_vector, h_vector, hull3_facets, is_nonsingular, is_simplicial
 
 # primitive inner facet normals of the hull of (k, k^2, ..., k^5), k = 0..6
 CYCLIC_RAYS = {
@@ -51,10 +51,10 @@ def test_projective_space_family():
         fan = projective_space_fan(n)
         assert fan.name == f"p{n}"
         assert fan.is_complete()
-        assert fan.is_nonsingular()
-        assert fan.is_simplicial()
-        assert fan.f_vector() == [comb(n + 1, k) for k in range(n + 1)]
-        assert fan.h_vector() == [1] * (n + 1)
+        assert is_nonsingular(fan)
+        assert is_simplicial(fan)
+        assert f_vector(fan) == [comb(n + 1, k) for k in range(n + 1)]
+        assert h_vector(fan) == [1] * (n + 1)
     with pytest.raises(ValueError):
         projective_space_fan(0)
 
@@ -63,8 +63,8 @@ def test_hirzebruch_family():
     for a in range(4):
         fan = hirzebruch_fan(a)
         assert fan.is_complete()
-        assert fan.is_nonsingular()
-        assert fan.f_vector() == [1, 4, 4]
+        assert is_nonsingular(fan)
+        assert f_vector(fan) == [1, 4, 4]
     with pytest.raises(ValueError):
         hirzebruch_fan(-1)
 
@@ -73,7 +73,7 @@ def test_hirzebruch_zero_matches_product_of_lines():
     h0 = hirzebruch_fan(0)
     p1 = projective_space_fan(1)
     pp = product_fan(p1, p1)
-    assert sorted(h0.f_vector()) == sorted(pp.f_vector())
+    assert sorted(f_vector(h0)) == sorted(f_vector(pp))
     assert e2_dims(h0).entries == e2_dims(pp).entries
     assert betti_real(h0) == betti_real(pp)
 
@@ -86,12 +86,12 @@ def test_product_fan_counts_and_name():
     assert prod.name == "p2xp1"
     assert len(prod.maximal_cones()) == 6
     # cone counts convolve by dimension
-    f2, f1 = p2.f_vector(), p1.f_vector()
+    f2, f1 = f_vector(p2), f_vector(p1)
     expect = [
         sum(f2[i] * f1[k - i] for i in range(max(0, k - 1), min(k, 2) + 1))
         for k in range(4)
     ]
-    assert prod.f_vector() == expect
+    assert f_vector(prod) == expect
     assert prod.is_complete()
 
 
@@ -99,12 +99,12 @@ def test_weighted_projective_fan():
     fan = weighted_projective_fan(1, 1, 2)
     assert fan.name == "wp1-1-2"
     assert fan.is_complete()
-    assert fan.is_simplicial()
-    assert not fan.is_nonsingular()
+    assert is_simplicial(fan)
+    assert not is_nonsingular(fan)
     # the defining relation: weights pair to zero against the rays
     for i in range(2):
         assert sum(w * r[i] for w, r in zip((1, 1, 2), fan.rays)) == 0
-    assert weighted_projective_fan(1, 1).f_vector() == [1, 2]
+    assert f_vector(weighted_projective_fan(1, 1)) == [1, 2]
 
 
 def test_weighted_projective_rejections():
@@ -125,7 +125,7 @@ def test_torus_and_affine_fans():
     assert not t.is_complete()
     a = affine_fan(2, [(1, 0), (1, 2)])
     assert len(a.maximal_cones()) == 1
-    assert a.f_vector() == [1, 2, 1]
+    assert f_vector(a) == [1, 2, 1]
     with pytest.raises(NotPointed):
         affine_fan(2, [(1, 0), (-1, 0)])
     with pytest.raises(ValueError):
@@ -227,8 +227,8 @@ def test_cyclic_fan_structure(cyclic_fan):
         len(cyclic_fan.cones[ci].rays) for ci in cyclic_fan.maximal_cones()
     ) == [8, 8, 8, 9, 9, 9, 9]
     assert [len(s) for s in cyclic_fan.strata] == [7, 21, 34, 30, 12, 1]
-    assert cyclic_fan.f_vector() == [1, 12, 30, 34, 21, 7]
-    assert not cyclic_fan.is_simplicial()
+    assert f_vector(cyclic_fan) == [1, 12, 30, 34, 21, 7]
+    assert not is_simplicial(cyclic_fan)
     assert cyclic_fan.is_complete()
 
 

@@ -11,13 +11,17 @@ from conftest import mat_mul, mat_vec, oracle_fans
 from hypothesis import given
 from oracles import (
     GroupAlgebraElement,
+    cone_index,
+    cone_vectors,
     diagonal_class_check,
     entry,
     exterior_power,
+    faces_of,
     graded_piece_basis,
     identity,
     induced_projection_mod2,
     mul_vec,
+    orbit_lattice,
     submatrix,
     torus_homology_dims,
     y_basis_change,
@@ -27,7 +31,7 @@ from oracles import (
 from realtoric.constructions import projective_space_fan, weighted_projective_fan
 from realtoric.gf2 import Mat2
 from realtoric.intlin import identity as int_identity
-from realtoric.orbitalg import augmentation_filtration_dims, group_algebra_map, orbit_lattice
+from realtoric.orbitalg import augmentation_filtration_dims, group_algebra_map
 
 
 def span_dim(vectors: List[int]) -> int:
@@ -93,23 +97,23 @@ def ideal_power_bases(rank: int, top: int) -> List[List[int]]:
 def test_orbit_lattice_basic_properties():
     fan = projective_space_fan(3)
     for ci in range(len(fan.cones)):
-        ol = orbit_lattice(fan, ci)
-        assert ol.codim == fan.rank - fan.cones[ci].dim
-        proj = [list(r) for r in ol.projection]
-        sect = [list(r) for r in ol.section]
-        assert mat_mul(proj, sect) == int_identity(ol.codim)
-        for v in fan.cone_vectors(ci):
-            assert mat_vec(proj, v) == [0] * ol.codim
-        assert ol.mod2 == Mat2.from_rows(proj, ncols=fan.rank)
-        # cached: the same object comes back
-        assert orbit_lattice(fan, ci) is ol
+        proj, sect = fan.orbit_quotient(ci)
+        codim = fan.rank - fan.cones[ci].dim
+        assert len(proj) == codim
+        assert mat_mul(proj, sect) == int_identity(codim)
+        for v in cone_vectors(fan, ci):
+            assert mat_vec(proj, v) == [0] * codim
+        mod2, section_mod2 = orbit_lattice(fan, ci)
+        assert mod2 @ section_mod2 == identity(codim)
+        # the build's lists: the same objects come back
+        assert fan.orbit_quotient(ci)[0] is proj
 
 
 def test_induced_projection_composes_along_face_chains():
     for fan in (projective_space_fan(3), weighted_projective_fan(1, 1, 2)):
         for ti, cone in enumerate(fan.cones):
-            for mi in fan.faces_of(ti):
-                for si in fan.faces_of(mi):
+            for mi in faces_of(fan, ti):
+                for si in faces_of(fan, mi):
                     if si == mi or mi == ti:
                         continue
                     direct = induced_projection_mod2(fan, si, ti)
@@ -119,8 +123,8 @@ def test_induced_projection_composes_along_face_chains():
 
 def test_induced_projection_is_cached_and_surjective():
     fan = projective_space_fan(2)
-    si = fan.cone_index([])
-    ti = fan.cone_index([0])
+    si = cone_index(fan, [])
+    ti = cone_index(fan, [0])
     m = induced_projection_mod2(fan, si, ti)
     assert m.rank() == m.nrows == 1
 
@@ -128,8 +132,8 @@ def test_induced_projection_is_cached_and_surjective():
 def test_induced_projection_matches_integer_product():
     for fan in oracle_fans():
         for si, ti in fan.facet_pairs():
-            src, dst = orbit_lattice(fan, si), orbit_lattice(fan, ti)
-            want = Mat2.from_rows(mat_mul(dst.projection, src.section), ncols=src.codim)
+            (proj, _), (_, sect) = fan.orbit_quotient(ti), fan.orbit_quotient(si)
+            want = Mat2.from_rows(mat_mul(proj, sect), ncols=len(sect[0]))
             assert induced_projection_mod2(fan, si, ti) == want, (fan, si, ti)
 
 

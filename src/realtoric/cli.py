@@ -15,6 +15,7 @@ be written), 2 fan validation error, 3 parse error, 4 self-check failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -342,7 +343,9 @@ def cmd_gen(args) -> None:
         sys.stdout.write(fan_to_json(fan) + "\n")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process and reused by main."""
     parser = _Parser(prog="realtoric", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

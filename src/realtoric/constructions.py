@@ -14,7 +14,8 @@ from itertools import combinations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from .fan import Fan, ValidationError, _bits, _cone_geometry, _count_cells, from_maximal_cones
+from .fan import (Fan, ValidationError, _bits, _cone_geometry, _count_cells, _facet_normals,
+                  from_maximal_cones)
 from .gf2 import CrossCheckFailed
 from .intlin import primitive_vector, span_elimination
 
@@ -190,7 +191,7 @@ def _cyclic_facets_hull() -> List[Tuple[List[int], Vector]]:
     description of the cone over the vertices lifted to height 1.  Returns
     (vertex list, primitive inner normal) pairs, in combinations order."""
     geo = _cone_geometry(6, [(1,) + p for p in _moment_points()])
-    return [(_bits(zero), primitive_vector(normal[1:])) for normal, zero in geo.facets]
+    return [(_bits(zero), primitive_vector(normal[1:])) for normal, zero in _facet_normals(geo)]
 
 
 def cyclic_polytope_normal_fan() -> Fan:
@@ -274,9 +275,9 @@ def _hull3_facets(rays: Sequence[Vector]) -> Optional[List[List[int]]]:
     facet a triangle and the origin strictly interior (a positive first
     entry of every facet normal)."""
     geo = _cone_geometry(4, [(1,) + v for v in rays])
-    if geo.nonextreme or any(z.bit_count() != 3 or nrm[0] <= 0 for nrm, z in geo.facets):
+    if geo.nonextreme or any(z.bit_count() != 3 or nrm[0] <= 0 for nrm, z in _facet_normals(geo)):
         return None
-    return [_bits(z) for _, z in geo.facets]
+    return [_bits(z) for z in geo.facets]
 
 
 def _random_affine(rng: random.Random, rank: int) -> Fan:

@@ -140,10 +140,11 @@ class _ConeGeometry(NamedTuple):
     pointed: bool
     span_eqs: List[List[int]]           # (rank - dim) x rank: orbit projection, zero on the span
     section: List[List[int]]            # rank x (rank - dim): integer right inverse of span_eqs
-    facets: List[Tuple[Tuple[int, ...], int]]  # (ambient normal, zero set), in order of rays
+    facets: List[int]                   # facet zero sets, in order of rays
     face_masks: Set[int]                # every face
     nonextreme: List[int]               # listed rays that are not extreme
     labels: Tuple[int, ...]             # the ray label of each vector, in order
+    local: Tuple[dict, IntMatrix, IntMatrix] = ({}, [], [])  # what _facet_normals reads
 
 
 def _bits(mask: int) -> List[int]:
@@ -197,20 +198,22 @@ def _cone_geometry(
 
     One `span_elimination` of the vectors gives the dimension d, the span
     coordinates (rows ..d of U, in which the vectors are the columns of H),
-    the orbit projection and its section.  The pivot columns of H[:d] are
-    d independent vectors whose square part is upper triangular, and each
-    facet normal of their simplicial cone comes from its back substitution;
-    for k = d that cone is the whole.  Otherwise the other vectors are
-    added one at a time by double description in exact integers (Motzkin
-    et al. 1953; Fukuda & Prodon, "Double description method revisited",
-    1996): a facet >= 0 on the new vector stays, and each adjacent pair of
-    a facet > 0 and a facet < 0 on it is combined into the facet through
-    the vector and the ridge they share.  Two facets are adjacent when no
-    third facet's zero set holds their common one.  The work follows the
-    facet lists, not the C(k, d - 1) subsets.  The faces are the
-    intersections of facet zero sets, and the cone is pointed iff the
-    empty set is one of them: the rays on every facet span the lineality
-    space, which is {0} iff no ray lies on every facet.
+    the orbit projection and its section.  For k = d the facets are the
+    sets of all vectors but one, and no normal is computed here.
+    Otherwise the pivot columns of H[:d] are d independent vectors whose
+    square part is upper triangular; each facet normal of their simplicial
+    cone comes from its back substitution, and the other vectors are added
+    one at a time by double description in exact integers (Motzkin et al.
+    1953; Fukuda & Prodon, "Double description method revisited", 1996): a
+    facet >= 0 on the new vector stays, and each adjacent pair of a facet
+    > 0 and a facet < 0 on it is combined into the facet through the
+    vector and the ridge they share.  Two facets are adjacent when no third
+    facet's zero set holds their common one.  The work follows the facet
+    lists, not the C(k, d - 1) subsets.  The faces are the intersections of
+    facet zero sets, and the cone is pointed iff the empty set is one of
+    them: the rays on every facet span the lineality space, which is {0}
+    iff no ray lies on every facet.  The normals in lattice coordinates are
+    left to `_facet_normals`, which only their readers call.
     """
     k = len(vectors)
     labels = tuple(range(k) if labels is None else labels)
@@ -218,15 +221,16 @@ def _cone_geometry(
         return _ConeGeometry(0, True, identity(rank), identity(rank), [], {0}, [], labels)
     bit = [1 << j for j in labels]
     h, u, proj, sect, d = span_elimination(rank, vectors)
+    h, u = h[:d], u[:d]
     if comb(k, d - 1) > budget:
         raise ResourceLimitExceeded(
             f"the facet searches would count more than {FACET_SUBSET_LIMIT} ray subsets"
         )
 
-    # facet zero set -> local normal
+    # facet zero set -> local normal, or for k = d the vector it misses
     full = sum(bit)
     if k == d:
-        seen = {full ^ bit[j]: _opposite_normal(h[:d], j) for j in range(k)}
+        seen = {full ^ bit[j]: j for j in range(k)}
         # every ray subset spans a face
         faces, sub = {0}, full
         while sub:
@@ -236,11 +240,11 @@ def _cone_geometry(
     else:
         # first the simplicial cone on the pivot columns of H, whose square
         # part is upper triangular, then the other vectors one at a time
-        pivots = [row.index(next(filter(None, row))) for row in h[:d]]
-        square = [[row[j] for j in pivots] for row in h[:d]]
+        pivots = [row.index(next(filter(None, row))) for row in h]
+        square = [[row[j] for j in pivots] for row in h]
         base = sum(bit[j] for j in pivots)
         seen = {base ^ bit[j]: _opposite_normal(square, i) for i, j in enumerate(pivots)}
-        coords = list(zip(*h[:d]))
+        coords = list(zip(*h))
         for j in (j for j in range(k) if j not in pivots):
             kept: Dict[int, Tuple[int, ...]] = {}
             pos, neg = [], []
@@ -275,12 +279,20 @@ def _cone_geometry(
         pointed = 0 in faces
         nonextreme = [j for j in range(k) if bit[j] not in faces]
 
-    coord_cols = list(zip(*u[:d]))
-    facets = [
-        (tuple(sum(map(mul, seen[zero], col)) for col in coord_cols), zero)
-        for zero in sorted(seen, key=_bits)
-    ]
-    return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme, labels)
+    facets = sorted(seen, key=_bits)
+    return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme, labels, (seen, h, u))
+
+
+def _facet_normals(geo: _ConeGeometry) -> List[Tuple[Tuple[int, ...], int]]:
+    """(primitive inward normal in lattice coordinates, zero set) of each
+    facet of the cone, in the order of geo.facets.  Only the readers of
+    normals call this: the pair check, the hulls of `constructions`, and
+    tests.  For a simplicial cone the normals come from back substitution
+    in H here."""
+    seen, h, u = geo.local
+    simplicial, cols = geo.dim == len(geo.labels), list(zip(*u))
+    local = (_opposite_normal(h, seen[z]) if simplicial else seen[z] for z in geo.facets)
+    return [(tuple(sum(map(mul, n, c)) for c in cols), z) for n, z in zip(local, geo.facets)]
 
 
 def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool:
@@ -435,11 +447,11 @@ class Fan:
         return out
 
 
-def _supporting(geo: _ConeGeometry, face: int) -> Tuple[int, ...]:
+def _supporting(facets: List[Tuple[Tuple[int, ...], int]], face: int) -> Tuple[int, ...]:
     """The sum of the inward normals of the facets containing the face
     (a ray bitmask) of the cone: >= 0 on the cone, and zero on it exactly
     along that face."""
-    support = [normal for normal, zero in geo.facets if face & zero == face]
+    support = [normal for normal, zero in facets if face & zero == face]
     return tuple(sum(col) for col in zip(*support))
 
 
@@ -447,11 +459,14 @@ def _check_pair(
     rays: Sequence[Tuple[int, ...]],
     mask_a: int,
     geo_a: _ConeGeometry,
+    facets_a: List[Tuple[Tuple[int, ...], int]],
     mask_b: int,
     geo_b: _ConeGeometry,
+    facets_b: List[Tuple[Tuple[int, ...], int]],
 ) -> None:
     """Raise BadIntersection unless the cones A and B (ray bitmasks, with
-    their geometry) meet in the face F spanned by their shared rays.
+    their geometry and `_facet_normals`, which the caller computes once per
+    cone) meet in the face F spanned by their shared rays.
 
     F must be a face of both.  Then a separation certificate is tried
     first (Cox, Little & Schenck, *Toric Varieties*, Lemma 1.2.13): w, the
@@ -470,32 +485,23 @@ def _check_pair(
         raise BadIntersection(order_a, order_b, "shared rays are not a face of the second")
     if common == mask_a or common == mask_b:
         return
-    w = _supporting(geo_a, common)
+    w = _supporting(facets_a, common)
     if all(sum(map(mul, w, rays[i])) <= 0 for i in order_b):
         return
-    w_b = _supporting(geo_b, common)
+    w_b = _supporting(facets_b, common)
     if all(sum(map(mul, w_b, rays[i])) <= 0 for i in order_a):
         return
+    # coefficients t >= 0 of B's rays, their sum in A (span and facets), w >= 1
     gens_b = [rays[i] for i in order_b]
     nb = len(gens_b)
-    ineqs: List[Tuple[List[int], int]] = []
-    eqs: List[Tuple[List[int], int]] = []
-    for j in range(nb):
-        unit = [0] * nb
-        unit[j] = 1
-        ineqs.append((unit, 0))
-    for eq in geo_a.span_eqs:
-        row = [sum(e * x for e, x in zip(eq, g)) for g in gens_b]
-        eqs.append((row, 0))
-    for normal, _ in geo_a.facets:
-        row = [sum(n * x for n, x in zip(normal, g)) for g in gens_b]
-        ineqs.append((row, 0))
-    target = [sum(wx * x for wx, x in zip(w, g)) for g in gens_b]
-    ineqs.append((target, 1))
-    rows = [(tuple(a), c) for a, c in ineqs]
-    for a, c in eqs:
-        rows.append((tuple(a), c))
-        rows.append((tuple(-x for x in a), -c))
+
+    def on_b(f: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(sum(map(mul, f, g)) for g in gens_b)
+
+    rows = [(tuple(int(i == j) for i in range(nb)), 0) for j in range(nb)]
+    rows += [(on_b(normal), 0) for normal, _ in facets_a] + [(on_b(w), 1)]
+    for eq in map(on_b, geo_a.span_eqs):
+        rows += [(eq, 0), (tuple(-x for x in eq), 0)]
     if _fm_core(nb, rows):
         raise BadIntersection(
             order_a, order_b, "intersection is strictly larger than the shared face"
@@ -519,8 +525,10 @@ def from_maximal_cones(
     which for a face extends the elimination of its ray prefix by one
     column.  Pairwise intersection validation (a separation certificate,
     then Fourier-Motzkin for the pairs it cannot certify) runs by default
-    for rank <= 4 and can be forced either way with `validate_pairs`.  Ray
-    entries and cone indices must be ints; nothing is coerced.
+    for rank <= 4 and can be forced either way with `validate_pairs`; only
+    it reads facet normals (`_facet_normals`, once per maximal cone), so an
+    unvalidated build computes none for a simplicial cone.  Ray entries
+    and cone indices must be ints; nothing is coerced.
     ResourceLimitExceeded is raised for an intersection too large to
     decide within FM_ROW_LIMIT, and before the work they bound for more
     than PAIR_LIMIT pairs to validate, for facet searches that count more
@@ -598,7 +606,7 @@ def from_maximal_cones(
             )
         mask = _mask(order)
         geo_by_mask[mask] = geo
-        outer.update(dict.fromkeys(geo.face_masks - outer.keys(), [z for _, z in geo.facets]))
+        outer.update(dict.fromkeys(geo.face_masks - outer.keys(), geo.facets))
         quotients[mask] = (geo.span_eqs, geo.section)
         cells = _count_cells(cells, rank - geo.dim)
     # the other faces in lexicographic order of their rays, each extending
@@ -628,8 +636,9 @@ def from_maximal_cones(
         strata[rank - dim_rays[m][0]].append(i)
 
     if validate_pairs:
-        for (a, geo_a), (b, geo_b) in combinations(geo_by_mask.items(), 2):
-            _check_pair(ray_list, a, geo_a, b, geo_b)
+        checked = [(mask, geo, _facet_normals(geo)) for mask, geo in geo_by_mask.items()]
+        for a, b in combinations(checked, 2):
+            _check_pair(ray_list, *a, *b)
 
     return Fan(
         rank, tuple(ray_list), cones, name, facets, tuple(map(quotients.__getitem__, cone_list)),

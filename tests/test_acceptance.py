@@ -35,7 +35,6 @@ from realtoric.analysis import (
 from realtoric.cli import EXPECTED_E2, EXPECTED_G1, main
 from realtoric.constructions import (
     affine_fan,
-    cyclic_polytope_normal_fan,
     hirzebruch_fan,
     product_fan,
     projective_space_fan,

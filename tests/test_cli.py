@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -243,6 +242,17 @@ def test_compute_unreadable_json_exits_three(tmp_path, content, message):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith(message), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_compute_no_validate_gives_the_default_report(capsys):
+    # on a fan, skipping pair validation changes no byte of the report
+    paths = sorted(FANS.glob("*.json"))
+    assert paths
+    for path in paths:
+        argv = ["compute", "--json", "--pages", "e1,e2,g0,g1", str(path)]
+        default = run_cli(capsys, *argv)
+        assert default[0] == 0 and default[1], path.name
+        assert run_cli(capsys, *argv, "--no-validate") == default, path.name
 
 
 def test_compute_no_validate_skips_pair_checks(tmp_path, capsys):

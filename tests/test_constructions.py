@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 from pathlib import Path
-from typing import List, Set, Tuple
+from typing import List, Tuple
 
 import pytest
 from sympy import Matrix

@@ -1,7 +1,7 @@
 """Public names: every export resolves, and so does every function the
 benchmark's tracer rebinds, or it lives in tests/oracles.py; every
-definition, public or private, has a use in the package; and the package
-imports no process pool."""
+definition, public or private, has a use in the package; every imported
+name has a use in its module; and the package imports no process pool."""
 from __future__ import annotations
 
 import ast
@@ -12,8 +12,9 @@ from pathlib import Path
 import oracles
 import realtoric
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-SRC = Path(__file__).resolve().parents[1] / "src" / "realtoric"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "realtoric"
 # tracer TARGETS that the package does not define: each is a test reference
 # in oracles.py under this name; the tracer reads 0 calls for a missing target
 MOVED_TO_ORACLES = {
@@ -92,6 +93,32 @@ def test_every_definition_is_used_in_the_package():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and f"{cls.name}.{node.name}" != "_Parser.error"
     ]
+    assert unused == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # in the package, the tests and the scripts; a name in a module's
+    # __all__ is a use (a re-export), and the __future__ import is exempt
+    paths = sorted(path for folder in (SRC, ROOT / "tests", ROOT / "scripts")
+                   for path in folder.glob("*.py"))
+    assert paths
+    unused = []
+    for path in paths:
+        imported, used = {}, set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) != "__future__":
+                    # `import a.b` binds a
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        unused += [(path.relative_to(ROOT).as_posix(), line, name)
+                   for name, line in imported.items() if name not in used]
     assert unused == []
 
 

@@ -49,6 +49,7 @@ from realtoric.fan import (
     _bits,
     _check_pair,
     _cone_geometry,
+    _facet_normals,
     _mask,
     fan_from_json,
     fan_to_json,
@@ -292,8 +293,8 @@ def test_cone_geometry_matches_every_subset_enumeration(cyclic_fan):
     for rank, vectors in cones:
         geo = _cone_geometry(rank, vectors)
         facets, faces, nonextreme, pointed = _brute_cone_faces(vectors)
-        assert [frozenset(_bits(zero)) for _, zero in geo.facets] == facets, vectors
-        for normal, zero in geo.facets:
+        assert [frozenset(_bits(zero)) for zero in geo.facets] == facets, vectors
+        for normal, zero in _facet_normals(geo):
             assert gcd(*normal) == 1, vectors
             vals = [sum(a * b for a, b in zip(normal, v)) for v in vectors]
             assert all(x >= 0 for x in vals), vectors
@@ -338,7 +339,7 @@ def test_cone_geometry_edge_cases_match_the_sympy_oracle():
     for rank, vectors, expected in cones:
         geo = _cone_geometry(rank, vectors)
         facets, faces, nonextreme, pointed = _brute_cone_faces(vectors)
-        assert [frozenset(_bits(zero)) for _, zero in geo.facets] == facets, vectors
+        assert [frozenset(_bits(zero)) for zero in geo.facets] == facets, vectors
         assert {frozenset(_bits(m)) for m in geo.face_masks} == faces, vectors
         assert geo.nonextreme == nonextreme and geo.pointed == pointed == expected, vectors
     # every order, each vector labelled by its place in the first: the
@@ -351,11 +352,12 @@ def test_cone_geometry_edge_cases_match_the_sympy_oracle():
     for rank, vectors in small:
         first = _cone_geometry(rank, vectors)
         facets, faces, nonextreme, _ = _brute_cone_faces(vectors)
-        assert [frozenset(_bits(zero)) for _, zero in first.facets] == facets, vectors
+        assert [frozenset(_bits(zero)) for zero in first.facets] == facets, vectors
         assert {frozenset(_bits(m)) for m in first.face_masks} == faces, vectors
         for order in permutations(range(len(vectors))):
             geo = _cone_geometry(rank, [vectors[i] for i in order], order)
-            assert geo.facets == first.facets and geo.face_masks == first.face_masks, order
+            assert _facet_normals(geo) == _facet_normals(first), order
+            assert geo.face_masks == first.face_masks, order
             assert sorted(order[j] for j in geo.nonextreme) == nonextreme, order
             assert geo.pointed == first.pointed, order
 
@@ -376,7 +378,7 @@ def test_moment_cone_facets_pass_gales_evenness_up_to_the_limit():
             if all((b - a) % 2 for a, b in zip(outside, outside[1:])):
                 gale.add(subset)
         assert len(gale) == count
-        assert {tuple(_bits(zero)) for _, zero in geo.facets} == gale, (r, k)
+        assert {tuple(_bits(zero)) for zero in geo.facets} == gale, (r, k)
         assert geo.pointed and not geo.nonextreme, (r, k)
 
 
@@ -589,8 +591,9 @@ def test_separation_certificate_never_accepts_a_larger_meet(fm_verdicts):
             continue
         larger = _meets_off_face(rays, a, b, shared)
         fm_verdicts.clear()
+        facets_a, facets_b = _facet_normals(geo_a), _facet_normals(geo_b)
         try:
-            _check_pair(rays, _mask(a), geo_a, _mask(b), geo_b)
+            _check_pair(rays, _mask(a), geo_a, facets_a, _mask(b), geo_b, facets_b)
             rejected = False
         except BadIntersection:
             rejected = True
@@ -628,14 +631,37 @@ def test_pair_check_reads_each_cone_in_its_own_ray_order():
             not g.pointed or g.nonextreme or face not in g.face_masks for g in (geo_a, geo_b)
         ):
             continue
+        facets_a, facets_b = _facet_normals(geo_a), _facet_normals(geo_b)
         try:
-            _check_pair(rays, _mask(a), geo_a, _mask(b), geo_b)
+            _check_pair(rays, _mask(a), geo_a, facets_a, _mask(b), geo_b, facets_b)
             rejected = False
         except BadIntersection:
             rejected = True
         assert rejected == _meets_off_face(rays, a, b, shared), (rays, a, b)
         verdicts.append(rejected)
     assert set(verdicts) == {True, False}
+
+
+def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):
+    # a simplicial cone's normals come from back substitution only for the
+    # pair check: none in a default build at rank >= 5, and in a validated
+    # build once per maximal cone, not once per pair
+    p1 = projective_space_fan(1)
+    p1_4, p1_5 = (reduce(product_fan, [p1] * n) for n in (4, 5))
+    texts = [fan_to_json(fan) for fan in (projective_space_fan(6), p1_5, p1_4)]
+    calls = []
+    back_substitution = realtoric.fan._opposite_normal
+
+    def counted(h, j):
+        calls.append(j)
+        return back_substitution(h, j)
+
+    monkeypatch.setattr(realtoric.fan, "_opposite_normal", counted)
+    for text in texts[:2]:
+        fan_from_json(text)
+    assert calls == []
+    fan_from_json(texts[2], validate_pairs=True)
+    assert len(calls) == 4 * len(p1_4.maximal_cones()) == 64
 
 
 def test_rank_must_be_positive():
@@ -739,7 +765,7 @@ def _complete_by_sampling(fan) -> bool:
         if any(v):
             samples.append(v)
     normals = [
-        [normal for normal, _ in _cone_geometry(n, cone_vectors(fan, ci)).facets]
+        [normal for normal, _ in _facet_normals(_cone_geometry(n, cone_vectors(fan, ci)))]
         for ci in full
     ]
     return all(

@@ -20,8 +20,6 @@ from realtoric.intlin import (
     primitive_vector,
 )
 
-entries = st.integers(min_value=-9, max_value=9)
-
 
 @st.composite
 def square_matrix(draw, max_n: int = 5, bound: int = 9):

@@ -27,7 +27,8 @@ timing each:
                    cross-check and the verdict
   build_validated  fan_from_json(text, validate_pairs=True): the build with
                    every cone pair validated (separation certificate, then
-                   Fourier-Motzkin), whatever the rank
+                   the double description of one cone modulo the shared
+                   face), whatever the rank
 
 Each stage is reported as its median over those runs, in milliseconds;
 their total leaves out build_validated, a second build of the same fan.

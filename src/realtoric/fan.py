@@ -1,8 +1,8 @@
 """Rational fans: construction, validation, combinatorics, JSON input and output.
 
-All geometry is exact: integer arithmetic for cone face enumeration; the
-pairwise intersection check tries a separation certificate, then
-Fourier-Motzkin elimination for the pairs it cannot certify.
+All geometry is exact, in integers, with one polyhedral algorithm: the
+double description of `_cone_geometry` finds each cone's faces, and it
+decides the cone pairs that `_check_pair`'s separation certificate leaves.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ __all__ = [
     "NotPointed",
     "BadIntersection",
     "ResourceLimitExceeded",
-    "FM_ROW_LIMIT",
     "FACET_SUBSET_LIMIT",
     "PAIR_LIMIT",
     "REAL_CELL_LIMIT",
@@ -85,10 +84,6 @@ class BadIntersection(ValidationError):
         super().__init__(msg)
         self.pair = (tuple(sorted(first)), tuple(sorted(second)))
 
-
-# Largest number of constraint rows a Fourier-Motzkin elimination of the
-# pair check may hold before the input is rejected as too large.
-FM_ROW_LIMIT = 200000
 
 # Largest count, summed over the maximal cones, of the facet searches of
 # one build: a cone of k rays spanning d dimensions counts C(k, d - 1), its
@@ -295,46 +290,6 @@ def _facet_normals(geo: _ConeGeometry) -> List[Tuple[Tuple[int, ...], int]]:
     return [(tuple(sum(map(mul, n, c)) for c in cols), z) for n, z in zip(local, geo.facets)]
 
 
-def _fm_core(nvars: int, constraints: List[Tuple[Tuple[int, ...], int]]) -> bool:
-    """Fourier-Motzkin on integer constraints a.x >= c."""
-    rows = constraints
-    while True:
-        live = [v for v in range(nvars) if any(a[v] for a, _ in rows)]
-        consts = [(a, c) for a, c in rows if not any(a)]
-        if any(c > 0 for _, c in consts):
-            return False
-        if not live:
-            return True
-        best_v, best_cost = None, None
-        for v in live:
-            pos = sum(1 for a, _ in rows if a[v] > 0)
-            neg = sum(1 for a, _ in rows if a[v] < 0)
-            cost = pos * neg
-            if best_cost is None or cost < best_cost:
-                best_v, best_cost = v, cost
-        v = best_v
-        pos = [(a, c) for a, c in rows if a[v] > 0]
-        neg = [(a, c) for a, c in rows if a[v] < 0]
-        keep = [(a, c) for a, c in rows if a[v] == 0]
-        new_rows = dict((key, None) for key in keep)
-        for ap, cp in pos:
-            for an, cn in neg:
-                s, t = -an[v], ap[v]
-                b = tuple(s * x + t * y for x, y in zip(ap, an))
-                d = s * cp + t * cn
-                g = gcd(d, *b)
-                if g > 1:
-                    b = tuple(x // g for x in b)
-                    d //= g
-                new_rows[(b, d)] = None
-        rows = list(new_rows.keys())
-        if len(rows) > FM_ROW_LIMIT:
-            raise ResourceLimitExceeded(
-                f"Fourier-Motzkin elimination needs more than {FM_ROW_LIMIT} "
-                "constraint rows"
-            )
-
-
 def _per_fan(fn):
     """Compute fn(fan, *args) once per Fan object; later calls with the
     same arguments share the first result, which callers must not mutate."""
@@ -455,27 +410,41 @@ def _supporting(facets: List[Tuple[Tuple[int, ...], int]], face: int) -> Tuple[i
     return tuple(sum(col) for col in zip(*support))
 
 
+def _meets_off_face(p: IntMatrix, off_a: list, off_b: list) -> bool:
+    """Whether the cone on the images under p of off_a and of -off_b is
+    not pointed, by its double description (see `_check_pair`)."""
+    gens = [tuple(sum(map(mul, row, v)) for row in p) for v in off_a]
+    gens += [tuple(-sum(map(mul, row, v)) for row in p) for v in off_b]
+    return not _cone_geometry(len(p), gens, budget=FACET_SUBSET_LIMIT).pointed
+
+
 def _check_pair(
     rays: Sequence[Tuple[int, ...]],
-    mask_a: int,
-    geo_a: _ConeGeometry,
-    facets_a: List[Tuple[Tuple[int, ...], int]],
-    mask_b: int,
-    geo_b: _ConeGeometry,
-    facets_b: List[Tuple[Tuple[int, ...], int]],
+    quotients: Dict[int, Tuple[IntMatrix, IntMatrix]],
+    mask_a: int, geo_a: _ConeGeometry, facets_a: List[Tuple[Tuple[int, ...], int]],
+    mask_b: int, geo_b: _ConeGeometry, facets_b: List[Tuple[Tuple[int, ...], int]],
 ) -> None:
     """Raise BadIntersection unless the cones A and B (ray bitmasks, with
     their geometry and `_facet_normals`, which the caller computes once per
-    cone) meet in the face F spanned by their shared rays.
+    cone) meet in the face F spanned by their shared rays; quotients maps
+    each face of the build to its (P, R).
 
-    F must be a face of both.  Then a separation certificate is tried
-    first (Cox, Little & Schenck, *Toric Varieties*, Lemma 1.2.13): w, the
-    sum of the inward normals of the facets of A containing F, is >= 0 on A
-    and zero on A exactly along F.  If w <= 0 on every ray of B, then A and
-    B meet inside w-perp, so in F; F lies in both, so they meet in F.  Any
-    extension of w off the span of A will do.  The same test is tried with
-    A and B swapped.  Only when neither certifies does Fourier-Motzkin
-    decide exactly whether B holds a point of A with w >= 1.
+    F must be a face of both, so no other ray of A or B lies in it.  Then
+    a separation certificate is tried first (Cox, Little & Schenck, *Toric
+    Varieties*, Lemma 1.2.13): w, the sum of the inward normals of the
+    facets of A containing F, is >= 0 on A and zero on A exactly along F.
+    If w <= 0 on every ray of B, then A and B meet inside w-perp, so in F;
+    F lies in both, so they meet in F.  Any extension of w off the span of
+    A will do.  The same test is tried with A and B swapped.  When neither
+    certifies, A and B meet in F iff the cone C on the images modulo
+    span(F) of A's other rays and the negated images of B's is pointed,
+    which `_meets_off_face` decides from F's orbit projection P (held to
+    FACET_SUBSET_LIMIT on its own).  Write [x] for the image of x.  [A]
+    and [B] are pointed (w > 0 on the other rays, 0 on span(F)), so C has a
+    line iff some [x] != 0 lies in [A] and [B].  Lift it: [x] = [a] = [b],
+    a - b = f1 - f2 for some f1, f2 in F, and a + f2 = b + f1 lies in A
+    and B, outside F.  Conversely x in A and B outside F has [x] != 0,
+    because A meets span(F) only in F.
     """
     common = mask_a & mask_b
     order_a, order_b = geo_a.labels, geo_b.labels
@@ -491,18 +460,9 @@ def _check_pair(
     w_b = _supporting(facets_b, common)
     if all(sum(map(mul, w_b, rays[i])) <= 0 for i in order_a):
         return
-    # coefficients t >= 0 of B's rays, their sum in A (span and facets), w >= 1
-    gens_b = [rays[i] for i in order_b]
-    nb = len(gens_b)
-
-    def on_b(f: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(sum(map(mul, f, g)) for g in gens_b)
-
-    rows = [(tuple(int(i == j) for i in range(nb)), 0) for j in range(nb)]
-    rows += [(on_b(normal), 0) for normal, _ in facets_a] + [(on_b(w), 1)]
-    for eq in map(on_b, geo_a.span_eqs):
-        rows += [(eq, 0), (tuple(-x for x in eq), 0)]
-    if _fm_core(nb, rows):
+    off_a = [rays[i] for i in order_a if not common >> i & 1]
+    off_b = [rays[i] for i in order_b if not common >> i & 1]
+    if _meets_off_face(quotients[common][0], off_a, off_b):
         raise BadIntersection(
             order_a, order_b, "intersection is strictly larger than the shared face"
         )
@@ -524,20 +484,20 @@ def from_maximal_cones(
     projection and section come from one integer elimination of its rays,
     which for a face extends the elimination of its ray prefix by one
     column.  Pairwise intersection validation (a separation certificate,
-    then Fourier-Motzkin for the pairs it cannot certify) runs by default
-    for rank <= 4 and can be forced either way with `validate_pairs`; only
-    it reads facet normals (`_facet_normals`, once per maximal cone), so an
+    then, for the pairs it cannot certify, the pointedness of one cone
+    modulo the shared face, see `_check_pair`) runs by default for
+    rank <= 4 and can be forced either way with `validate_pairs`; only it
+    reads facet normals (`_facet_normals`, once per maximal cone), so an
     unvalidated build computes none for a simplicial cone.  Ray entries
     and cone indices must be ints; nothing is coerced.
-    ResourceLimitExceeded is raised for an intersection too large to
-    decide within FM_ROW_LIMIT, and before the work they bound for more
+    ResourceLimitExceeded is raised before the work they bound for more
     than PAIR_LIMIT pairs to validate, for facet searches that count more
     than FACET_SUBSET_LIMIT ray subsets in all (C(k, d - 1) for a maximal
     cone of k rays spanning d dimensions, a bound on each of its facet
-    lists), and for a real complex of more than REAL_CELL_LIMIT cells:
-    they are counted as the cones are found, the zero cone's 2**rank
-    before anything is built and each ray's 2**(rank - 1) before any
-    facet search.
+    lists) or in the quotient cone of one pair check, and for a real
+    complex of more than REAL_CELL_LIMIT cells: they are counted as the
+    cones are found, the zero cone's 2**rank before anything is built and
+    each ray's 2**(rank - 1) before any facet search.
     """
     if not _is_int(rank) or rank < 1:
         raise ValidationError(f"rank must be a positive integer, got {rank!r}")
@@ -638,7 +598,7 @@ def from_maximal_cones(
     if validate_pairs:
         checked = [(mask, geo, _facet_normals(geo)) for mask, geo in geo_by_mask.items()]
         for a, b in combinations(checked, 2):
-            _check_pair(ray_list, *a, *b)
+            _check_pair(ray_list, quotients, *a, *b)
 
     return Fan(
         rank, tuple(ray_list), cones, name, facets, tuple(map(quotients.__getitem__, cone_list)),

@@ -36,18 +36,19 @@ settings.load_profile("suite")
 
 
 @pytest.fixture
-def fm_verdicts(monkeypatch):
-    """The verdicts of the pair check's Fourier-Motzkin runs during the
-    test, in order; a run that raised leaves None."""
+def fallback_verdicts(monkeypatch):
+    """The verdicts of the pair check's fallback, `fan._meets_off_face`,
+    during the test, in order: True where the cones meet outside the
+    shared face; a run that raised leaves None."""
     verdicts = []
-    fm_core = realtoric.fan._fm_core
+    meets_off_face = realtoric.fan._meets_off_face
 
     def recorded(*args):
         verdicts.append(None)
-        verdicts[-1] = fm_core(*args)
+        verdicts[-1] = meets_off_face(*args)
         return verdicts[-1]
 
-    monkeypatch.setattr(realtoric.fan, "_fm_core", recorded)
+    monkeypatch.setattr(realtoric.fan, "_meets_off_face", recorded)
     return verdicts
 
 

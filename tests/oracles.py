@@ -18,8 +18,11 @@ The fraction-free Bareiss `determinant` is the integer reference for
 minors, cofactors and exterior powers.  A sympy `lin_rank` and a fresh
 `span_elimination` (`quotient_with_section`) are the references for each
 cone's dimension and (P, R), and `orbit_lattice` reduces a cone's (P, R)
-mod 2 for `induced_projection_mod2`.  The questions the calculator never
-asks of a `Fan` (`cone_index`, `cone_vectors`, `faces_of`,
+mod 2 for `induced_projection_mod2`.  Fourier-Motzkin elimination
+(`fourier_motzkin`), which refuses a step before building it if the step
+would hold too many rows, is the generator-side reference for the pair
+check, which decides by double description.  The questions the
+calculator never asks of a `Fan` (`cone_index`, `cone_vectors`, `faces_of`,
 `is_simplicial`, `is_nonsingular`, `f_vector`, `h_vector`), of a `Mat2`
 (`is_zero`) and of a `PageTable` (`nonzero`) are answered here for the
 tests.
@@ -36,7 +39,7 @@ complex split off).  `realtoric` never imports this module.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from sympy import Matrix
@@ -388,6 +391,48 @@ def quotient_with_section(
     """(P, R) of a fresh `span_elimination` of the vectors in Z^rank."""
     _, _, proj, sect, _ = span_elimination(rank, vectors)
     return proj, sect
+
+
+# The default row limit of `fourier_motzkin`.
+FM_ROW_LIMIT = 200000
+
+
+class TooManyRows(Exception):
+    """A Fourier-Motzkin step would hold more rows than its limit."""
+
+
+def fourier_motzkin(
+    nvars: int, constraints: List[Tuple[Tuple[int, ...], int]], limit: int = FM_ROW_LIMIT
+) -> bool:
+    """Whether the integer constraints a.x >= c in nvars unknowns have a
+    rational solution, by Fourier-Motzkin elimination.  Each step
+    eliminates the unknown with the fewest pairs of a positive and a
+    negative coefficient; TooManyRows is raised before a step whose rows,
+    len(pos) * len(neg) + len(keep), would be more than limit."""
+    rows = constraints
+    while True:
+        if any(c > 0 for a, c in rows if not any(a)):
+            return False
+        live = [v for v in range(nvars) if any(a[v] for a, _ in rows)]
+        if not live:
+            return True
+        v = min(live, key=lambda u: sum(a[u] > 0 for a, _ in rows) * sum(a[u] < 0 for a, _ in rows))
+        pos = [(a, c) for a, c in rows if a[v] > 0]
+        neg = [(a, c) for a, c in rows if a[v] < 0]
+        keep = [(a, c) for a, c in rows if a[v] == 0]
+        if len(pos) * len(neg) + len(keep) > limit:
+            raise TooManyRows(f"a Fourier-Motzkin step would hold more than {limit} rows")
+        new_rows = dict.fromkeys(keep)
+        for ap, cp in pos:
+            for an, cn in neg:
+                s, t = -an[v], ap[v]
+                b = tuple(s * x + t * y for x, y in zip(ap, an))
+                d = s * cp + t * cn
+                g = gcd(d, *b)
+                if g > 1:
+                    b, d = tuple(x // g for x in b), d // g
+                new_rows[(b, d)] = None
+        rows = list(new_rows)
 
 
 def cone_index(fan: Fan, ray_indices: Sequence[int]) -> int:

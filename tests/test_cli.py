@@ -271,23 +271,31 @@ def test_compute_no_validate_skips_pair_checks(tmp_path, capsys):
     assert run_cli(capsys, "compute", str(bad), "--no-validate")[0] == 0
 
 
-def test_fourier_motzkin_limit_exits_five(tmp_path, monkeypatch, capsys, fm_verdicts):
-    # two cones of rank 2 that meet only in 0, but the sum of the inward
-    # facet normals of neither is <= 0 on every ray of the other, so the
-    # pair escapes the separation certificate and reaches Fourier-Motzkin
+def test_pair_check_fallback_limit_exits_five(tmp_path, monkeypatch, capsys, fallback_verdicts):
+    # two simplicial cones of rank 3 that meet only in 0, but the sum of
+    # the inward facet normals of neither is <= 0 on every ray of the
+    # other, so the pair escapes the separation certificate and reaches
+    # the fallback, whose cone on all six rays counts C(6, 2) = 15 ray
+    # subsets against the 3 + 3 of the two cones
     path = tmp_path / "gap.json"
     path.write_text(
         json.dumps(
             {
-                "rank": 2,
-                "rays": [[-2, -1], [-1, 1], [0, 1], [1, 1]],
-                "maximal_cones": [[0, 1], [2, 3]],
+                "rank": 3,
+                "rays": [
+                    [1, -5, -1], [-1, 1, -3], [3, -1, 0],
+                    [-3, -2, 1], [-5, 3, -5], [-2, 3, 5],
+                ],
+                "maximal_cones": [[0, 1, 2], [3, 4, 5]],
             }
         )
     )
-    monkeypatch.setattr(realtoric.fan, "FM_ROW_LIMIT", 1)
+    assert run_cli(capsys, "compute", "--json", str(path))[0] == 0
+    assert fallback_verdicts == [False]
+    fallback_verdicts.clear()
+    monkeypatch.setattr(realtoric.fan, "FACET_SUBSET_LIMIT", 10)
     code, out, err = run_cli(capsys, "compute", "--json", str(path))
-    assert fm_verdicts == [None]
+    assert fallback_verdicts == [None]
     assert code == 5
     assert out == ""
     assert err.startswith("realtoric compute: resource limit: ")

@@ -12,11 +12,14 @@ import pytest
 import realtoric.fan
 from conftest import mat_mul, mat_vec, oracle_fans, random_unimodular
 from oracles import (
+    FM_ROW_LIMIT,
+    TooManyRows,
     cone_index,
     cone_vectors,
     determinant,
     f_vector,
     faces_of,
+    fourier_motzkin,
     h_vector,
     is_nonsingular,
     is_simplicial,
@@ -542,18 +545,19 @@ def test_rejects_shared_rays_that_are_a_diagonal(cones, which):
         (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 1), (-1, 1, 0)], [[0, 1, 2], [1, 3, 4]]),
     ],
 )
-def test_bad_intersections_come_from_exact_checks(fm_verdicts, rank, rays, cones):
+def test_bad_intersections_come_from_exact_checks(fallback_verdicts, rank, rays, cones):
     # the inputs of the two rejection tests above: the separation
     # certificate can only accept a pair, so each rejection must come from
-    # a face check or from a Fourier-Motzkin run that found a larger meet
+    # a face check or from a fallback run that found a larger meet
     with pytest.raises(BadIntersection) as exc:
         from_maximal_cones(rank, rays, cones)
-    assert "not a face" in str(exc.value) or fm_verdicts[-1:] == [True]
+    assert "not a face" in str(exc.value) or fallback_verdicts[-1:] == [True]
 
 
-def _meets_off_face(rays, a, b, shared):
+def _meets_off_face(rays, a, b, shared, limit=FM_ROW_LIMIT):
     """Whether cones a and b (ray index lists) share a point outside the
-    face on the shared rays, by Fourier-Motzkin on the generators: some
+    face on the shared rays, by Fourier-Motzkin on the generators (the
+    oracle's, refusing steps of more than limit rows): some
     sum(l_i a_i) = sum(m_j b_j) with l, m >= 0 puts weight >= 1 on rays of
     a outside the face (a point of a face of a has weight only on it)."""
     n = len(a) + len(b)
@@ -562,10 +566,22 @@ def _meets_off_face(rays, a, b, shared):
         row = tuple([rays[i][t] for i in a] + [-rays[i][t] for i in b])
         rows += [(row, 0), (tuple(-x for x in row), 0)]
     rows.append((tuple([int(i not in shared) for i in a] + [0] * len(b)), 1))
-    return realtoric.fan._fm_core(n, rows)
+    return fourier_motzkin(n, rows, limit)
 
 
-def test_separation_certificate_never_accepts_a_larger_meet(fm_verdicts):
+def _check_drawn_pair(rays, a, b, shared, geo_a, geo_b):
+    """Whether _check_pair rejects the drawn cones a and b, with the
+    shared face's (P, R) from a fresh elimination."""
+    quotients = {_mask(shared): quotient_with_section(len(rays[0]), [rays[i] for i in shared])}
+    facets_a, facets_b = _facet_normals(geo_a), _facet_normals(geo_b)
+    try:
+        _check_pair(rays, quotients, _mask(a), geo_a, facets_a, _mask(b), geo_b, facets_b)
+    except BadIntersection:
+        return True
+    return False
+
+
+def test_separation_certificate_never_accepts_a_larger_meet(fallback_verdicts):
     # seeded random cone pairs of rank 2-4 whose shared rays span a face of
     # both; _check_pair must agree with the generator-side oracle
     rng = random.Random(20251)
@@ -590,21 +606,16 @@ def test_separation_certificate_never_accepts_a_larger_meet(fm_verdicts):
         ):
             continue
         larger = _meets_off_face(rays, a, b, shared)
-        fm_verdicts.clear()
-        facets_a, facets_b = _facet_normals(geo_a), _facet_normals(geo_b)
-        try:
-            _check_pair(rays, _mask(a), geo_a, facets_a, _mask(b), geo_b, facets_b)
-            rejected = False
-        except BadIntersection:
-            rejected = True
-        if fm_verdicts:
-            assert rejected == fm_verdicts[-1] == larger, (rays, a, b)
+        fallback_verdicts.clear()
+        rejected = _check_drawn_pair(rays, a, b, shared, geo_a, geo_b)
+        if fallback_verdicts:
+            assert rejected == fallback_verdicts[-1] == larger, (rays, a, b)
         else:  # the certificate accepted the pair
             assert not rejected and not larger, (rays, a, b)
-        key = ("fm" if fm_verdicts else "certificate", larger)
+        key = ("fallback" if fallback_verdicts else "certificate", larger)
         outcomes[key] = outcomes.get(key, 0) + 1
-    # both Fourier-Motzkin outcomes occur, and the certificate is exercised
-    assert set(outcomes) == {("fm", True), ("fm", False), ("certificate", False)}
+    # both fallback outcomes occur, and the certificate is exercised
+    assert set(outcomes) == {("fallback", True), ("fallback", False), ("certificate", False)}
 
 
 def test_pair_check_reads_each_cone_in_its_own_ray_order():
@@ -631,15 +642,46 @@ def test_pair_check_reads_each_cone_in_its_own_ray_order():
             not g.pointed or g.nonextreme or face not in g.face_masks for g in (geo_a, geo_b)
         ):
             continue
-        facets_a, facets_b = _facet_normals(geo_a), _facet_normals(geo_b)
-        try:
-            _check_pair(rays, _mask(a), geo_a, facets_a, _mask(b), geo_b, facets_b)
-            rejected = False
-        except BadIntersection:
-            rejected = True
+        rejected = _check_drawn_pair(rays, a, b, shared, geo_a, geo_b)
         assert rejected == _meets_off_face(rays, a, b, shared), (rays, a, b)
         verdicts.append(rejected)
     assert set(verdicts) == {True, False}
+
+
+def test_fallback_agrees_with_the_oracle_on_non_simplicial_pairs():
+    # seeded pairs of rank 2-4 with up to rank - |F| + 1 rays outside the
+    # shared face F per cone, so a cone may hold more rays than it spans:
+    # the fallback on F's orbit projection must agree with Fourier-Motzkin
+    # on the generators wherever the oracle's capped elimination decides
+    rng = random.Random(20253)
+    verdicts = []
+    while len(verdicts) < 300:
+        rank = rng.choice((2, 3, 4))
+        rays = []
+        while len(rays) < 2 * rank + 2:
+            v = tuple(rng.randint(-2, 2) for _ in range(rank))
+            if reduce(gcd, v) == 1 and v not in rays:
+                rays.append(v)
+        shared = list(range(rng.randint(0, rank - 1)))
+        rest = list(range(len(shared), len(rays)))
+        rng.shuffle(rest)
+        ka, kb = (rng.randint(1, rank - len(shared) + 1) for _ in "ab")
+        a, b = shared + rest[:ka], shared + rest[ka : ka + kb]
+        geos = [_cone_geometry(rank, [rays[i] for i in c], c) for c in (a, b)]
+        face = _mask(shared)
+        if any(not g.pointed or g.nonextreme or face not in g.face_masks for g in geos):
+            continue
+        try:
+            larger = _meets_off_face(rays, a, b, shared, limit=5000)
+        except TooManyRows:
+            continue
+        p = quotient_with_section(rank, [rays[i] for i in shared])[0]
+        off_a, off_b = ([rays[i] for i in c[len(shared):]] for c in (a, b))
+        assert realtoric.fan._meets_off_face(p, off_a, off_b) == larger, (rays, a, b)
+        flat = any(len(c) > g.dim for c, g in zip((a, b), geos))
+        verdicts.append((larger, flat))
+    # both verdicts occur, also on pairs with a non-simplicial cone
+    assert {larger for larger, flat in verdicts if flat} == {True, False}
 
 
 def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):

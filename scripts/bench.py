@@ -9,7 +9,7 @@ written once as canonical JSON; then, REPEATS (15) times per fan, a fresh
 interpreter parses it and calls the public functions in pipeline order,
 timing each:
 
-  build            fan_from_json (cone geometry, face lattice, and pair
+  build            fan_from_json (cone geometry, face lattice, and
                    validation at rank <= 4)
   projections      _projection_groups: each cone's projection and section
                    from the build reduced mod 2, every facet pair's
@@ -25,13 +25,18 @@ timing each:
   g_pages          g_pages: G0/G1 read from the pivots of that reduction
   m_verdict        m_verdict, whose pages are cached by then: the E2 = G1
                    cross-check and the verdict
-  build_validated  fan_from_json(text, validate_pairs=True): the build with
-                   every cone pair validated (separation certificate, then
-                   the double description of one cone modulo the shared
-                   face), whatever the rank
+  build_validated  fan_from_json(text, validate_pairs=True): the build
+                   validated whatever the rank; every corpus fan is
+                   complete, so this is the completeness rule and the
+                   count of the cones whose interior holds one generic
+                   point, with no pair loop (see fan._check_complete)
 
-Each stage is reported as its median over those runs, in milliseconds;
-their total leaves out build_validated, a second build of the same fan.
+Each stage starts after a full garbage collection, so that a collection
+the earlier stages made due is not charged to the stage that happens to
+cross the threshold: on p1^7 one such collection (about 14 ms) fell into
+build_validated.  Each stage is reported as its median over those runs,
+in milliseconds; their total leaves out build_validated, a second build
+of the same fan.
 The script also times `python -m realtoric.cli compute --json FILE` as a
 cold subprocess REPEATS times per fan (median), and records the number of
 distinct induced projections per fan, the machine and the Python version.
@@ -54,6 +59,7 @@ already in the file are kept.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -83,6 +89,7 @@ def run_stages(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     ms = {}
+    gc.collect()
     t = time.perf_counter()
     fan = fan_from_json(text)
     ms["build"] = time.perf_counter() - t
@@ -95,6 +102,7 @@ def run_stages(path: str) -> dict:
         ("build_validated", lambda: fan_from_json(text, validate_pairs=True)),
     )
     for name, step in steps:
+        gc.collect()
         t = time.perf_counter()
         step()
         ms[name] = time.perf_counter() - t

@@ -186,6 +186,8 @@ def cmd_compute(args) -> None:
         )
     except OSError as exc:
         raise ParseError(f"cannot read {args.path}: {exc}") from exc
+    if args.no_validate:
+        print("realtoric compute: warning: pairs of cones were not validated", file=sys.stderr)
     b = betti_real(fan)
     verdict = m_verdict(fan)
     tables = _compute_pages(fan, wanted)

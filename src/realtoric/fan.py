@@ -3,16 +3,18 @@
 All geometry is exact, in integers, with one polyhedral algorithm: the
 double description of `_cone_geometry` finds each cone's faces, and it
 decides the cone pairs that `_check_pair`'s separation certificate leaves.
+A complete input is validated without pairs, by `_check_complete`.
 """
 from __future__ import annotations
 
 import functools
 import json
-from itertools import combinations
+from itertools import combinations, count
 from math import comb, gcd
 from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from .gf2 import CrossCheckFailed
 from .intlin import (
     IntMatrix,
     _prefix_eliminations,
@@ -163,15 +165,21 @@ def _opposite_normal(h: IntMatrix, j: int) -> Tuple[int, ...]:
     """The primitive normal of the facet opposite ray j of a simplicial
     cone whose rays are the columns of the square upper triangular h: zero
     on every column but j and positive on column j, by fraction-free back
-    substitution from entry j on (the entries before it are zero)."""
+    substitution from entry j on (the entries before it are zero).  Only
+    the nonzero entries, listed in support, enter s; a step with s = 0
+    leaves entry i zero and would only scale n by a unit."""
     n = [0] * len(h)
     n[j] = 1
+    support = [j]
     for i in range(j + 1, len(h)):
-        s = sum(n[m] * h[m][i] for m in range(j, i))
+        s = sum(n[m] * h[m][i] for m in support)
+        if not s:
+            continue
         t = h[i][i]
         g = gcd(s, t)
         n = [x * (t // g) for x in n]
         n[i] = -s // g
+        support.append(i)
     if n[j] * h[j][j] < 0:
         n = [-x for x in n]
     return primitive_vector(n)
@@ -285,9 +293,13 @@ def _facet_normals(geo: _ConeGeometry) -> List[Tuple[Tuple[int, ...], int]]:
     tests.  For a simplicial cone the normals come from back substitution
     in H here."""
     seen, h, u = geo.local
-    simplicial, cols = geo.dim == len(geo.labels), list(zip(*u))
+    simplicial = geo.dim == len(geo.labels)
     local = (_opposite_normal(h, seen[z]) if simplicial else seen[z] for z in geo.facets)
-    return [(tuple(sum(map(mul, n, c)) for c in cols), z) for n, z in zip(local, geo.facets)]
+    # n @ u as a sum of the rows of u at the nonzero entries of n
+    return [
+        (tuple(map(sum, zip(*[map(x.__mul__, row) for x, row in zip(n, u) if x]))), z)
+        for n, z in zip(local, geo.facets)
+    ]
 
 
 def _per_fan(fn):
@@ -377,16 +389,19 @@ class Fan:
         is also open, since near a point inside a wall the two facets'
         half-balls cover both sides.  For rank >= 2 that skeleton cannot
         disconnect the sphere; for rank 1 the rule reads "rays (1) and
-        (-1)".  On a fan it is also necessary, so it is exact.
+        (-1)".  On a fan it is also necessary, so it is exact.  The result
+        is memoized: a validated build decides it first, to choose between
+        the interior count of `_check_complete` and the pair loop, and
+        later callers share that answer.
         """
         if any(self.cones[ci].dim != self.rank for ci in self._maximal):
             return False
         sides: Dict[int, List[int]] = {wi: [] for wi in self.strata[1]}
         for ci in self.strata[0]:
             for wi in self._facets[ci]:
-                wall = self.cones[wi].rays
-                v = next(self.rays[i] for i in self.cones[ci].rays if i not in wall)
-                sides[wi].append(sum(map(mul, self.orbit_quotient(wi)[0][0], v)))
+                off = self.ray_masks[ci] & ~self.ray_masks[wi]
+                v = self.rays[(off & -off).bit_length() - 1]
+                sides[wi].append(sum(map(mul, self._quotients[wi][0][0], v)))
         return all(len(s) == 2 and s[0] * s[1] < 0 for s in sides.values())
 
     def to_json_dict(self) -> dict:
@@ -468,6 +483,57 @@ def _check_pair(
         )
 
 
+def _check_complete(
+    rank: int, checked: List[Tuple[int, _ConeGeometry, List[Tuple[Tuple[int, ...], int]]]]
+) -> None:
+    """Validate a complete input with no pair loop: the rank is >= 2,
+    every listed cone is full-dimensional, and every wall is a facet of
+    exactly two of them, on opposite sides (`Fan.is_complete`).  checked
+    holds each cone's ray bitmask, geometry and `_facet_normals`, as the
+    pair loop reads them.  x is the first point (1, t, .., t^(rank - 1)),
+    for t = 1, 2, .., off every facet hyperplane; a nonzero normal
+    vanishes there for at most rank - 1 values of t, so the search ends.
+    A cone holds x in its interior iff every inward normal is > 0 on x.
+    Let c(x) count those cones: c(x) = 1 accepts the input, c(x) >= 2
+    raises BadIntersection naming two of them, and c(x) = 0, which
+    completeness excludes, raises CrossCheckFailed, so the check does not
+    rest on an assert that `python -O` strips.
+
+    Proof.  Let S be the union of all faces of dimension <= rank - 2.
+    1. Off S, c is locally constant.  A point y off S lies in the interior
+       of each cone that holds it or in the relative interior of one wall
+       of it, and each wall through y brings its two cones, one on each
+       side; so near y the count is the same on both sides of each wall.
+       S is a finite union of cones of codimension >= 2, so R^rank minus
+       S is connected, and c is c(x) at every point off S and the walls.
+    2. If c(x) = 1, the interiors are pairwise disjoint: an overlap is
+       open, so it holds a point off S and off every wall, where c >= 2.
+    3. Take y in a cone A, and F the smallest face of A that holds y.  If
+       a cone has F as its smallest face at y and G is one of its walls
+       through F, then F is also a face of G's other cone.  So crossing
+       walls through F never leaves the cones whose smallest face at y is
+       F, and modulo span(F) these cones cover the quotient, by the
+       connectivity of step 1 (a pair of half-lines when the quotient is a
+       line).  Any cone through y with a different smallest face would
+       then overlap one of them.  Hence for cones A and B, A meets B in
+       the smallest face of A at a point of the relative interior of
+       their intersection, and that is a face of both.
+    """
+    normals = {normal for _, _, facets in checked for normal, _ in facets}
+    for t in count(1):
+        x = [t**i for i in range(rank)]
+        if all(sum(map(mul, normal, x)) for normal in normals):
+            break
+    inside = [
+        geo.labels for _, geo, facets in checked
+        if all(sum(map(mul, normal, x)) > 0 for normal, _ in facets)
+    ]
+    if len(inside) >= 2:
+        raise BadIntersection(*inside[:2], f"both interiors hold the point {tuple(x)}")
+    if not inside:
+        raise CrossCheckFailed(f"no cone of a complete fan holds the point {tuple(x)}")
+
+
 def from_maximal_cones(
     rank: int,
     rays: Sequence[Sequence[int]],
@@ -483,15 +549,21 @@ def from_maximal_cones(
     and the facets of each of its faces; every cone's dimension, orbit
     projection and section come from one integer elimination of its rays,
     which for a face extends the elimination of its ray prefix by one
-    column.  Pairwise intersection validation (a separation certificate,
-    then, for the pairs it cannot certify, the pointedness of one cone
-    modulo the shared face, see `_check_pair`) runs by default for
-    rank <= 4 and can be forced either way with `validate_pairs`; only it
-    reads facet normals (`_facet_normals`, once per maximal cone), so an
-    unvalidated build computes none for a simplicial cone.  Ray entries
-    and cone indices must be ints; nothing is coerced.
+    column.  Validation that every two cones meet in a common face runs
+    by default for rank <= 4 and can be forced either way with
+    `validate_pairs`.  It runs on the built Fan: when the rank is >= 2,
+    every listed cone is full-dimensional and `Fan.is_complete` holds, the
+    count of the cones whose interior holds one generic point decides it
+    in linear time (`_check_complete`); otherwise every pair is checked (a
+    separation certificate, then, for the pairs it cannot certify, the
+    pointedness of one cone modulo the shared face, see `_check_pair`).
+    Only validation reads facet normals (`_facet_normals`, once per
+    maximal cone, for either rule), so an unvalidated build computes none
+    for a simplicial cone.  Ray entries and cone indices must be ints;
+    nothing is coerced.
     ResourceLimitExceeded is raised before the work they bound for more
-    than PAIR_LIMIT pairs to validate, for facet searches that count more
+    than PAIR_LIMIT pairs of cones in a validated build, complete or not,
+    for facet searches that count more
     than FACET_SUBSET_LIMIT ray subsets in all (C(k, d - 1) for a maximal
     cone of k rays spanning d dimensions, a bound on each of its facet
     lists) or in the quotient cone of one pair check, and for a real
@@ -595,15 +667,22 @@ def from_maximal_cones(
     for i, m in enumerate(cone_list):
         strata[rank - dim_rays[m][0]].append(i)
 
-    if validate_pairs:
-        checked = [(mask, geo, _facet_normals(geo)) for mask, geo in geo_by_mask.items()]
-        for a, b in combinations(checked, 2):
-            _check_pair(ray_list, quotients, *a, *b)
-
-    return Fan(
+    fan = Fan(
         rank, tuple(ray_list), cones, name, facets, tuple(map(quotients.__getitem__, cone_list)),
         tuple(cone_list), tuple(map(tuple, strata)),
     )
+    if validate_pairs:
+        checked = [(mask, geo, _facet_normals(geo)) for mask, geo in geo_by_mask.items()]
+        if (
+            rank >= 2
+            and all(geo.dim == rank for geo in geo_by_mask.values())
+            and fan.is_complete()
+        ):
+            _check_complete(rank, checked)
+        else:
+            for a, b in combinations(checked, 2):
+                _check_pair(ray_list, quotients, *a, *b)
+    return fan
 
 
 def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:

@@ -245,14 +245,19 @@ def test_compute_unreadable_json_exits_three(tmp_path, content, message):
 
 
 def test_compute_no_validate_gives_the_default_report(capsys):
-    # on a fan, skipping pair validation changes no byte of the report
+    # on a fan, skipping pair validation changes no byte of the report, and
+    # one stderr line says that the pairs were not validated
     paths = sorted(FANS.glob("*.json"))
     assert paths
     for path in paths:
         argv = ["compute", "--json", "--pages", "e1,e2,g0,g1", str(path)]
         default = run_cli(capsys, *argv)
-        assert default[0] == 0 and default[1], path.name
-        assert run_cli(capsys, *argv, "--no-validate") == default, path.name
+        assert default[0] == 0 and default[1] and default[2] == "", path.name
+        unvalidated = run_cli(capsys, *argv, "--no-validate")
+        assert unvalidated[:2] == default[:2], path.name
+        assert unvalidated[2] == (
+            "realtoric compute: warning: pairs of cones were not validated\n"
+        ), path.name
 
 
 def test_compute_no_validate_skips_pair_checks(tmp_path, capsys):

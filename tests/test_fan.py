@@ -5,7 +5,7 @@ import json
 import random
 from functools import reduce
 from itertools import combinations, permutations, product
-from math import comb, gcd, prod
+from math import atan2, comb, gcd, prod
 from operator import mul
 
 import pytest
@@ -50,6 +50,7 @@ from realtoric.fan import (
     ResourceLimitExceeded,
     ValidationError,
     _bits,
+    _check_complete,
     _check_pair,
     _cone_geometry,
     _facet_normals,
@@ -706,6 +707,144 @@ def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):
     assert len(calls) == 4 * len(p1_4.maximal_cones()) == 64
 
 
+# The twice-wound rank-2 input: five cones on consecutive rays that go
+# twice round the origin.  Every wall is a facet of two cones on opposite
+# sides, so it passes `Fan.is_complete`, but every point is covered twice.
+TWICE_WOUND = ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+               [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]])
+
+
+def _times_p1_cubed(rank, rays, cones):
+    """Rays and cones of the product of the input with (P^1)^3."""
+    rays = [tuple(r) + (0, 0, 0) for r in rays]
+    rays += [tuple(s * (j == rank + i) for j in range(rank + 3)) for i in range(3) for s in (1, -1)]
+    first = len(rays) - 6
+    cones = [c + [first + 2 * i + b for i, b in enumerate(bits)]
+             for c in cones for bits in product((0, 1), repeat=3)]
+    return rank + 3, rays, cones
+
+
+def _wound_inputs(count):
+    """count seeded rank-2 inputs whose cones, on consecutive rays, wind two
+    or three times round the origin: each lap takes every second or third
+    ray in order of angle, so every ray lies in two cones, one on each side."""
+    rng = random.Random(3004)
+    out = []
+    while len(out) < count:
+        turns = rng.choice((2, 3))
+        pool = {primitive_vector([rng.randint(-5, 5), rng.randint(1, 5)]) for _ in range(9)}
+        pool |= {(-x, -y) for x, y in pool if rng.randrange(2)}
+        rays = sorted(pool, key=lambda v: atan2(v[1], v[0]))
+        rays = rays[: len(rays) - len(rays) % turns]
+        lap = [i + turns * j for i in range(turns) for j in range(len(rays) // turns)]
+        cones = [[a, b] for a, b in zip(lap, lap[1:] + lap[:1])]
+        if all(rays[a][0] * rays[b][1] > rays[a][1] * rays[b][0] for a, b in cones):
+            out.append((2, rays, cones))
+    return out
+
+
+@pytest.fixture
+def pair_checks(monkeypatch):
+    """The pairs of cones `_check_pair` is called on during the test."""
+    calls = []
+    check_pair = realtoric.fan._check_pair
+
+    def counted(rays, quotients, mask_a, geo_a, facets_a, mask_b, *rest):
+        calls.append((mask_a, mask_b))
+        return check_pair(rays, quotients, mask_a, geo_a, facets_a, mask_b, *rest)
+
+    monkeypatch.setattr(realtoric.fan, "_check_pair", counted)
+    return calls
+
+
+def _rule_and_pair_loop(rank, rays, listed):
+    """Whether the interior count of `_check_complete` and the pair loop
+    accept the listed cones, each cone's geometry and normals computed
+    afresh, and each shared face's (P, R) by a fresh elimination."""
+    checked = []
+    for c in listed:
+        geo = _cone_geometry(rank, [rays[i] for i in sorted(c)], sorted(c))
+        checked.append((_mask(c), geo, _facet_normals(geo)))
+    verdicts = []
+    for validate in (
+        lambda: _check_complete(rank, checked),
+        lambda: [
+            _check_pair(rays, {a[0] & b[0]: quotient_with_section(
+                rank, [rays[i] for i in _bits(a[0] & b[0])])}, *a, *b)
+            for a, b in combinations(checked, 2)
+        ],
+    ):
+        try:
+            validate()
+        except BadIntersection:
+            verdicts.append(False)
+        else:
+            verdicts.append(True)
+    return verdicts
+
+
+def test_interior_count_agrees_with_the_pair_loop(cyclic_fan):
+    # every candidate the rule applies to: rank >= 2, every listed cone
+    # full-dimensional, and complete by `Fan.is_complete`
+    p1 = projective_space_fan(1)
+    fans = _sampled_fans(cyclic_fan) + [fan for fan, _ in _overlapping_fans(50)] + [
+        reduce(product_fan, [p1] * 4), reduce(product_fan, [p1] * 6), projective_space_fan(6),
+    ]
+    inputs = [(fan.rank, fan.rays, [list(fan.cones[ci].rays) for ci in fan.maximal_cones()])
+              for fan in fans]
+    inputs += [(2, *TWICE_WOUND), _times_p1_cubed(2, *TWICE_WOUND)] + _wound_inputs(12)
+    verdicts = []
+    for rank, rays, listed in inputs:
+        fan = from_maximal_cones(rank, rays, listed, validate_pairs=False)
+        if rank < 2 or not fan.is_complete():
+            continue
+        rule, pair_loop = _rule_and_pair_loop(rank, rays, listed)
+        assert rule == pair_loop, (rank, rays, listed)
+        verdicts.append(rule)
+    assert verdicts.count(False) == 14 and len(verdicts) >= 100
+
+
+@pytest.mark.parametrize("wound", [(2, *TWICE_WOUND), _times_p1_cubed(2, *TWICE_WOUND)])
+def test_twice_wound_inputs_fail_the_interior_count(pair_checks, wound):
+    rank, rays, cones = wound
+    with pytest.raises(BadIntersection, match="both interiors hold the point"):
+        from_maximal_cones(rank, rays, cones, validate_pairs=True)
+    assert pair_checks == []
+    # unvalidated, the same input builds, and it passes the completeness rule
+    assert from_maximal_cones(rank, rays, cones, validate_pairs=False).is_complete()
+
+
+def test_complete_fans_make_no_pair_check(pair_checks):
+    p4 = projective_space_fan(4)
+    fans = [from_maximal_cones(4, rays, cones, validate_pairs=True)
+            for rays, cones in (_p1_power(4), (p4.rays, [list(p4.cones[ci].rays)
+                                                       for ci in p4.maximal_cones()]))]
+    assert all(fan.is_complete() for fan in fans)
+    assert pair_checks == []
+
+
+def test_the_pair_loop_runs_where_the_rule_does_not_apply(pair_checks):
+    # the fold of the completeness test: not complete, so the pair loop
+    # runs, and it rejects the overlap
+    with pytest.raises(BadIntersection):
+        from_maximal_cones(2, [(1, 0), (0, 1), (1, 1)], [[0, 1], [1, 2], [2, 0]])
+    assert len(pair_checks) >= 1
+    subfan = random_fan(3, 1, "subfan")
+    assert not subfan.is_complete() and len(subfan.maximal_cones()) >= 2
+    cases = [
+        (3, subfan.rays, [list(subfan.cones[ci].rays) for ci in subfan.maximal_cones()]),
+        # rank 1, which the rule leaves to the pair loop
+        (1, [(1,), (-1,)], [[0], [1]]),
+        # complete, but one listed cone, the ray (1, 0), is not full-dimensional
+        (2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0], [0]]),
+    ]
+    for rank, rays, cones in cases:
+        del pair_checks[:]
+        fan = from_maximal_cones(rank, rays, cones, validate_pairs=True)
+        assert len(pair_checks) == comb(len(cones), 2), (rank, rays, cones)
+    assert fan.is_complete()
+
+
 def test_rank_must_be_positive():
     with pytest.raises(ValidationError):
         from_maximal_cones(0, [], [])
@@ -816,14 +955,20 @@ def _complete_by_sampling(fan) -> bool:
     )
 
 
-def test_completeness_matches_sampling_reference(cyclic_fan):
+def _sampled_fans(cyclic_fan):
+    """The 384 fans of the completeness reference: `oracle_fans()`, 288
+    more seeded random fans of rank 1-3, cyclic57 and P(1, 2, 3)."""
     fans = oracle_fans() + [
         random_fan(rank, seed, profile)
         for rank in (1, 2, 3)
         for profile in ("complete", "subfan", "affine")
         for seed in range(8, 40)
     ]
-    fans += [cyclic_fan, weighted_projective_fan(1, 2, 3)]
+    return fans + [cyclic_fan, weighted_projective_fan(1, 2, 3)]
+
+
+def test_completeness_matches_sampling_reference(cyclic_fan):
+    fans = _sampled_fans(cyclic_fan)
     verdicts = [fan.is_complete() for fan in fans]
     assert verdicts == [_complete_by_sampling(fan) for fan in fans]
     assert True in verdicts and False in verdicts

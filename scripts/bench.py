@@ -11,10 +11,12 @@ timing each:
 
   build            fan_from_json (cone geometry, face lattice, and
                    validation at rank <= 4)
-  projections      _projection_groups: each cone's projection and section
-                   from the build reduced mod 2, every facet pair's
-                   induced projection mod 2 with its face check, and the
-                   surjectivity check of each distinct projection
+  projections      _projection_groups: each cone's projection from the
+                   build packed mod 2 and interned, one mod-2 section per
+                   distinct packed projection, the face check of every
+                   facet pair, one induced projection mod 2 per distinct
+                   (projection, section) of its pairs, and the
+                   surjectivity check of each distinct induced projection
   e1_e2            e2_dims (E1 assembly and its row homology); it also
                    pays the d o d signature walk, which runs first here
                    and which real_complex then reuses

@@ -17,7 +17,7 @@ from typing import Dict, NamedTuple, Sequence, Tuple
 from .constructions import _PROFILES, random_fan
 from .fan import Fan, fan_to_json
 from .gf2 import CrossCheckFailed
-from .spectral import betti_real, e2_dims, g_pages
+from .spectral import betti_real, e2_dims, g_pages, real_position_of_complex
 
 __all__ = [
     "AnalysisError",
@@ -65,7 +65,7 @@ class MVerdict(NamedTuple):
 
 
 def m_verdict(fan: Fan) -> MVerdict:
-    """Certify the M-property by the sandwich of totals.
+    """Certify the M-property by the sandwich of totals, E2 = G1 checked entrywise.
 
     sum b(R) <= sum b(C) <= total E2 = total G1; equality of the outer
     terms forces equality throughout, certifying maximality and the
@@ -78,6 +78,10 @@ def m_verdict(fan: Fan) -> MVerdict:
     total_g1 = g1.total()
     if total_g1 != total_e2:
         raise CrossCheckFailed(f"total G1 = {total_g1} != total E2 = {total_e2}")
+    for (p, q), dim in sorted(e2_dims(fan).entries.items()):
+        at = real_position_of_complex(p, q)
+        if g1.get(*at) != dim:
+            raise CrossCheckFailed(f"G1 at {at} = {g1.get(*at)} != E2 at {(p, q)} = {dim}")
     if sbr > total_g1:
         raise CrossCheckFailed(f"Betti sum {sbr} exceeds the page total {total_g1}")
     gap = total_e2 - sbr

@@ -296,7 +296,7 @@ def _random_affine(rng: random.Random, rank: int) -> Fan:
         if count <= rank:
             # independent rays span a simplicial cone, pointed with every ray
             # extreme, which affine_fan accepts
-            if span_elimination(rank, rays)[4] == count:
+            if span_elimination(rank, rays)[3] == count:
                 return affine_fan(rank, rays)
             continue
         # the cone's own geometry rejects what affine_fan would, unbuilt

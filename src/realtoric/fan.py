@@ -18,7 +18,6 @@ from .gf2 import CrossCheckFailed
 from .intlin import (
     IntMatrix,
     _prefix_eliminations,
-    _quotient,
     identity,
     primitive_vector,
     span_elimination,
@@ -136,7 +135,6 @@ class _ConeGeometry(NamedTuple):
     dim: int
     pointed: bool
     span_eqs: List[List[int]]           # (rank - dim) x rank: orbit projection, zero on the span
-    section: List[List[int]]            # rank x (rank - dim): integer right inverse of span_eqs
     facets: List[int]                   # facet zero sets, in order of rays
     face_masks: Set[int]                # every face
     nonextreme: List[int]               # listed rays that are not extreme
@@ -200,8 +198,8 @@ def _cone_geometry(
     list of the search.
 
     One `span_elimination` of the vectors gives the dimension d, the span
-    coordinates (rows ..d of U, in which the vectors are the columns of H),
-    the orbit projection and its section.  For k = d the facets are the
+    coordinates (rows ..d of U, in which the vectors are the columns of H)
+    and the orbit projection.  For k = d the facets are the
     sets of all vectors but one, and no normal is computed here.
     Otherwise the pivot columns of H[:d] are d independent vectors whose
     square part is upper triangular; each facet normal of their simplicial
@@ -221,9 +219,9 @@ def _cone_geometry(
     k = len(vectors)
     labels = tuple(range(k) if labels is None else labels)
     if k == 0:
-        return _ConeGeometry(0, True, identity(rank), identity(rank), [], {0}, [], labels)
+        return _ConeGeometry(0, True, identity(rank), [], {0}, [], labels)
     bit = [1 << j for j in labels]
-    h, u, proj, sect, d = span_elimination(rank, vectors)
+    h, u, proj, d = span_elimination(rank, vectors)
     h, u = h[:d], u[:d]
     if comb(k, d - 1) > budget:
         raise ResourceLimitExceeded(
@@ -283,7 +281,7 @@ def _cone_geometry(
         nonextreme = [j for j in range(k) if bit[j] not in faces]
 
     facets = sorted(seen, key=_bits)
-    return _ConeGeometry(d, pointed, proj, sect, facets, faces, nonextreme, labels, (seen, h, u))
+    return _ConeGeometry(d, pointed, proj, facets, faces, nonextreme, labels, (seen, h, u))
 
 
 def _facet_normals(geo: _ConeGeometry) -> List[Tuple[Tuple[int, ...], int]]:
@@ -334,7 +332,7 @@ class Fan:
         cones: Tuple[Cone, ...],
         name: Optional[str],
         facets: Tuple[Tuple[int, ...], ...],
-        quotients: Tuple[Tuple[IntMatrix, IntMatrix], ...],
+        projections: Tuple[IntMatrix, ...],
         ray_masks: Tuple[int, ...],
         strata: Tuple[Tuple[int, ...], ...],
     ):
@@ -343,7 +341,7 @@ class Fan:
         self.cones = cones
         self.name = name
         self._facets = facets
-        self._quotients = quotients
+        self._projections = projections
         self.ray_masks = ray_masks
         self.strata = strata
         # a cone that is a proper face of another is a facet of one
@@ -358,20 +356,22 @@ class Fan:
             f"cones={len(self.cones)}{label})"
         )
 
-    def orbit_quotient(self, ci: int) -> Tuple[IntMatrix, IntMatrix]:
-        """(P, R) for cone ci: P maps the lattice onto Z^codim with kernel
-        the saturated span of the cone's rays, R is an integer right
-        inverse (P @ R = I).  Both are the lists of the cone's one
-        elimination at build time, which callers must not mutate."""
-        return self._quotients[ci]
+    def orbit_projection(self, ci: int) -> IntMatrix:
+        """P of cone ci, onto Z^codim with kernel the saturated span of its rays:
+        the list of its one elimination at build time, not to be mutated."""
+        return self._projections[ci]
 
     def maximal_cones(self) -> Tuple[int, ...]:
         return self._maximal
 
     @_per_fan
     def facet_pairs(self) -> List[Tuple[int, int]]:
-        """Pairs (si, ti) where cone si is a codimension-one face of cone ti."""
-        return sorted((si, ti) for ti, fs in enumerate(self._facets) for si in fs)
+        """Pairs (si, ti), in sorted order, where cone si is a codimension-one face of cone ti."""
+        up: List[List[int]] = [[] for _ in self._facets]
+        for ti, fs in enumerate(self._facets):
+            for si in fs:
+                up[si].append(ti)
+        return [(si, ti) for si, ts in enumerate(up) for ti in ts]
 
     @_per_fan
     def is_complete(self) -> bool:
@@ -401,7 +401,7 @@ class Fan:
             for wi in self._facets[ci]:
                 off = self.ray_masks[ci] & ~self.ray_masks[wi]
                 v = self.rays[(off & -off).bit_length() - 1]
-                sides[wi].append(sum(map(mul, self._quotients[wi][0][0], v)))
+                sides[wi].append(sum(map(mul, self._projections[wi][0], v)))
         return all(len(s) == 2 and s[0] * s[1] < 0 for s in sides.values())
 
     def to_json_dict(self) -> dict:
@@ -435,14 +435,14 @@ def _meets_off_face(p: IntMatrix, off_a: list, off_b: list) -> bool:
 
 def _check_pair(
     rays: Sequence[Tuple[int, ...]],
-    quotients: Dict[int, Tuple[IntMatrix, IntMatrix]],
+    projections: Dict[int, IntMatrix],
     mask_a: int, geo_a: _ConeGeometry, facets_a: List[Tuple[Tuple[int, ...], int]],
     mask_b: int, geo_b: _ConeGeometry, facets_b: List[Tuple[Tuple[int, ...], int]],
 ) -> None:
     """Raise BadIntersection unless the cones A and B (ray bitmasks, with
     their geometry and `_facet_normals`, which the caller computes once per
-    cone) meet in the face F spanned by their shared rays; quotients maps
-    each face of the build to its (P, R).
+    cone) meet in the face F spanned by their shared rays; projections
+    maps each face of the build to its orbit projection P.
 
     F must be a face of both, so no other ray of A or B lies in it.  Then
     a separation certificate is tried first (Cox, Little & Schenck, *Toric
@@ -477,7 +477,7 @@ def _check_pair(
         return
     off_a = [rays[i] for i in order_a if not common >> i & 1]
     off_b = [rays[i] for i in order_b if not common >> i & 1]
-    if _meets_off_face(quotients[common][0], off_a, off_b):
+    if _meets_off_face(projections[common], off_a, off_b):
         raise BadIntersection(
             order_a, order_b, "intersection is strictly larger than the shared face"
         )
@@ -546,12 +546,12 @@ def from_maximal_cones(
 
     The zero cone is implicit.  Each maximal cone's facet search (a
     double description, see `_cone_geometry`) gives its faces and facets,
-    and the facets of each of its faces; every cone's dimension, orbit
-    projection and section come from one integer elimination of its rays,
-    which for a face extends the elimination of its ray prefix by one
-    column.  Validation that every two cones meet in a common face runs
-    by default for rank <= 4 and can be forced either way with
-    `validate_pairs`.  It runs on the built Fan: when the rank is >= 2,
+    and the facets of each of its faces; every cone's dimension and orbit
+    projection come from one integer elimination of its rays, which for a
+    face extends the elimination of its ray prefix by one column.
+    Validation that every two cones meet in a common face runs by default
+    for rank <= 4 and can be forced either way with `validate_pairs`.  It
+    runs on the built Fan: when the rank is >= 2,
     every listed cone is full-dimensional and `Fan.is_complete` holds, the
     count of the cones whose interior holds one generic point decides it
     in linear time (`_check_complete`); otherwise every pair is checked (a
@@ -622,7 +622,7 @@ def from_maximal_cones(
     geo_by_mask: Dict[int, _ConeGeometry] = {}
     # each face -> the facet zero sets of a maximal cone holding it
     outer: Dict[int, List[int]] = {}
-    quotients: Dict[int, Tuple[IntMatrix, IntMatrix]] = {}
+    projections: Dict[int, IntMatrix] = {}
     cells = tried = 0
     for mset in max_sets:
         order = sorted(mset)
@@ -639,20 +639,20 @@ def from_maximal_cones(
         mask = _mask(order)
         geo_by_mask[mask] = geo
         outer.update(dict.fromkeys(geo.face_masks - outer.keys(), geo.facets))
-        quotients[mask] = (geo.span_eqs, geo.section)
+        projections[mask] = geo.span_eqs
         cells = _count_cells(cells, rank - geo.dim)
     # the other faces in lexicographic order of their rays, each extending
     # the elimination of its ray prefix by one column step
     rays_of = {face: _bits(face) for face in outer}
-    faces = sorted((face for face in rays_of if face not in quotients), key=rays_of.__getitem__)
+    faces = sorted((face for face in rays_of if face not in projections), key=rays_of.__getitem__)
     states = _prefix_eliminations(rank, map(rays_of.__getitem__, faces), ray_list)
-    for face, state in zip(faces, states):
-        quotients[face] = _quotient(*state)
-        cells = _count_cells(cells, len(quotients[face][0]))
+    for face, (u, r) in zip(faces, states):
+        projections[face] = u[r:]
+        cells = _count_cells(cells, rank - r)
 
     # (dimension, rays) of each cone: the codimension is the number of rows
     # of its projection
-    dim_rays = {m: (rank - len(q[0]), tuple(rays_of[m])) for m, q in quotients.items()}
+    dim_rays = {m: (rank - len(p), tuple(rays_of[m])) for m, p in projections.items()}
     cone_list = sorted(dim_rays, key=dim_rays.__getitem__)
     cones = tuple(Cone(rays, dim) for dim, rays in map(dim_rays.__getitem__, cone_list))
     # The facets of a face t of a cone are the t & z, over the cone's
@@ -668,7 +668,7 @@ def from_maximal_cones(
         strata[rank - dim_rays[m][0]].append(i)
 
     fan = Fan(
-        rank, tuple(ray_list), cones, name, facets, tuple(map(quotients.__getitem__, cone_list)),
+        rank, tuple(ray_list), cones, name, facets, tuple(map(projections.__getitem__, cone_list)),
         tuple(cone_list), tuple(map(tuple, strata)),
     )
     if validate_pairs:
@@ -681,7 +681,7 @@ def from_maximal_cones(
             _check_complete(rank, checked)
         else:
             for a, b in combinations(checked, 2):
-                _check_pair(ray_list, quotients, *a, *b)
+                _check_pair(ray_list, projections, *a, *b)
     return fan
 
 

@@ -104,6 +104,27 @@ def _mul_rows(a: Iterable[int], b: Sequence[int]) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _right_inverse(rows: Sequence[int], n: int) -> Tuple[int, ...]:
+    """Rows of an n x c right inverse R of the full-rank c x n matrix P with
+    the given rows.  Gauss-Jordan on P's rows, row i with the unit bit n + i,
+    gives E P = I on pivot columns J; R is E at the rows J, else 0: P R = I.
+
+    For a face sigma of tau, any R gives the same P_tau R_sigma mod 2: the
+    span N_sigma is saturated, so 0 -> N_sigma -> N -> Z^c -> 0 is split
+    exact, and ker P_sigma mod 2 = N_sigma (x) F_2, inside ker P_tau mod 2,
+    holds the difference of any two R, an integer section's reduction too."""
+    aug = [r | 1 << n + i for i, r in enumerate(rows)]
+    for i, r in enumerate(aug):
+        pivot = r & -r
+        for k, other in enumerate(aug):
+            if k != i and other & pivot:
+                aug[k] = other ^ r
+    out = [0] * n
+    for r in aug:
+        out[(r & -r).bit_length() - 1] = r >> n
+    return tuple(out)
+
+
 def _rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of row bitsets: each row is reduced by the pivot
     rows found so far, keyed by their leading bit, until it vanishes or

@@ -28,19 +28,17 @@ def identity(n: int) -> IntMatrix:
     return out
 
 
-def _column_step(
-    u: IntMatrix, w: IntMatrix, r: int, vec: Sequence[int]
-) -> Tuple[List[int], IntMatrix, IntMatrix, int]:
-    """Extend the elimination (U, W, r) of some columns by the column vec.
+def _column_step(u: IntMatrix, r: int, vec: Sequence[int]) -> Tuple[List[int], IntMatrix, int]:
+    """Extend the elimination (U, r) of some columns by the column vec.
 
-    Returns (col, U', W', r') with col = U' @ vec, the new column of H:
+    Returns (col, U', r') with col = U' @ vec, the new column of H:
     rows r.. of col are cleared below the pivot by Euclid's algorithm on
-    the entry of least magnitude, each row operation applied to U and W.
-    The given lists are not changed, so the state (U, W, r) can be
-    extended again by another column.
+    the entry of least magnitude, each row operation applied to U.  The
+    given list is not changed, so the state (U, r) can be extended again
+    by another column.
     """
     col = [sum(map(mul, row, vec)) for row in u]
-    u, w = u[:], w[:]
+    u = u[:]
     nrows = len(u)
     while True:
         piv, val = -1, 0
@@ -49,7 +47,7 @@ def _column_step(
             if x and (not val or abs(x) < abs(val)):
                 piv, val = i, x
         if piv < 0:
-            return col, u, w, r
+            return col, u, r
         if piv != r:
             # move the pivot row up, keeping the order of the others:
             # rows no pivot touches stay in input order, so cones on
@@ -57,51 +55,46 @@ def _column_step(
             # the order of their rays, and induced projections repeat
             col.insert(r, col.pop(piv))
             u.insert(r, u.pop(piv))
-            w.insert(r, w.pop(piv))
         ur = u[r]
         done = True
         for i in range(r + 1, nrows):
             q = col[i] // val
             if q:
-                # row i -= q * row r, so column r of U^-1 += q * column i
                 col[i] -= q * val
                 u[i] = [x - q * y for x, y in zip(u[i], ur)]
-                w[r] = [x + q * y for x, y in zip(w[r], w[i])]
             if col[i]:
                 done = False
         if done:
-            return col, u, w, r + 1
+            return col, u, r + 1
 
 
-def _echelon(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix, int]:
+def _echelon(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, int]:
     """Unimodular row elimination of the matrix a (a list of rows), one
     `_column_step` per column.
 
-    Returns (H, U, W, r) with U @ a = H, U unimodular and H in row echelon
-    form whose first r rows are its non-zero ones, so r is the rank of a,
-    and W is the transpose of U^-1 (row i of W is column i of U^-1).
+    Returns (H, U, r) with U @ a = H, U unimodular and H in row echelon
+    form whose first r rows are its non-zero ones, so r is the rank of a.
     """
     u = identity(len(a))
-    w = identity(len(a))
     r = 0
     cols = []
     for vec in zip(*a):
-        col, u, w, r = _column_step(u, w, r, vec)
+        col, u, r = _column_step(u, r, vec)
         cols.append(col)
     h = [list(row) for row in zip(*cols)] if cols else [[] for _ in a]
-    return h, u, w, r
+    return h, u, r
 
 
 def _prefix_eliminations(
     n: int, tuples: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]]
-) -> Iterator[Tuple[IntMatrix, IntMatrix, int]]:
-    """(U, W, r) of `_echelon` on the columns vectors[i], i in t, of length
+) -> Iterator[Tuple[IntMatrix, int]]:
+    """(U, r) of `_echelon` on the columns vectors[i], i in t, of length
     n, for each tuple t in turn.  The states of the prefixes t shares with
     the tuple before it are kept on a stack, one per prefix length, and
     extended by one `_column_step` per further index, so tuples visited in
     lexicographic order share their prefixes' eliminations.
     """
-    stack = [(identity(n), identity(n), 0)]
+    stack = [(identity(n), 0)]
     prev: Sequence[int] = ()
     for t in tuples:
         keep = 0
@@ -118,25 +111,18 @@ def _prefix_eliminations(
 
 def span_elimination(
     rank: int, vectors: Sequence[Sequence[int]]
-) -> Tuple[IntMatrix, IntMatrix, IntMatrix, IntMatrix, int]:
+) -> Tuple[IntMatrix, IntMatrix, IntMatrix, int]:
     """One unimodular elimination U @ A = [H; 0] of the rank x len(vectors)
     matrix A whose columns are the vectors.
 
-    Returns (H, U, P, R, r): r is the rank of the vectors, rows ..r of U
-    are coordinates on their span (in which the vectors are the columns of
-    H), P is rows r.. of U (the left kernel of A, whose kernel is exactly
-    the saturation of the span) and R is columns r.. of U^-1, an integer
-    right inverse of P.
+    Returns (H, U, P, r): r is the rank of the vectors, rows ..r of U are
+    coordinates on their span (in which the vectors are the columns of H)
+    and P is rows r.. of U (the left kernel of A, whose kernel is exactly
+    the saturation of the span).
     """
     assert all(len(vec) == rank for vec in vectors), "vector length must match ambient rank"
-    h, u, w, r = _echelon(list(zip(*vectors)) or [()] * rank)
-    return (h, u) + _quotient(u, w, r) + (r,)
-
-
-def _quotient(u: IntMatrix, w: IntMatrix, r: int) -> Tuple[IntMatrix, IntMatrix]:
-    """(P, R) of an elimination (U, W, r): P is rows r.. of U and R is
-    columns r.. of U^-1, read off W."""
-    return u[r:], [list(col) for col in zip(*w[r:])] or [[] for _ in u]
+    h, u, r = _echelon(list(zip(*vectors)) or [()] * rank)
+    return h, u, u[r:], r
 
 
 def primitive_vector(vec: Sequence[int]) -> Tuple[int, ...]:

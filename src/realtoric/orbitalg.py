@@ -6,8 +6,8 @@ subgroup of the quotient torus is canonically V.  The homology of that
 finite group is the group algebra F_2[V], with elements bit-packed over
 the 2^p group elements.
 
-The induced projections of the facet pairs, bit products of the two
-cones' projection and section reduced mod 2, are grouped by
+The induced projections of the facet pairs, bit products of one cone's
+projection and the other's mod-2 section, are made by
 `spectral._projection_groups`.
 The group-algebra map of a linear map m fills its image table one low
 bit at a time: the image of g is that of g without its low bit, plus the

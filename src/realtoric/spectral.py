@@ -41,8 +41,8 @@ from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequ
 
 from .fan import Fan, _bits, _per_fan
 from .gf2 import (
-    ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, exterior_powers, subset_masks,
-    subset_shift_masks,
+    ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, _right_inverse, exterior_powers,
+    subset_masks, subset_shift_masks,
 )
 from .orbitalg import augmentation_filtration_dims, group_algebra_map
 
@@ -99,27 +99,36 @@ def _projection_groups(fan: Fan) -> List[List[Tuple[Mat2, List[Tuple[int, int]]]
     each as (m, its pairs' (row block, column block) positions): the block
     of ti in stratum p - 1, of si in stratum p.
 
-    Each cone's projection P and section R (`Fan.orbit_quotient`) are
-    packed mod 2 once; a pair's projection is the bit product of ti's P
-    rows and si's R rows, grouped by its row tuple.  The face check runs on
-    every pair, and the surjectivity check once per distinct row tuple,
-    which every pair with that projection shares."""
+    Each cone's P (`Fan.orbit_projection`) is packed mod 2 and interned once,
+    and each distinct P gets one mod-2 section R (`_right_inverse`; any choice
+    gives the same m).  A pair's m, the bit product of ti's P and si's R rows,
+    is made once per distinct (P of ti, R of si), grouped by its rows.  The face
+    check runs on every pair, the surjectivity check once per distinct m."""
     pos = {ci: j for stratum in fan.strata for j, ci in enumerate(stratum)}
-    quotients = [fan.orbit_quotient(ci) for ci in range(len(fan.cones))]
-    mod2 = [Mat2.from_rows(proj).rows for proj, _ in quotients]
-    section = [Mat2.from_rows(sect).rows for _, sect in quotients]
+    ids: Dict[Tuple[int, ...], int] = {}
+    packed = (tuple(Mat2.from_rows(fan.orbit_projection(ci)).rows) for ci in range(len(fan.cones)))
+    cone_ids = [ids.setdefault(rows, len(ids)) for rows in packed]
+    mod2 = list(ids)
+    sections = [_right_inverse(rows, fan.rank) for rows in mod2]
+    bases: Dict[Tuple[int, ...], int] = {}  # each distinct R, as its id times len(mod2)
+    keys = [bases.setdefault(sections[i], len(bases) * len(mod2)) for i in cone_ids]
     masks = fan.ray_masks
     by_rows: List[Dict[Tuple[int, ...], List[Tuple[int, int]]]] = [{} for _ in fan.strata]
+    by_key: Dict[int, List[Tuple[int, int]]] = {}
     for si, ti in fan.facet_pairs():
         if masks[si] & ~masks[ti]:
             raise CrossCheckFailed(f"cone {si} is not a face of cone {ti}")
-        rows = _mul_rows(mod2[ti], section[si])
-        seen = by_rows[len(quotients[si][0])]
-        where = seen.get(rows)
+        key = keys[si] + cone_ids[ti]
+        where = by_key.get(key)
         if where is None:
-            if _rank(rows) != len(rows):
-                raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
-            where = seen[rows] = []
+            rows = _mul_rows(mod2[cone_ids[ti]], sections[cone_ids[si]])
+            seen = by_rows[len(mod2[cone_ids[si]])]
+            where = seen.get(rows)
+            if where is None:
+                if _rank(rows) != len(rows):
+                    raise CrossCheckFailed(f"induced projection {si} -> {ti} is not surjective")
+                where = seen[rows] = []
+            by_key[key] = where
         where.append((pos[ti], pos[si]))
     return [
         [(Mat2(p - 1, p, rows), where) for rows, where in groups.items()]

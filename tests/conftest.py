@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import random
@@ -19,6 +20,7 @@ from realtoric.constructions import (
     product_fan,
     projective_space_fan,
     random_fan,
+    weighted_projective_fan,
 )
 from realtoric.fan import Fan, from_maximal_cones, read_json
 from realtoric.gf2 import Mat2
@@ -99,7 +101,14 @@ def cube_fan() -> Fan:
     return from_maximal_cones(3, rays, maximal, name="cubefan")
 
 
-FANS = Path(__file__).resolve().parents[1] / "fans"
+ROOT = Path(__file__).resolve().parents[1]
+FANS = ROOT / "fans"
+
+# the benchmark's list of large fans and the code that builds and relabels
+# them, perfbench/inputs.py, loaded from its file
+_spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
+perfbench_inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_inputs)
 
 
 def oracle_fans() -> List[Fan]:
@@ -115,6 +124,18 @@ def oracle_fans() -> List[Fan]:
     ]
     fans.append(reduce(product_fan, [projective_space_fan(1)] * 4))
     return fans
+
+
+def sampled_fans(cyclic_fan: Fan) -> List[Fan]:
+    """The 384 fans of the completeness reference: `oracle_fans()`, 288
+    more seeded random fans of rank 1-3, cyclic57 and P(1, 2, 3)."""
+    fans = oracle_fans() + [
+        random_fan(rank, seed, profile)
+        for rank in (1, 2, 3)
+        for profile in ("complete", "subfan", "affine")
+        for seed in range(8, 40)
+    ]
+    return fans + [cyclic_fan, weighted_projective_fan(1, 2, 3)]
 
 
 def random_unimodular(rng: random.Random, n: int, ops: int = 8) -> List[List[int]]:

@@ -15,10 +15,13 @@ change are the references for `gf2.exterior_powers`, `spectral._place`,
 `spectral._projection_groups` and `spectral._y_block`.  A scan of every
 triple of points is the reference for `constructions._hull3_facets`.
 The fraction-free Bareiss `determinant` is the integer reference for
-minors, cofactors and exterior powers.  A sympy `lin_rank` and a fresh
-`span_elimination` (`quotient_with_section`) are the references for each
-cone's dimension and (P, R), and `orbit_lattice` reduces a cone's (P, R)
-mod 2 for `induced_projection_mod2`.  Fourier-Motzkin elimination
+minors, cofactors and exterior powers.  A sympy `lin_rank` and the
+elimination that also tracks U^-1 (`column_step_with_inverse`, folded by
+`echelon_with_inverse`; `quotient_with_section` reads (P, R) off it) are
+the references for each cone's dimension, its P and an integer section R,
+and `orbit_lattice` reduces a cone's P and that R mod 2 for
+`induced_projection_mod2`: the integer product, which the package's mod-2
+sections must reproduce.  Fourier-Motzkin elimination
 (`fourier_motzkin`), which refuses a step before building it if the step
 would hold too many rows, is the generator-side reference for the pair
 check, which decides by double description.  The questions the
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, gcd
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from sympy import Matrix
@@ -56,7 +60,7 @@ from realtoric.gf2 import (
     subset_masks,
     subset_shift_masks,
 )
-from realtoric.intlin import IntMatrix, span_elimination
+from realtoric.intlin import IntMatrix, identity as int_identity, span_elimination
 from realtoric.spectral import PageTable, e1_page, e2_dims, real_complex
 
 
@@ -240,9 +244,12 @@ class GroupAlgebraElement:
 
 
 def orbit_lattice(fan: Fan, ci: int) -> Tuple[Mat2, Mat2]:
-    """The projection and section of cone ci's orbit lattice,
-    `Fan.orbit_quotient`, reduced mod 2."""
-    proj, sect = fan.orbit_quotient(ci)
+    """The projection of cone ci's orbit lattice, `Fan.orbit_projection`,
+    and the integer section R of the reference elimination of its rays,
+    both reduced mod 2.  The reference's P is the build's, so R is a right
+    inverse of the build's P."""
+    proj, sect = quotient_with_section(fan.rank, cone_vectors(fan, ci))
+    assert proj == fan.orbit_projection(ci), (fan, ci)
     return Mat2.from_rows(proj, ncols=fan.rank), Mat2.from_rows(sect, ncols=len(proj))
 
 
@@ -385,12 +392,68 @@ def lin_rank(vectors: Sequence[Sequence[int]]) -> int:
     return Matrix(vectors).rank()
 
 
+def column_step_with_inverse(
+    u: IntMatrix, w: IntMatrix, r: int, vec: Sequence[int]
+) -> Tuple[List[int], IntMatrix, IntMatrix, int]:
+    """`intlin._column_step` that also tracks W, the transpose of U^-1:
+    returns (col, U', W', r').  Each row operation on U is applied to W,
+    so row i of W stays column i of U^-1.  The given lists are not
+    changed."""
+    col = [sum(map(mul, row, vec)) for row in u]
+    u, w = u[:], w[:]
+    nrows = len(u)
+    while True:
+        piv, val = -1, 0
+        for i in range(r, nrows):
+            x = col[i]
+            if x and (not val or abs(x) < abs(val)):
+                piv, val = i, x
+        if piv < 0:
+            return col, u, w, r
+        if piv != r:
+            # move the pivot row up, keeping the order of the others, as
+            # the package's step does
+            col.insert(r, col.pop(piv))
+            u.insert(r, u.pop(piv))
+            w.insert(r, w.pop(piv))
+        ur = u[r]
+        done = True
+        for i in range(r + 1, nrows):
+            q = col[i] // val
+            if q:
+                # row i -= q * row r, so column r of U^-1 += q * column i
+                col[i] -= q * val
+                u[i] = [x - q * y for x, y in zip(u[i], ur)]
+                w[r] = [x + q * y for x, y in zip(w[r], w[i])]
+            if col[i]:
+                done = False
+        if done:
+            return col, u, w, r + 1
+
+
+def echelon_with_inverse(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix, int]:
+    """(H, U, W, r): `intlin._echelon` of the matrix a, one
+    `column_step_with_inverse` per column, with W the transpose of U^-1."""
+    u = int_identity(len(a))
+    w = int_identity(len(a))
+    r = 0
+    cols = []
+    for vec in zip(*a):
+        col, u, w, r = column_step_with_inverse(u, w, r, vec)
+        cols.append(col)
+    h = [list(row) for row in zip(*cols)] if cols else [[] for _ in a]
+    return h, u, w, r
+
+
 def quotient_with_section(
     rank: int, vectors: Sequence[Sequence[int]]
 ) -> Tuple[IntMatrix, IntMatrix]:
-    """(P, R) of a fresh `span_elimination` of the vectors in Z^rank."""
-    _, _, proj, sect, _ = span_elimination(rank, vectors)
-    return proj, sect
+    """(P, R) of a fresh elimination of the vectors in Z^rank: P is rows
+    r.. of U, as `intlin.span_elimination` gives it, and R is columns r..
+    of U^-1, read off W, an integer right inverse of P."""
+    assert all(len(vec) == rank for vec in vectors)
+    _, u, w, r = echelon_with_inverse(list(zip(*vectors)) or [()] * rank)
+    return u[r:], [list(col) for col in zip(*w[r:])] or [[] for _ in u]
 
 
 # The default row limit of `fourier_motzkin`.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -607,10 +608,12 @@ def test_filtration_gate_fires_under_optimize(monkeypatch, tmp_path):
     assert proc.stderr == f"realtoric compute: cross-check failed: {gate}\n"
 
 
-# m_verdict's two gates, each made to fire by patching one of its inputs.
+# m_verdict's three gates, each made to fire by patching one of its inputs.
 # On p2 every total is 3: one G1 entry one higher breaks total G1 = total
 # E2, and a Betti sum of exactly total G1 + 1 is the least that breaks
-# sum b(R) <= total G1.
+# sum b(R) <= total G1.  E2 at (1, 1) is 1 and at (2, 1) is 0: swapping G1
+# at their positions (-1, 2) and (-1, 3) keeps the totals equal, and only
+# the entrywise comparison sees it, at (1, 1) first.
 ONE_MORE_G1 = """
 real_pages = analysis.g_pages
 def skewed(fan):
@@ -626,6 +629,15 @@ def skewed(fan):
     return [b[0] + 1, *b[1:]]
 analysis.betti_real = skewed
 """
+SWAPPED_G1 = """
+real_pages = analysis.g_pages
+def skewed(fan):
+    g0, g1 = real_pages(fan)
+    entries = dict(g1.entries)
+    entries[-1, 2], entries[-1, 3] = entries[-1, 3], entries[-1, 2]
+    return g0, g1._replace(entries=entries)
+analysis.g_pages = skewed
+"""
 
 
 @pytest.mark.parametrize(
@@ -633,15 +645,16 @@ analysis.betti_real = skewed
     [
         (ONE_MORE_G1, "total G1 = 4 != total E2 = 3"),
         (ONE_MORE_BETTI, "Betti sum 4 exceeds the page total 3"),
+        (SWAPPED_G1, "G1 at (-1, 2) = 0 != E2 at (1, 1) = 1"),
     ],
-    ids=["g1-equals-e2", "betti-sum-bound"],
+    ids=["g1-equals-e2", "betti-sum-bound", "g1-equals-e2-entrywise"],
 )
 def test_m_verdict_gates_fire_under_optimize(monkeypatch, tmp_path, patch, gate):
     # setting each name to itself makes monkeypatch restore what exec rebinds
     for name in ("g_pages", "betti_real"):
         monkeypatch.setattr(analysis, name, getattr(analysis, name))
     exec(patch, {"analysis": analysis})
-    with pytest.raises(CrossCheckFailed, match=f"^{gate}$"):
+    with pytest.raises(CrossCheckFailed, match=f"^{re.escape(gate)}$"):
         analysis.m_verdict(projective_space_fan(2))
     script = "\n".join([
         "import sys",

@@ -10,7 +10,7 @@ from operator import mul
 
 import pytest
 import realtoric.fan
-from conftest import mat_mul, mat_vec, oracle_fans, random_unimodular
+from conftest import mat_mul, mat_vec, oracle_fans, random_unimodular, sampled_fans
 from oracles import (
     FM_ROW_LIMIT,
     TooManyRows,
@@ -262,7 +262,7 @@ def _random_simplicial_cone(rng, rank, d, unimodular):
             vectors = rng.sample(columns, d)
         else:
             vectors = [primitive_vector([rng.randint(-4, 4) for _ in range(rank)]) for _ in range(d)]
-        h, _, _, _, r = span_elimination(rank, vectors)
+        h, _, _, r = span_elimination(rank, vectors)
         if r == d and (abs(prod(h[i][i] for i in range(d))) == 1) == unimodular:
             return vectors
 
@@ -414,7 +414,7 @@ def test_span_elimination_null_row_is_proportional_to_signed_cofactors():
                 (-1) ** i * determinant([row[:i] + row[i + 1 :] for row in rows])
                 for i in range(d)
             ]
-            _, _, null, _, r = span_elimination(d, rows)
+            _, _, null, r = span_elimination(d, rows)
             assert (r == d - 1) == any(cof), (rows, r, cof)
             zero += not any(cof)
             if r < d - 1:
@@ -430,16 +430,17 @@ def test_span_elimination_null_row_is_proportional_to_signed_cofactors():
 
 def test_cone_elimination_gives_dimension_projection_and_section():
     """Each cone's one elimination at build time: its rank is the cone's
-    dimension, P @ R = I, P kills the cone's rays, and P has rank - dim
-    rows.  Together these make ker P exactly the saturation of their span:
-    P is onto Z^(rank - dim), so ker P is saturated of rank dim and holds
-    the span."""
+    dimension, P @ R = I for the reference's integer section R, P kills
+    the cone's rays, and P has rank - dim rows.  Together these make ker P
+    exactly the saturation of their span: P is onto Z^(rank - dim), so
+    ker P is saturated of rank dim and holds the span."""
     fans = oracle_fans() + [reduce(product_fan, [projective_space_fan(1)] * 6)]
     for fan in fans:
         n = fan.rank
         for ci, cone in enumerate(fan.cones):
             vectors = cone_vectors(fan, ci)
-            proj, sect = fan.orbit_quotient(ci)
+            proj = fan.orbit_projection(ci)
+            sect = quotient_with_section(n, vectors)[1]
             assert cone.dim == lin_rank(vectors), (fan, cone)
             assert len(proj) == n - cone.dim and len(sect) == n
             eye = [[int(i == j) for j in range(n - cone.dim)] for i in range(n - cone.dim)]
@@ -449,7 +450,7 @@ def test_cone_elimination_gives_dimension_projection_and_section():
 
 def test_face_quotients_equal_the_elimination_of_their_rays():
     """The build extends the elimination of each face's ray prefix by one
-    column step; the (P, R) of every non-maximal cone must equal that of
+    column step; the P of every non-maximal cone must equal that of
     eliminating its rays afresh, entry for entry, since the distinct
     induced projections are counted by their rows.  cyclic57 is one of
     the fans/*.json."""
@@ -461,8 +462,8 @@ def test_face_quotients_equal_the_elimination_of_their_rays():
         maximal = set(fan.maximal_cones())
         for ci in range(len(fan.cones)):
             if ci not in maximal:
-                want = quotient_with_section(fan.rank, cone_vectors(fan, ci))
-                assert fan.orbit_quotient(ci) == want, (fan, fan.cones[ci])
+                want = quotient_with_section(fan.rank, cone_vectors(fan, ci))[0]
+                assert fan.orbit_projection(ci) == want, (fan, fan.cones[ci])
 
 
 def test_zero_cone_is_a_face_of_everything():
@@ -572,11 +573,12 @@ def _meets_off_face(rays, a, b, shared, limit=FM_ROW_LIMIT):
 
 def _check_drawn_pair(rays, a, b, shared, geo_a, geo_b):
     """Whether _check_pair rejects the drawn cones a and b, with the
-    shared face's (P, R) from a fresh elimination."""
-    quotients = {_mask(shared): quotient_with_section(len(rays[0]), [rays[i] for i in shared])}
+    shared face's P from a fresh elimination."""
+    proj = quotient_with_section(len(rays[0]), [rays[i] for i in shared])[0]
+    projections = {_mask(shared): proj}
     facets_a, facets_b = _facet_normals(geo_a), _facet_normals(geo_b)
     try:
-        _check_pair(rays, quotients, _mask(a), geo_a, facets_a, _mask(b), geo_b, facets_b)
+        _check_pair(rays, projections, _mask(a), geo_a, facets_a, _mask(b), geo_b, facets_b)
     except BadIntersection:
         return True
     return False
@@ -760,7 +762,7 @@ def pair_checks(monkeypatch):
 def _rule_and_pair_loop(rank, rays, listed):
     """Whether the interior count of `_check_complete` and the pair loop
     accept the listed cones, each cone's geometry and normals computed
-    afresh, and each shared face's (P, R) by a fresh elimination."""
+    afresh, and each shared face's P by a fresh elimination."""
     checked = []
     for c in listed:
         geo = _cone_geometry(rank, [rays[i] for i in sorted(c)], sorted(c))
@@ -770,7 +772,7 @@ def _rule_and_pair_loop(rank, rays, listed):
         lambda: _check_complete(rank, checked),
         lambda: [
             _check_pair(rays, {a[0] & b[0]: quotient_with_section(
-                rank, [rays[i] for i in _bits(a[0] & b[0])])}, *a, *b)
+                rank, [rays[i] for i in _bits(a[0] & b[0])])[0]}, *a, *b)
             for a, b in combinations(checked, 2)
         ],
     ):
@@ -787,7 +789,7 @@ def test_interior_count_agrees_with_the_pair_loop(cyclic_fan):
     # every candidate the rule applies to: rank >= 2, every listed cone
     # full-dimensional, and complete by `Fan.is_complete`
     p1 = projective_space_fan(1)
-    fans = _sampled_fans(cyclic_fan) + [fan for fan, _ in _overlapping_fans(50)] + [
+    fans = sampled_fans(cyclic_fan) + [fan for fan, _ in _overlapping_fans(50)] + [
         reduce(product_fan, [p1] * 4), reduce(product_fan, [p1] * 6), projective_space_fan(6),
     ]
     inputs = [(fan.rank, fan.rays, [list(fan.cones[ci].rays) for ci in fan.maximal_cones()])
@@ -955,20 +957,8 @@ def _complete_by_sampling(fan) -> bool:
     )
 
 
-def _sampled_fans(cyclic_fan):
-    """The 384 fans of the completeness reference: `oracle_fans()`, 288
-    more seeded random fans of rank 1-3, cyclic57 and P(1, 2, 3)."""
-    fans = oracle_fans() + [
-        random_fan(rank, seed, profile)
-        for rank in (1, 2, 3)
-        for profile in ("complete", "subfan", "affine")
-        for seed in range(8, 40)
-    ]
-    return fans + [cyclic_fan, weighted_projective_fan(1, 2, 3)]
-
-
 def test_completeness_matches_sampling_reference(cyclic_fan):
-    fans = _sampled_fans(cyclic_fan)
+    fans = sampled_fans(cyclic_fan)
     verdicts = [fan.is_complete() for fan in fans]
     assert verdicts == [_complete_by_sampling(fan) for fan in fans]
     assert True in verdicts and False in verdicts

@@ -5,28 +5,26 @@ benchmark.
 checks: `compute --json FILE` on every fans/*.json ("cli-compute"), and
 `compute --json --pages e1,e2,g0,g1` on each large fan written by
 `realtoric.fan.write_json` ("large-fans").  The file is only read here.
+The benchmark also writes each large fan relabelled (`inputs.relabel`),
+and the report must not change: cones are interned by the rows of their
+projections, and those rows depend on the order of the rays.
 """
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
-from pathlib import Path
+import random
 
 import pytest
+from conftest import ROOT
+from conftest import perfbench_inputs as inputs
 
 from realtoric import cli
-from realtoric.fan import write_json
+from realtoric.fan import fan_to_json, write_json
 
-ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="utf-8"))
-
-# the benchmark's own list of large fans and the code that builds them
-_spec = importlib.util.spec_from_file_location("perfbench_inputs", ROOT / "perfbench" / "inputs.py")
-inputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(inputs)
 
 
 def report_digest(argv) -> str:
@@ -50,5 +48,16 @@ def test_every_committed_fan_has_a_digest():
 def test_large_fan_pages_match_their_digest(label, tmp_path):
     path = tmp_path / "fan.json"
     write_json(inputs.build_fan(label), str(path))
+    argv = ["compute", "--json", "--pages", "e1,e2,g0,g1", str(path)]
+    assert report_digest(argv) == EXPECTED["large-fans"][label]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("label", inputs.LARGE_FANS)
+def test_relabelled_large_fan_pages_match_their_digest(label, seed, tmp_path):
+    # relabelled by the benchmark's own function, with its seed format
+    fan = json.loads(fan_to_json(inputs.build_fan(label)))
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(inputs.relabel(fan, random.Random(f"relabel:{seed}"))))
     argv = ["compute", "--json", "--pages", "e1,e2,g0,g1", str(path)]
     assert report_digest(argv) == EXPECTED["large-fans"][label]

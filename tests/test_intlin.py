@@ -8,7 +8,7 @@ from math import gcd
 import hypothesis.strategies as st
 from conftest import mat_mul, mat_vec
 from hypothesis import given
-from oracles import determinant, lin_rank, quotient_with_section
+from oracles import determinant, echelon_with_inverse, lin_rank, quotient_with_section
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
@@ -18,6 +18,7 @@ from realtoric.intlin import (
     _prefix_eliminations,
     identity,
     primitive_vector,
+    span_elimination,
 )
 
 
@@ -59,9 +60,11 @@ def test_determinant_multiplicative(a, b):
 def test_quotient_with_section(case):
     """P @ R = I makes P onto Z^k, so ker P is saturated of rank
     rank - k = r; P kills the vectors, so ker P holds their span.  A
-    saturated lattice of rank r holding the span is its saturation."""
+    saturated lattice of rank r holding the span is its saturation.  P is
+    that of `span_elimination`, and R the reference's integer section."""
     rank, vectors = case
     proj, sect = quotient_with_section(rank, vectors)
+    assert span_elimination(rank, vectors)[2] == proj
     r = lin_rank(vectors) if vectors else 0
     k = rank - r
     assert len(proj) == k and all(len(row) == rank for row in proj)
@@ -141,14 +144,16 @@ def _random_matrix(rng):
 
 
 def test_echelon_is_a_fold_of_column_steps():
-    """(H, U, W, r) of `_echelon` is that of column steps folded over the
+    """(H, U, r) of `_echelon` is that of column steps folded over the
     columns, H being the steps' columns, and equals the elimination on
-    whole rows; no step changes the state it extends."""
+    whole rows; no step changes the state it extends.  The reference that
+    also tracks W (`echelon_with_inverse`) makes the same (H, U, r), and
+    its W is that of the elimination on whole rows: U @ W^T = I."""
     rng = random.Random(1709)
     deficient = 0
     for _ in range(400):
         a = _random_matrix(rng)
-        state = (identity(len(a)), identity(len(a)), 0)
+        state = (identity(len(a)), 0)
         cols = []
         for vec in zip(*a):
             kept = repr(state)
@@ -158,8 +163,10 @@ def test_echelon_is_a_fold_of_column_steps():
             cols.append(col)
         h = [list(row) for row in zip(*cols)] if cols else [[] for _ in a]
         assert _echelon(a) == (h, *state), a
-        assert _echelon(a) == _echelon_by_rows(a), a
-        r = _echelon(a)[3]
+        h, u, w, r = _echelon_by_rows(a)
+        assert _echelon(a) == (h, u, r), a
+        assert echelon_with_inverse(a) == (h, u, w, r), a
+        assert mat_mul(u, [list(col) for col in zip(*w)]) == identity(len(a)), a
         assert r == Matrix(a).rank() if a[0] else r == 0
         deficient += r < min(len(a), len(a[0]))
     assert deficient >= 50

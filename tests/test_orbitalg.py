@@ -22,6 +22,7 @@ from oracles import (
     induced_projection_mod2,
     mul_vec,
     orbit_lattice,
+    quotient_with_section,
     submatrix,
     torus_homology_dims,
     y_basis_change,
@@ -95,9 +96,11 @@ def ideal_power_bases(rank: int, top: int) -> List[List[int]]:
 
 
 def test_orbit_lattice_basic_properties():
+    # the build's P with the reference's integer section R
     fan = projective_space_fan(3)
     for ci in range(len(fan.cones)):
-        proj, sect = fan.orbit_quotient(ci)
+        proj = fan.orbit_projection(ci)
+        sect = quotient_with_section(fan.rank, cone_vectors(fan, ci))[1]
         codim = fan.rank - fan.cones[ci].dim
         assert len(proj) == codim
         assert mat_mul(proj, sect) == int_identity(codim)
@@ -105,8 +108,8 @@ def test_orbit_lattice_basic_properties():
             assert mat_vec(proj, v) == [0] * codim
         mod2, section_mod2 = orbit_lattice(fan, ci)
         assert mod2 @ section_mod2 == identity(codim)
-        # the build's lists: the same objects come back
-        assert fan.orbit_quotient(ci)[0] is proj
+        # the build's list: the same object comes back
+        assert fan.orbit_projection(ci) is proj
 
 
 def test_induced_projection_composes_along_face_chains():
@@ -130,9 +133,12 @@ def test_induced_projection_is_cached_and_surjective():
 
 
 def test_induced_projection_matches_integer_product():
+    # the build's P and the reference's integer section R; the package's
+    # groups are compared with these products in test_spectral.py
     for fan in oracle_fans():
         for si, ti in fan.facet_pairs():
-            (proj, _), (_, sect) = fan.orbit_quotient(ti), fan.orbit_quotient(si)
+            proj = fan.orbit_projection(ti)
+            sect = quotient_with_section(fan.rank, cone_vectors(fan, si))[1]
             want = Mat2.from_rows(mat_mul(proj, sect), ncols=len(sect[0]))
             assert induced_projection_mod2(fan, si, ti) == want, (fan, si, ti)
 

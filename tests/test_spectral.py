@@ -9,15 +9,26 @@ from operator import add
 
 import hypothesis.strategies as st
 import pytest
-from conftest import FANS, apply_unimodular, mat_mul, minors_mod2, oracle_fans, relabel_rays
+from conftest import (
+    FANS,
+    apply_unimodular,
+    mat_mul,
+    minors_mod2,
+    oracle_fans,
+    perfbench_inputs,
+    relabel_rays,
+    sampled_fans,
+)
 from oracles import (
     cone_index,
+    cone_vectors,
     dense_d_o_d,
     entry,
     exterior_power,
     induced_projection_mod2,
     is_zero,
     nonzero,
+    quotient_with_section,
     rightmost_column_split,
     submatrix,
     y_basis_change,
@@ -275,13 +286,16 @@ def test_page_table_interface():
 
 def per_pair_boundary(fan, p, row_size, col_size, block):
     """Degree-p boundary built entry by entry from block(m) of every facet
-    pair, with m the integer induced projection reduced mod 2."""
+    pair, with m the integer induced projection reduced mod 2: the build's
+    P of the larger cone times the reference's integer section R of the
+    smaller."""
     src, dst = fan.strata[p], fan.strata[p - 1]
     out = Mat2(row_size * len(dst), col_size * len(src))
     for si, ti in fan.facet_pairs():
         if si not in src:
             continue
-        (proj, _), (_, sect) = fan.orbit_quotient(ti), fan.orbit_quotient(si)
+        proj = fan.orbit_projection(ti)
+        sect = quotient_with_section(fan.rank, cone_vectors(fan, si))[1]
         m = Mat2.from_rows(mat_mul(proj, sect), ncols=len(sect[0]))
         b = block(m)
         row0, col0 = dst.index(ti) * row_size, src.index(si) * col_size
@@ -386,6 +400,66 @@ def test_y_block_is_the_group_algebra_map_in_the_y_basis():
             assert spectral._y_block(m) == want, m
 
 
+def per_pair_groups(fan):
+    """`_projection_groups` rebuilt pair by pair: each pair's projection is
+    the integer product of the build's P and the reference's integer
+    section R, reduced mod 2, grouped by its rows in order of first
+    appearance."""
+    pos = {ci: j for stratum in fan.strata for j, ci in enumerate(stratum)}
+    quotients = [
+        quotient_with_section(fan.rank, cone_vectors(fan, ci)) for ci in range(len(fan.cones))
+    ]
+    groups = [{} for _ in fan.strata]
+    for si, ti in fan.facet_pairs():
+        proj, sect = quotients[si]
+        m = Mat2.from_rows(mat_mul(fan.orbit_projection(ti), sect), ncols=len(proj))
+        groups[len(proj)].setdefault(m, []).append((pos[ti], pos[si]))
+    return [list(g.items()) for g in groups]
+
+
+def test_projection_groups_match_the_per_pair_integer_grouping(cyclic_fan):
+    # every cone's mod-2 section R is a right inverse of its P mod 2, and
+    # some differ from the integer section mod 2, yet every projection,
+    # every group and every position is that of the integer products
+    fans = sampled_fans(cyclic_fan) + [
+        random_fan(rank, seed, profile)
+        for rank in (1, 2, 3)
+        for profile in ("complete", "subfan", "affine")
+        for seed in range(10)
+    ] + [perfbench_inputs.build_fan(label) for label in perfbench_inputs.LARGE_FANS]
+    assert len(fans) == 384 + 90 + 5
+    differs = 0
+    for fan in fans:
+        assert spectral._projection_groups(fan) == per_pair_groups(fan), fan
+        for ci in range(len(fan.cones)):
+            proj, sect = quotient_with_section(fan.rank, cone_vectors(fan, ci))
+            assert proj == fan.orbit_projection(ci)
+            rows = spectral._right_inverse(Mat2.from_rows(proj, ncols=fan.rank).rows, fan.rank)
+            mod2 = [[r >> k & 1 for k in range(len(proj))] for r in rows]
+            eye = [[int(i == j) for j in range(len(proj))] for i in range(len(proj))]
+            assert [[x % 2 for x in row] for row in mat_mul(proj, mod2)] == eye, (fan, ci)
+            differs += mod2 != [[x % 2 for x in row] for row in sect]
+    assert differs
+
+
+def test_one_product_per_distinct_projection_and_section(monkeypatch):
+    # cyclic57 has 336 facet pairs and p1^6 2,916, but few distinct
+    # (P of the larger cone, mod-2 section of the smaller) among them
+    mul_rows = spectral._mul_rows
+    made = []
+    monkeypatch.setattr(spectral, "_mul_rows", lambda a, b: made.append(1) or mul_rows(a, b))
+    counts = {}
+    for label in perfbench_inputs.LARGE_FANS:
+        fan = perfbench_inputs.build_fan(label)
+        del made[:]
+        spectral._projection_groups(fan)
+        counts[label] = (len(fan.facet_pairs()), len(made))
+    assert counts == {
+        "cyclic57": (336, 10), "p6": (441, 389), "p7": (1016, 925),
+        "p2xp2xp1": (476, 125), "p1^6": (2916, 192),
+    }
+
+
 def test_surjectivity_is_checked_once_per_distinct_projection(monkeypatch):
     fan = projective_space_fan(3)
     checked = []
@@ -397,15 +471,18 @@ def test_surjectivity_is_checked_once_per_distinct_projection(monkeypatch):
 
 
 def test_shared_projection_that_loses_rank_is_caught():
-    # with the last ray's section zeroed, its pairs with the three 2-cones
-    # through it all have the zero projection: one distinct matrix, shared
-    # by three pairs and met after the other rays' projections were checked
+    # the last ray's mod-2 section has no entry in row 2, so the projection
+    # (0, 0, 1), given to the 2-cones on rays {0, 3} and {1, 3}, kills it:
+    # their pairs with the ray share one (P, R) key and one zero product,
+    # met after the pairs of rays 0 and 1 with those cones were checked
     fan = projective_space_fan(3)
     ray = cone_index(fan, [3])
-    assert sum(si == ray for si, _ in fan.facet_pairs()) == 3
-    for row in fan.orbit_quotient(ray)[1]:
-        row[:] = [0] * len(row)
-    with pytest.raises(CrossCheckFailed, match=f"^induced projection {ray} -> .* not surjective$"):
+    assert spectral._right_inverse(Mat2.from_rows(fan.orbit_projection(ray)).rows, 3)[2] == 0
+    cones = [cone_index(fan, [0, 3]), cone_index(fan, [1, 3])]
+    for ci in cones:
+        fan.orbit_projection(ci)[0][:] = [0, 0, 1]
+    gate = f"^induced projection {ray} -> {cones[0]} is not surjective$"
+    with pytest.raises(CrossCheckFailed, match=gate):
         spectral._projection_groups(fan)
 
 

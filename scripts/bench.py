@@ -9,8 +9,10 @@ written once as canonical JSON; then, REPEATS (15) times per fan, a fresh
 interpreter parses it and calls the public functions in pipeline order,
 timing each:
 
-  build            fan_from_json (cone geometry, face lattice, and
-                   validation at rank <= 4)
+  build            fan_from_json: one table of ray-prefix eliminations,
+                   one column step per prefix, for every cone's orbit
+                   projection, each maximal cone's facet search, the
+                   face lattice, and validation at rank <= 4
   projections      _projection_groups: each cone's projection from the
                    build packed mod 2 and interned, one mod-2 section per
                    distinct packed projection, the face check of every
@@ -31,7 +33,8 @@ timing each:
                    validated whatever the rank; every corpus fan is
                    complete, so this is the completeness rule and the
                    count of the cones whose interior holds one generic
-                   point, with no pair loop (see fan._check_complete)
+                   point, with no pair loop (see fan._check_complete),
+                   every facet normal read off a wall's projection
 
 Each stage starts after a full garbage collection, so that a collection
 the earlier stages made due is not charged to the stage that happens to

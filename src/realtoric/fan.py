@@ -15,13 +15,7 @@ from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .gf2 import CrossCheckFailed
-from .intlin import (
-    IntMatrix,
-    _prefix_eliminations,
-    identity,
-    primitive_vector,
-    span_elimination,
-)
+from .intlin import IntMatrix, _column_step, identity, primitive_vector
 
 __all__ = [
     "FanError",
@@ -183,11 +177,31 @@ def _opposite_normal(h: IntMatrix, j: int) -> Tuple[int, ...]:
     return primitive_vector(n)
 
 
+def _elimination(states: Dict[int, tuple], mask: int, vectors: Sequence[Sequence[int]]) -> tuple:
+    """(columns of H, U, r) of `intlin._echelon` on vectors[i], i in mask in
+    increasing order.  states maps the mask of each prefix eliminated so
+    far to these (states[0] = ((), identity, 0)); mask's longest prefix in
+    it is extended by one `_column_step` per further vector, each new
+    prefix stored, in a loop that leaves no reference cycle."""
+    prefix, todo = mask, []
+    while prefix not in states:
+        todo.append(prefix.bit_length() - 1)
+        prefix ^= 1 << todo[-1]
+    cols, u, r = states[prefix]
+    for i in reversed(todo):
+        col, u, r = _column_step(u, r, vectors[i])
+        cols += (col,)
+        prefix |= 1 << i
+        states[prefix] = (cols, u, r)
+    return cols, u, r
+
+
 def _cone_geometry(
     rank: int,
     vectors: List[Tuple[int, ...]],
     labels: Optional[Sequence[int]] = None,
     budget: int = FACET_SUBSET_LIMIT,
+    elimination: Optional[tuple] = None,
 ) -> _ConeGeometry:
     """Exact face data for the cone spanned by the given integer vectors;
     the faces are bitmasks over labels, the ray indices of the vectors
@@ -197,10 +211,12 @@ def _cone_geometry(
     bounds the facets of the cone on any of the vectors, so every facet
     list of the search.
 
-    One `span_elimination` of the vectors gives the dimension d, the span
+    One elimination of the vectors gives the dimension d, the span
     coordinates (rows ..d of U, in which the vectors are the columns of H)
-    and the orbit projection.  For k = d the facets are the
-    sets of all vectors but one, and no normal is computed here.
+    and the orbit projection: elimination, (columns of H, U, d) from the
+    build's prefix table, else `_elimination` on a table of its own.  For
+    k = d the facets are the sets of all vectors but one, and no normal is
+    computed here.
     Otherwise the pivot columns of H[:d] are d independent vectors whose
     square part is upper triangular; each facet normal of their simplicial
     cone comes from its back substitution, and the other vectors are added
@@ -221,8 +237,8 @@ def _cone_geometry(
     if k == 0:
         return _ConeGeometry(0, True, identity(rank), [], {0}, [], labels)
     bit = [1 << j for j in labels]
-    h, u, proj, d = span_elimination(rank, vectors)
-    h, u = h[:d], u[:d]
+    cols, u, d = elimination or _elimination({0: ((), identity(rank), 0)}, (1 << k) - 1, vectors)
+    h, u, proj = [list(row) for row in zip(*cols)][:d], u[:d], u[d:]
     if comb(k, d - 1) > budget:
         raise ResourceLimitExceeded(
             f"the facet searches would count more than {FACET_SUBSET_LIMIT} ray subsets"
@@ -287,9 +303,9 @@ def _cone_geometry(
 def _facet_normals(geo: _ConeGeometry) -> List[Tuple[Tuple[int, ...], int]]:
     """(primitive inward normal in lattice coordinates, zero set) of each
     facet of the cone, in the order of geo.facets.  Only the readers of
-    normals call this: the pair check, the hulls of `constructions`, and
-    tests.  For a simplicial cone the normals come from back substitution
-    in H here."""
+    normals call this: validation, for a cone of lower dimension (a full
+    one's are `_wall_normals`), the hulls of `constructions`, and tests.
+    For a simplicial cone the normals come from back substitution in H."""
     seen, h, u = geo.local
     simplicial = geo.dim == len(geo.labels)
     local = (_opposite_normal(h, seen[z]) if simplicial else seen[z] for z in geo.facets)
@@ -298,6 +314,22 @@ def _facet_normals(geo: _ConeGeometry) -> List[Tuple[Tuple[int, ...], int]]:
         (tuple(map(sum, zip(*[map(x.__mul__, row) for x, row in zip(n, u) if x]))), z)
         for n, z in zip(local, geo.facets)
     ]
+
+
+def _wall_normals(rays: Sequence[Tuple[int, ...]], projections: Dict[int, IntMatrix],
+                  mask: int, geo: _ConeGeometry) -> List[Tuple[Tuple[int, ...], int]]:
+    """`_facet_normals(geo)` of the cone with ray bitmask mask; if it is
+    full-dimensional (no P), each facet's P is one primitive row (of a
+    unimodular U) zero exactly on the facet's span: the inward normal once
+    >= 0 on a ray off the facet, as `Fan.is_complete` reads the sides."""
+    if geo.span_eqs:
+        return _facet_normals(geo)
+    out = []
+    for z in geo.facets:
+        row, off = projections[z][0], mask & ~z
+        sign = 1 if sum(map(mul, row, rays[(off & -off).bit_length() - 1])) > 0 else -1
+        out.append((tuple(sign * x for x in row), z))
+    return out
 
 
 def _per_fan(fn):
@@ -547,8 +579,8 @@ def from_maximal_cones(
     The zero cone is implicit.  Each maximal cone's facet search (a
     double description, see `_cone_geometry`) gives its faces and facets,
     and the facets of each of its faces; every cone's dimension and orbit
-    projection come from one integer elimination of its rays, which for a
-    face extends the elimination of its ray prefix by one column.
+    projection come from one table of ray prefix eliminations, in which
+    each prefix of each cone, maximal cones included, costs one column step.
     Validation that every two cones meet in a common face runs by default
     for rank <= 4 and can be forced either way with `validate_pairs`.  It
     runs on the built Fan: when the rank is >= 2,
@@ -557,10 +589,10 @@ def from_maximal_cones(
     in linear time (`_check_complete`); otherwise every pair is checked (a
     separation certificate, then, for the pairs it cannot certify, the
     pointedness of one cone modulo the shared face, see `_check_pair`).
-    Only validation reads facet normals (`_facet_normals`, once per
-    maximal cone, for either rule), so an unvalidated build computes none
-    for a simplicial cone.  Ray entries and cone indices must be ints;
-    nothing is coerced.
+    Only validation reads facet normals, once per maximal cone for either
+    rule: a full-dimensional cone's off its walls' projections
+    (`_wall_normals`), any other's from `_facet_normals`.  Ray entries and
+    cone indices must be ints; nothing is coerced.
     ResourceLimitExceeded is raised before the work they bound for more
     than PAIR_LIMIT pairs of cones in a validated build, complete or not,
     for facet searches that count more
@@ -623,11 +655,14 @@ def from_maximal_cones(
     # each face -> the facet zero sets of a maximal cone holding it
     outer: Dict[int, List[int]] = {}
     projections: Dict[int, IntMatrix] = {}
+    states = {0: ((), identity(rank), 0)}
     cells = tried = 0
     for mset in max_sets:
         order = sorted(mset)
+        mask = _mask(order)
         vectors = [ray_list[i] for i in order]
-        geo = _cone_geometry(rank, vectors, order, FACET_SUBSET_LIMIT - tried)
+        geo = _cone_geometry(rank, vectors, order, FACET_SUBSET_LIMIT - tried,
+                             _elimination(states, mask, ray_list))
         tried += comb(len(order), geo.dim - 1) if order else 0
         if not geo.pointed:
             raise NotPointed(order)
@@ -636,23 +671,20 @@ def from_maximal_cones(
             raise BadIntersection(
                 (order[j],), order, "listed ray is not an extreme ray of the cone"
             )
-        mask = _mask(order)
         geo_by_mask[mask] = geo
         outer.update(dict.fromkeys(geo.face_masks - outer.keys(), geo.facets))
         projections[mask] = geo.span_eqs
         cells = _count_cells(cells, rank - geo.dim)
-    # the other faces in lexicographic order of their rays, each extending
-    # the elimination of its ray prefix by one column step
-    rays_of = {face: _bits(face) for face in outer}
-    faces = sorted((face for face in rays_of if face not in projections), key=rays_of.__getitem__)
-    states = _prefix_eliminations(rank, map(rays_of.__getitem__, faces), ray_list)
-    for face, (u, r) in zip(faces, states):
+    # the other faces, in any order, from the same table
+    for face in outer.keys() - projections.keys():
+        _, u, r = _elimination(states, face, ray_list)
         projections[face] = u[r:]
         cells = _count_cells(cells, rank - r)
+    del states  # before validation
 
     # (dimension, rays) of each cone: the codimension is the number of rows
     # of its projection
-    dim_rays = {m: (rank - len(p), tuple(rays_of[m])) for m, p in projections.items()}
+    dim_rays = {m: (rank - len(p), tuple(_bits(m))) for m, p in projections.items()}
     cone_list = sorted(dim_rays, key=dim_rays.__getitem__)
     cones = tuple(Cone(rays, dim) for dim, rays in map(dim_rays.__getitem__, cone_list))
     # The facets of a face t of a cone are the t & z, over the cone's
@@ -672,7 +704,8 @@ def from_maximal_cones(
         tuple(cone_list), tuple(map(tuple, strata)),
     )
     if validate_pairs:
-        checked = [(mask, geo, _facet_normals(geo)) for mask, geo in geo_by_mask.items()]
+        checked = [(m, geo, _wall_normals(ray_list, projections, m, geo))
+                   for m, geo in geo_by_mask.items()]
         if (
             rank >= 2
             and all(geo.dim == rank for geo in geo_by_mask.values())

@@ -47,14 +47,19 @@ class Mat2:
     def from_rows(cls, entries: Sequence[Sequence[int]], ncols: int | None = None) -> "Mat2":
         if ncols is None:
             ncols = len(entries[0]) if entries else 0
-        rows = []
+        rows, top = [], 0
         for row in entries:
             acc = 0
             for j, x in enumerate(row):
                 if x & 1:
                     acc |= 1 << j
             rows.append(acc)
-        return cls(len(entries), ncols, rows)
+            top |= acc
+        if top >> ncols:  # a row longer than ncols
+            return cls(len(rows), ncols, rows)
+        m = cls.__new__(cls)  # packed once, not masked again
+        m.nrows, m.ncols, m.rows = len(rows), ncols, rows
+        return m
 
     def col(self, j: int) -> int:
         mask = 0

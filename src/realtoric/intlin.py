@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 IntMatrix = List[List[int]]
 
@@ -35,9 +35,15 @@ def _column_step(u: IntMatrix, r: int, vec: Sequence[int]) -> Tuple[List[int], I
     rows r.. of col are cleared below the pivot by Euclid's algorithm on
     the entry of least magnitude, each row operation applied to U.  The
     given list is not changed, so the state (U, r) can be extended again
-    by another column.
+    by another column.  If vec has one non-zero entry, U @ vec is read off
+    a column of U.
     """
-    col = [sum(map(mul, row, vec)) for row in u]
+    if vec.count(0) == len(vec) - 1:
+        x = next(filter(None, vec))
+        k = vec.index(x)
+        col = [row[k] * x for row in u]
+    else:
+        col = [sum(map(mul, row, vec)) for row in u]
     u = u[:]
     nrows = len(u)
     while True:
@@ -83,30 +89,6 @@ def _echelon(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, int]:
         cols.append(col)
     h = [list(row) for row in zip(*cols)] if cols else [[] for _ in a]
     return h, u, r
-
-
-def _prefix_eliminations(
-    n: int, tuples: Iterable[Sequence[int]], vectors: Sequence[Sequence[int]]
-) -> Iterator[Tuple[IntMatrix, int]]:
-    """(U, r) of `_echelon` on the columns vectors[i], i in t, of length
-    n, for each tuple t in turn.  The states of the prefixes t shares with
-    the tuple before it are kept on a stack, one per prefix length, and
-    extended by one `_column_step` per further index, so tuples visited in
-    lexicographic order share their prefixes' eliminations.
-    """
-    stack = [(identity(n), 0)]
-    prev: Sequence[int] = ()
-    for t in tuples:
-        keep = 0
-        for x, y in zip(prev, t):
-            if x != y:
-                break
-            keep += 1
-        del stack[keep + 1:]
-        for i in t[keep:]:
-            stack.append(_column_step(*stack[-1], vectors[i])[1:])
-        prev = t
-        yield stack[-1]
 
 
 def span_elimination(

@@ -10,7 +10,14 @@ from operator import mul
 
 import pytest
 import realtoric.fan
-from conftest import mat_mul, mat_vec, oracle_fans, random_unimodular, sampled_fans
+from conftest import (
+    mat_mul,
+    mat_vec,
+    oracle_fans,
+    perfbench_inputs,
+    random_unimodular,
+    sampled_fans,
+)
 from oracles import (
     FM_ROW_LIMIT,
     TooManyRows,
@@ -29,6 +36,7 @@ from oracles import (
 from sympy import ZZ, Matrix, eye
 from sympy.matrices.normalforms import smith_normal_form
 
+from realtoric.analysis import m_verdict
 from realtoric.constructions import (
     affine_fan,
     hirzebruch_fan,
@@ -55,6 +63,7 @@ from realtoric.fan import (
     _cone_geometry,
     _facet_normals,
     _mask,
+    _wall_normals,
     fan_from_json,
     fan_to_json,
     from_maximal_cones,
@@ -62,6 +71,7 @@ from realtoric.fan import (
     write_json,
 )
 from realtoric.intlin import primitive_vector, span_elimination
+from realtoric.spectral import betti_real, e2_dims, g_pages
 
 
 def test_projective_plane_structure():
@@ -449,21 +459,40 @@ def test_cone_elimination_gives_dimension_projection_and_section():
 
 
 def test_face_quotients_equal_the_elimination_of_their_rays():
-    """The build extends the elimination of each face's ray prefix by one
-    column step; the P of every non-maximal cone must equal that of
-    eliminating its rays afresh, entry for entry, since the distinct
-    induced projections are counted by their rows.  cyclic57 is one of
-    the fans/*.json."""
+    """The build takes every cone's elimination, maximal cones included,
+    from one table of ray prefixes, each extended by one column step; the
+    P of every cone must equal that of eliminating its rays afresh, entry
+    for entry, since the distinct induced projections are counted by their
+    rows.  cyclic57 is one of the fans/*.json."""
     fans = oracle_fans() + [
         reduce(product_fan, [projective_space_fan(1)] * 6),
         projective_space_fan(7),
     ]
     for fan in fans:
-        maximal = set(fan.maximal_cones())
         for ci in range(len(fan.cones)):
-            if ci not in maximal:
-                want = quotient_with_section(fan.rank, cone_vectors(fan, ci))[0]
-                assert fan.orbit_projection(ci) == want, (fan, fan.cones[ci])
+            want = quotient_with_section(fan.rank, cone_vectors(fan, ci))[0]
+            assert fan.orbit_projection(ci) == want, (fan, fan.cones[ci])
+
+
+def test_one_column_step_per_cone_of_a_simplicial_fan(monkeypatch):
+    # every ray prefix is eliminated once, maximal cones included, so a
+    # simplicial fan makes one column step per non-zero cone; cyclic57's
+    # maximal cones have prefixes that are not cones
+    steps = []
+    column_step = realtoric.fan._column_step
+    monkeypatch.setattr(
+        realtoric.fan, "_column_step", lambda *args: steps.append(1) or column_step(*args)
+    )
+    counts = {}
+    for label in ("cyclic57", "p6", "p7", "p2xp2xp1", "p1^6", "p1^4"):
+        text = fan_to_json(perfbench_inputs.build_fan(label))
+        del steps[:]
+        fan = fan_from_json(text)
+        counts[label] = (len(fan.cones), len(steps))
+    assert counts == {
+        "cyclic57": (105, 156), "p6": (127, 126), "p7": (255, 254),
+        "p2xp2xp1": (147, 146), "p1^6": (729, 728), "p1^4": (81, 80),
+    }
 
 
 def test_zero_cone_is_a_face_of_everything():
@@ -688,9 +717,10 @@ def test_fallback_agrees_with_the_oracle_on_non_simplicial_pairs():
 
 
 def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):
-    # a simplicial cone's normals come from back substitution only for the
-    # pair check: none in a default build at rank >= 5, and in a validated
-    # build once per maximal cone, not once per pair
+    # a simplicial cone's normals come from back substitution only for
+    # validation: none in a default build at rank >= 5, none for a full
+    # cone, whose normals are its walls' projection rows, and once per
+    # facet of a lower-dimensional maximal cone
     p1 = projective_space_fan(1)
     p1_4, p1_5 = (reduce(product_fan, [p1] * n) for n in (4, 5))
     texts = [fan_to_json(fan) for fan in (projective_space_fan(6), p1_5, p1_4)]
@@ -706,7 +736,39 @@ def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):
         fan_from_json(text)
     assert calls == []
     fan_from_json(texts[2], validate_pairs=True)
-    assert len(calls) == 4 * len(p1_4.maximal_cones()) == 64
+    assert calls == []
+    # the cone on ray 2 of P^2 has one facet, the zero cone
+    from_maximal_cones(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [2]], validate_pairs=True)
+    assert calls == [0]
+
+
+def test_wall_row_normals_are_the_facet_normals():
+    """Validation reads a full-dimensional cone's facet normals off its
+    walls' orbit projections (`_wall_normals`); they must be the normals
+    of `_facet_normals`, value and order, and a validated build of each
+    large fan must give the pages and verdict of the default one."""
+    fans = oracle_fans() + [
+        random_fan(rank, seed, profile)
+        for rank in (1, 2, 3)
+        for profile in ("complete", "subfan", "affine")
+        for seed in range(10)
+    ]
+    large = [perfbench_inputs.build_fan(label) for label in perfbench_inputs.LARGE_FANS]
+    full = 0
+    for fan in fans + large:
+        projections = {m: fan.orbit_projection(ci) for ci, m in enumerate(fan.ray_masks)}
+        for ci in fan.maximal_cones():
+            rays = fan.cones[ci].rays
+            geo = _cone_geometry(fan.rank, cone_vectors(fan, ci), rays)
+            normals = _wall_normals(fan.rays, projections, fan.ray_masks[ci], geo)
+            assert normals == _facet_normals(geo), (fan, rays)
+            full += len(normals) if geo.dim == fan.rank else 0
+    assert full == 1978
+    for fan in large:
+        text = fan_to_json(fan)
+        default, validated = fan_from_json(text), fan_from_json(text, validate_pairs=True)
+        for f in (e2_dims, g_pages, betti_real, m_verdict):
+            assert f(validated) == f(default), (fan, f)
 
 
 # The twice-wound rank-2 input: five cones on consecutive rays that go

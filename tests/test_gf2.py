@@ -119,6 +119,11 @@ def test_from_rows_entry_col_roundtrip(rows):
     assert to_lists(m) == rows
     cols = [m.col(j) for j in range(m.ncols)]
     assert to_lists(from_cols(m.nrows, cols)) == rows
+    # an explicit ncols shorter than the rows trims them, a longer one pads
+    for ncols in range(m.ncols + 2):
+        trimmed = Mat2.from_rows(rows, ncols)
+        assert to_lists(trimmed) == [(row + [0] * ncols)[:ncols] for row in rows]
+        assert not any(r >> ncols for r in trimmed.rows)
 
 
 @given(bit_matrix())

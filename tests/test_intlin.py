@@ -2,20 +2,20 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import gcd
 
 import hypothesis.strategies as st
+import realtoric.fan
 from conftest import mat_mul, mat_vec
 from hypothesis import given
 from oracles import determinant, echelon_with_inverse, lin_rank, quotient_with_section
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from realtoric.fan import _bits, _elimination
 from realtoric.intlin import (
     _column_step,
     _echelon,
-    _prefix_eliminations,
     identity,
     primitive_vector,
     span_elimination,
@@ -172,16 +172,33 @@ def test_echelon_is_a_fold_of_column_steps():
     assert deficient >= 50
 
 
-def test_prefix_eliminations_match_the_elimination_of_each_tuple():
-    """Tuples in lexicographic order share their prefixes' steps; each
-    state is still that of eliminating the tuple's vectors afresh."""
+def test_prefix_table_matches_the_elimination_of_each_tuple(monkeypatch):
+    """The build's table of prefix eliminations (`fan._elimination`), fed
+    the masks in random order, some left out: every state it stores, the
+    visited masks' and their prefixes', is that of eliminating the tuple's
+    vectors afresh, H's columns included, and each costs one column step.
+    A third of the vectors have one non-zero entry, read off U's column."""
+    steps = []
+    monkeypatch.setattr(
+        realtoric.fan, "_column_step", lambda *args: steps.append(1) or _column_step(*args)
+    )
     rng = random.Random(2203)
-    for _ in range(40):
+    for _ in range(60):
         n, k = rng.randint(1, 5), rng.randint(1, 6)
-        vectors = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-        tuples = sorted(t for size in range(k + 1) for t in combinations(range(k), size))
-        states = _prefix_eliminations(n, tuples, vectors)
-        for t, state in zip(tuples, states):
-            cols = [vectors[i] for i in t]
-            a = [list(row) for row in zip(*cols)] if cols else [[] for _ in range(n)]
-            assert state == _echelon(a)[1:], (vectors, t)
+        vectors = []
+        for _ in range(k):
+            if rng.randrange(3):
+                vectors.append([rng.randint(-5, 5) for _ in range(n)])
+            else:
+                vectors.append([0] * n)
+                vectors[-1][rng.randrange(n)] = rng.choice((-3, -1, 1, 2))
+        states = {0: ((), identity(n), 0)}
+        del steps[:]
+        for mask in rng.sample(range(1 << k), rng.randint(1, 1 << k)):
+            assert _elimination(states, mask, vectors) == states[mask]
+        assert len(steps) == len(states) - 1
+        for mask, (cols, u, r) in states.items():
+            chosen = [vectors[i] for i in _bits(mask)]
+            a = [list(row) for row in zip(*chosen)] if chosen else [[] for _ in range(n)]
+            h, u_fresh, r_fresh = _echelon(a)
+            assert (list(cols), u, r) == ([list(c) for c in zip(*h)], u_fresh, r_fresh), mask

@@ -12,36 +12,41 @@ timing each:
   build            fan_from_json: one table of ray-prefix eliminations,
                    one column step per prefix, for every cone's orbit
                    projection, each maximal cone's facet search, the
-                   face lattice, and validation at rank <= 4
+                   face lattice, and validation, at every rank; every
+                   corpus fan is complete, so validation is the
+                   completeness rule and the count of the cones whose
+                   interior holds one generic point, with no pair loop
+                   (see fan._check_complete), every facet normal read
+                   off a wall's projection
   projections      _projection_groups: each cone's projection from the
                    build packed mod 2 and interned, one mod-2 section per
                    distinct packed projection, the face check of every
                    facet pair, one induced projection mod 2 per distinct
                    (projection, section) of its pairs, and the
                    surjectivity check of each distinct induced projection
-  e1_e2            e2_dims (E1 assembly and its row homology); it also
-                   pays the d o d signature walk, which runs first here
-                   and which real_complex then reuses
+  e1_e2            e2_dims: the exterior powers of each distinct
+                   projection and the E-side d o d gate, then each E1
+                   row boundary placed, ranked over GF(2) and dropped;
+                   it also pays the d o d signature walk, which runs
+                   first here and which real_complex then reuses
   real_complex     betti_real: the y-basis blocks, placed by _place, each
                    row once and shifted into the real complex for each of
                    its facet pairs, the filtration and d o d gates, and the
-                   one reduction of each boundary
+                   one reduction of each boundary, which is then dropped
   g_pages          g_pages: G0/G1 read from the pivots of that reduction
   m_verdict        m_verdict, whose pages are cached by then: the E2 = G1
                    cross-check and the verdict
-  build_validated  fan_from_json(text, validate_pairs=True): the build
-                   validated whatever the rank; every corpus fan is
-                   complete, so this is the completeness rule and the
-                   count of the cones whose interior holds one generic
-                   point, with no pair loop (see fan._check_complete),
-                   every facet normal read off a wall's projection
+  build_unvalidated
+                   fan_from_json(text, validate_pairs=False): the build
+                   without validation, so that validation's cost is the
+                   difference from build
 
 Each stage starts after a full garbage collection, so that a collection
 the earlier stages made due is not charged to the stage that happens to
 cross the threshold: on p1^7 one such collection (about 14 ms) fell into
-build_validated.  Each stage is reported as its median over those runs,
-in milliseconds; their total leaves out build_validated, a second build
-of the same fan.
+a second build.  Each stage is reported as its median over those runs,
+in milliseconds; their total leaves out build_unvalidated, a second
+build of the same fan.
 The script also times `python -m realtoric.cli compute --json FILE` as a
 cold subprocess REPEATS times per fan (median), and records the number of
 distinct induced projections per fan, the machine and the Python version.
@@ -79,7 +84,7 @@ SRC = os.path.join(ROOT, "src")
 CORPUS = ("cyclic57", "p6", "p7", "p2xp2xp1", "p1^6", "p1^7")
 STAGES = (
     "build", "projections", "e1_e2",
-    "real_complex", "g_pages", "m_verdict", "build_validated",
+    "real_complex", "g_pages", "m_verdict", "build_unvalidated",
 )
 REPEATS = 15
 SEARCH = ("search", "--count", "300", "--seed", "20098", "--dim", "3")
@@ -104,7 +109,7 @@ def run_stages(path: str) -> dict:
         ("real_complex", lambda: betti_real(fan)),
         ("g_pages", lambda: g_pages(fan)),
         ("m_verdict", lambda: m_verdict(fan)),
-        ("build_validated", lambda: fan_from_json(text, validate_pairs=True)),
+        ("build_unvalidated", lambda: fan_from_json(text, validate_pairs=False)),
     )
     for name, step in steps:
         gc.collect()

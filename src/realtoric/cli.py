@@ -159,7 +159,7 @@ def _pretty_page(table: PageTable, rank: int) -> List[str]:
 def _compute_pages(fan: Fan, wanted: Sequence[str]) -> Dict[str, PageTable]:
     out: Dict[str, PageTable] = {}
     if "e1" in wanted:
-        out["e1"], _ = e1_page(fan)
+        out["e1"] = e1_page(fan)
     if "e2" in wanted:
         out["e2"] = e2_dims(fan)
     if "g0" in wanted or "g1" in wanted:
@@ -181,9 +181,7 @@ def cmd_compute(args) -> None:
         if t not in _PAGE_NAMES:
             raise _Usage(f"unknown page {t!r} (choose from {', '.join(_PAGE_NAMES)})")
     try:
-        fan = read_json(
-            args.path, validate_pairs=False if args.no_validate else None
-        )
+        fan = read_json(args.path, validate_pairs=not args.no_validate)
     except OSError as exc:
         raise ParseError(f"cannot read {args.path}: {exc}") from exc
     if args.no_validate:

@@ -571,7 +571,7 @@ def from_maximal_cones(
     rays: Sequence[Sequence[int]],
     maximal_cones: Sequence[Sequence[int]],
     *,
-    validate_pairs: Optional[bool] = None,
+    validate_pairs: bool = True,
     name: Optional[str] = None,
 ) -> Fan:
     """Build a fan from ray vectors and maximal cones given as ray index sets.
@@ -581,12 +581,12 @@ def from_maximal_cones(
     and the facets of each of its faces; every cone's dimension and orbit
     projection come from one table of ray prefix eliminations, in which
     each prefix of each cone, maximal cones included, costs one column step.
-    Validation that every two cones meet in a common face runs by default
-    for rank <= 4 and can be forced either way with `validate_pairs`.  It
-    runs on the built Fan: when the rank is >= 2,
-    every listed cone is full-dimensional and `Fan.is_complete` holds, the
-    count of the cones whose interior holds one generic point decides it
-    in linear time (`_check_complete`); otherwise every pair is checked (a
+    Validation that every two cones meet in a common face runs at every
+    rank unless `validate_pairs` is False.  It runs on the built Fan: when
+    the rank is >= 2, every listed cone is full-dimensional and
+    `Fan.is_complete` holds, the count of the cones whose interior holds
+    one generic point decides it in linear time (`_check_complete`);
+    otherwise every pair is checked (a
     separation certificate, then, for the pairs it cannot certify, the
     pointedness of one cone modulo the shared face, see `_check_pair`).
     Only validation reads facet normals, once per maximal cone for either
@@ -644,8 +644,6 @@ def from_maximal_cones(
     # the zero cone and the rays, cones of codimension rank - 1, before any
     # facet search
     _count_cells(len(ray_list) << (rank - 1), rank)
-    if validate_pairs is None:
-        validate_pairs = rank <= 4
     if validate_pairs and comb(len(max_sets), 2) > PAIR_LIMIT:
         raise ResourceLimitExceeded(
             f"pair validation would check more than {PAIR_LIMIT} pairs of cones"
@@ -718,7 +716,7 @@ def from_maximal_cones(
     return fan
 
 
-def fan_from_json(text: str, *, validate_pairs: Optional[bool] = None) -> Fan:
+def fan_from_json(text: str, *, validate_pairs: bool = True) -> Fan:
     """Parse a fan from its JSON representation."""
     try:
         data = json.loads(text)
@@ -766,7 +764,7 @@ def fan_to_json(fan: Fan) -> str:
     return json.dumps(fan.to_json_dict(), sort_keys=True, separators=(",", ": "))
 
 
-def read_json(path: str, *, validate_pairs: Optional[bool] = None) -> Fan:
+def read_json(path: str, *, validate_pairs: bool = True) -> Fan:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:

@@ -17,10 +17,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-__all__ = [
-    "CrossCheckFailed", "Mat2", "subset_masks", "subset_shift_masks", "exterior_powers",
-    "ChainComplex",
-]
+__all__ = ["CrossCheckFailed", "Mat2", "subset_masks", "subset_shift_masks", "exterior_powers"]
 
 
 class CrossCheckFailed(AssertionError):
@@ -212,32 +209,3 @@ def exterior_powers(m: Mat2) -> List[Mat2]:
         out.append(Mat2(len(rows), comb(m.ncols, q), rows))
     return out
 
-
-class ChainComplex:
-    """Chain complex over GF(2).
-
-    dims[k] is the dimension of the degree-k term; boundaries[k] maps
-    degree k+1 to degree k.  Only the shapes are checked here: the spectral
-    module checks that consecutive boundaries compose to zero block by
-    block, from the blocks it assembles them from.
-    """
-
-    def __init__(self, dims: Sequence[int], boundaries: Sequence[Mat2]):
-        assert len(boundaries) == max(len(dims) - 1, 0)
-        for k, b in enumerate(boundaries):
-            assert b.nrows == dims[k] and b.ncols == dims[k + 1], (
-                f"boundary {k} has shape {b.nrows}x{b.ncols}, "
-                f"expected {dims[k]}x{dims[k + 1]}"
-            )
-        self.dims = list(dims)
-        self.boundaries = list(boundaries)
-
-    def homology_dims(self) -> List[int]:
-        n = len(self.dims)
-        ranks = [b.rank() for b in self.boundaries]
-        out = []
-        for k in range(n):
-            kernel = self.dims[k] - (ranks[k - 1] if k > 0 else 0)
-            image = ranks[k] if k < len(ranks) else 0
-            out.append(kernel - image)
-        return out

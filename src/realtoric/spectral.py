@@ -8,13 +8,15 @@ Real side: the closed-support homology of the real points is computed by
 a cellular complex whose degree-p term is the direct sum of the group
 algebras F_2[V(sigma)] over codimension-p cones.  Filtering each group
 algebra by powers of the augmentation ideal yields G pages indexed in
-the second quadrant.  The complex is assembled once, in the y basis, and
-reduced once in increasing degree, skipping the rows that the previous
-degree's pivots show to reduce to zero (clearing; Chen & Kerber 2011):
-that one reduction gives the Betti numbers of the real points and the
-rank of every graded piece, hence G1 (Edelsbrunner, Letscher &
-Zomorodian 2002).  The first G page is expected to match the second E
-page under reindexing, and the match is tested rather than assumed.
+the second quadrant.  Each boundary of the complex is placed once, in the
+y basis, in increasing degree, reduced skipping the rows that the previous
+degree's pivots show to reduce to zero (clearing; Chen & Kerber 2011), and
+dropped: that one reduction gives the Betti numbers of the real points and
+the rank of every graded piece, hence G1 (Edelsbrunner, Letscher &
+Zomorodian 2002).  Each E1 row boundary is likewise placed, ranked and
+dropped, so the pages keep counts, not boundaries.  The first G page is
+expected to match the second E page under reindexing, and the match is
+tested rather than assumed.
 
 Both sides are built from the distinct induced projections m of the facet
 pairs, each checked for surjectivity once.  The E side takes every
@@ -41,8 +43,8 @@ from typing import AbstractSet, Dict, Iterator, List, NamedTuple, Optional, Sequ
 
 from .fan import Fan, _bits, _per_fan
 from .gf2 import (
-    ChainComplex, CrossCheckFailed, Mat2, _mul_rows, _rank, _right_inverse, exterior_powers,
-    subset_masks, subset_shift_masks,
+    CrossCheckFailed, Mat2, _mul_rows, _rank, _right_inverse, exterior_powers, subset_masks,
+    subset_shift_masks,
 )
 from .orbitalg import augmentation_filtration_dims, group_algebra_map
 
@@ -233,66 +235,66 @@ def _direct_sum(powers: List[Mat2]) -> List[int]:
 
 
 @_per_fan
-def e1_page(fan: Fan) -> Tuple[PageTable, Dict[int, ChainComplex]]:
-    """First page of the complex orbit spectral sequence.
-
-    Returns the dimension table and, for each q, the row complex whose
-    degree-p term is the sum of q-th exterior powers of the orbit spaces
-    of codimension-p cones; boundary blocks are exterior powers of the
-    induced projections over facet pairs, all of them from one pass of
-    exterior_powers per distinct projection m.  Only m's rows are read.
-    Degree p lists its q-subsets in subset_masks order, each with its cones
-    in stratum order, as real_complex lists its level-q coordinates.
-    Gate: d o d = 0 on every row complex, checked block by block once per
-    distinct signature (_composition_sums).
-    """
-    n = fan.rank
+def _e1_blocks(fan: Fan) -> List[List[List[Mat2]]]:
+    """For each degree p, the exterior powers of each distinct projection m of
+    _projection_groups(fan)[p], all of them from one pass of exterior_powers
+    per m; only m's rows are read.  Gate: d o d = 0 on every E1 row complex,
+    checked block by block once per distinct signature (_composition_sums),
+    on their direct sum over q."""
     powers = [[exterior_powers(m) for m, _ in groups] for groups in _projection_groups(fan)]
-    # d o d of all row complexes at once, on their direct sum over q
     for p, total in _composition_sums(fan, [list(map(_direct_sum, pws)) for pws in powers]):
         if any(total):
             raise _d_o_d_error(p)
-    entries: Dict[Tuple[int, int], int] = {}
-    complexes: Dict[int, ChainComplex] = {}
-    for q in range(n + 1):
-        dims = [len(fan.strata[p]) * comb(p, q) for p in range(n + 1)]
-        boundaries = [
-            _place(fan, p, [pw[q] for pw in powers[p]], range(comb(p - 1, q)), range(comb(p, q)))
-            if q <= p else Mat2(0, 0)
-            for p in range(1, n + 1)
-        ]
-        complexes[q] = ChainComplex(dims, boundaries)
-        for p in range(q, n + 1):
-            entries[(p, q)] = dims[p]
-    return PageTable("E1", entries), complexes
+    return powers
+
+
+@_per_fan
+def e1_page(fan: Fan) -> PageTable:
+    """First page of the complex orbit spectral sequence: its row q is a
+    chain complex whose degree-p term is the sum of q-th exterior powers of
+    the orbit spaces of codimension-p cones, with boundary blocks the
+    exterior powers of the induced projections over facet pairs.  Gate:
+    d o d = 0 on every row (_e1_blocks); no boundary is placed here.
+    """
+    _e1_blocks(fan)
+    n = fan.rank
+    return PageTable("E1", {
+        (p, q): len(fan.strata[p]) * comb(p, q) for q in range(n + 1) for p in range(q, n + 1)
+    })
+
+
+def _e1_boundaries(fan: Fan) -> Iterator[Tuple[int, int, Mat2]]:
+    """(p, q, the degree-p boundary of E1 row q), placed from the blocks of
+    _e1_blocks (_place), for q = 0 .. rank - 1 and p = q + 1 .. rank (the
+    other boundaries have no rows).  Degree p lists its q-subsets in
+    subset_masks order, each with its cones in stratum order, as
+    real_complex lists its level-q coordinates."""
+    powers = _e1_blocks(fan)
+    for q in range(fan.rank):
+        for p in range(q + 1, fan.rank + 1):
+            blocks = [pw[q] for pw in powers[p]]
+            yield p, q, _place(fan, p, blocks, range(comb(p - 1, q)), range(comb(p, q)))
 
 
 @_per_fan
 def e2_dims(fan: Fan) -> PageTable:
-    """Second page: homology of each E1 row complex."""
-    _, complexes = e1_page(fan)
-    entries: Dict[Tuple[int, int], int] = {}
-    for q, cc in complexes.items():
-        h = cc.homology_dims()
-        for p in range(q, fan.rank + 1):
-            entries[(p, q)] = h[p]
-    return PageTable("E2", entries)
+    """Second page: the homology of each E1 row, dims less the ranks of the
+    boundaries on either side, each boundary placed, ranked and dropped."""
+    e1 = e1_page(fan)
+    ranks = Counter({(p, q): b.rank() for p, q, b in _e1_boundaries(fan)})
+    return PageTable("E2", {
+        (p, q): d - ranks[p, q] - ranks[p + 1, q] for (p, q), d in e1.entries.items()
+    })
 
 
 class RealComplex(NamedTuple):
-    """Cellular complex of the real points in the y basis, reduced once.
-    Degree p lists the y^S of its cones by level |S| from p down to 0, then
-    by S in subset_masks order, then by cone; levels[p][i] is the level of
-    coordinate i.  pivot_levels[p - 1] counts the degree-p boundary's pivots
-    by (row level, column level): they sum to its rank, and the (k, k)
-    pivots to the rank of its level-k diagonal block."""
+    """Cellular complex of the real points in the y basis, reduced once:
+    dims[p] is the dimension of degree p, and pivot_levels[p - 1] counts the
+    degree-p boundary's pivots by (row level, column level): they sum to its
+    rank, and the (k, k) pivots to the rank of its level-k diagonal block."""
 
-    chain: ChainComplex
-    levels: List[List[int]]
+    dims: List[int]
     pivot_levels: List[Counter[Tuple[int, int]]]
-
-    def __repr__(self) -> str:
-        return f"RealComplex(chain={self.chain!r})"
 
 
 def _y_block(m: Mat2) -> Mat2:
@@ -361,18 +363,17 @@ def _reduce(
     return out
 
 
-@_per_fan
-def real_complex(fan: Fan) -> RealComplex:
-    """Chain complex of 2-torsion group algebras computing the closed-support
-    mod-2 homology of the real points, filtered by the augmentation ideal.
-    Each boundary is placed from the distinct y-basis blocks (_place) and
-    reduced once.  Gates: a row of level k has no entry in a column of level
-    above k, and d o d = 0, which implies it in the point basis (the y basis
-    is a conjugate by an involution) and on every graded piece (each
-    boundary is block-triangular).  d o d is checked block by block from
-    the y blocks, once per distinct signature (_composition_sums).  The
-    boundaries are reduced in increasing degree, each skipping the rows that
-    the previous one's pivot columns clear (_reduce)."""
+def _real_boundaries(fan: Fan) -> Iterator[Tuple[Mat2, List[int], List[int]]]:
+    """(b, the levels of its rows, the levels of its columns) for the
+    boundary b of each degree p = 1 .. rank of the real complex.  Degree p
+    lists the y^S of its cones by level |S| from p down to 0, then by S in
+    subset_masks order, then by cone.  Each boundary is placed from the
+    distinct y-basis blocks (_place) and gated as it is placed: a row of
+    level k has no entry in a column of level above k.  After the last, d o
+    d = 0 is checked block by block from the y blocks, once per distinct
+    signature (_composition_sums); it implies d o d = 0 in the point basis
+    (the y basis is a conjugate by an involution) and on every graded piece
+    (each boundary is block-triangular)."""
     sizes = [len(stratum) for stratum in fan.strata]
     levels = [
         [k for k in range(p, -1, -1) for _ in range(n * comb(p, k))] for p, n in enumerate(sizes)
@@ -384,23 +385,34 @@ def real_complex(fan: Fan) -> RealComplex:
         for p in range(fan.rank + 1)
     ]
     y_blocks = [[_y_block(m) for m, _ in groups] for groups in _projection_groups(fan)]
-    boundaries = []
     for p in range(1, fan.rank + 1):
         b = _place(fan, p, y_blocks[p], slots[p - 1], slots[p])
         above = [(1 << sizes[p] * start) - 1 for start in starts[p]]  # columns of level above k
         if any(r & above[k] for r, k in zip(b.rows, levels[p - 1])):
             raise CrossCheckFailed("boundary does not respect the augmentation filtration")
-        boundaries.append(b)
+        yield b, levels[p - 1], levels[p]
+        del b  # before the next degree is placed, as the caller drops it
     for p, total in _composition_sums(fan, [[y.rows for y in ys] for ys in y_blocks]):
         if any(total):
             raise _d_o_d_error(p)
+
+
+@_per_fan
+def real_complex(fan: Fan) -> RealComplex:
+    """Chain complex of 2-torsion group algebras computing the closed-support
+    mod-2 homology of the real points, filtered by the augmentation ideal,
+    with the gates of _real_boundaries.  Each boundary is reduced as it is
+    placed, in increasing degree, skipping the rows that the previous one's
+    pivot columns clear (_reduce), and dropped: only its pivot counts are
+    kept."""
     pivot_levels = []
     cleared: Set[int] = set()
-    for b, row_levels, col_levels in zip(boundaries, levels, levels[1:]):
+    for b, row_levels, col_levels in _real_boundaries(fan):
         found: Set[int] = set()
         pivot_levels.append(_reduce(b, row_levels, col_levels, cleared, found))
         cleared = found
-    return RealComplex(ChainComplex([len(lv) for lv in levels], boundaries), levels, pivot_levels)
+        del b  # before the next degree is placed
+    return RealComplex([len(stratum) << p for p, stratum in enumerate(fan.strata)], pivot_levels)
 
 
 @_per_fan
@@ -408,7 +420,7 @@ def betti_real(fan: Fan) -> List[int]:
     """Closed-support mod-2 Betti numbers b_0..b_n of the real points."""
     rc = real_complex(fan)
     ranks = [0] + [sum(c.values()) for c in rc.pivot_levels] + [0]
-    return [d - ranks[m] - ranks[m + 1] for m, d in enumerate(rc.chain.dims)]
+    return [d - ranks[m] - ranks[m + 1] for m, d in enumerate(rc.dims)]
 
 
 @_per_fan

@@ -31,7 +31,9 @@ calculator never asks of a `Fan` (`cone_index`, `cone_vectors`, `faces_of`,
 tests.
 
 The checkers of the paper's lemmas, which the calculator does not run,
-read its pages and complexes and test what each lemma says of them:
+read its pages and pivot counts, and the boundaries that
+`spectral._e1_boundaries` and `spectral._real_boundaries` place, and test
+what each lemma says of them:
 `betti_complex_nonsingular_complete` (the h-vector gives the complex Betti
 numbers of a complete nonsingular fan), `isolated_singularities_shape` (E2
 lies on two diagonals when every non-maximal cone is mod-2 regular),
@@ -51,7 +53,6 @@ from sympy import Matrix
 from realtoric.analysis import AnalysisError, WrongRank
 from realtoric.fan import Fan, _mask
 from realtoric.gf2 import (
-    ChainComplex,
     CrossCheckFailed,
     Mat2,
     _mul_rows,
@@ -61,7 +62,7 @@ from realtoric.gf2 import (
     subset_shift_masks,
 )
 from realtoric.intlin import IntMatrix, identity as int_identity, span_elimination
-from realtoric.spectral import PageTable, e1_page, e2_dims, real_complex
+from realtoric.spectral import PageTable, _e1_boundaries, _real_boundaries, e2_dims, real_complex
 
 
 def entry(m: Mat2, i: int, j: int) -> int:
@@ -155,10 +156,6 @@ def assemble_blocks(
         for i, r in enumerate(blk.rows):
             out.rows[base + i] |= r << shift
     return out
-
-
-def total_dim(cc: ChainComplex) -> int:
-    return sum(cc.dims)
 
 
 def dense_d_o_d(boundaries: Sequence[Mat2]) -> None:
@@ -652,14 +649,14 @@ def dim3_kernel_analysis(fan: Fan) -> Dim3KernelReport:
     """
     if fan.rank != 3:
         raise WrongRank(f"kernel analysis needs rank 3, got {fan.rank}")
-    _, rows = e1_page(fan)
-    d_top = rows[1].boundaries[2]  # q=1 row, chain degrees 3 -> 2
+    # the q=1 row's boundary from chain degree 3 to 2
+    d_top = next(b for p, q, b in _e1_boundaries(fan) if (p, q) == (3, 1))
     kernel_dim = d_top.ncols - d_top.rank()
 
     rc = real_complex(fan)
     top = rc.pivot_levels[2]  # the pivots of the boundary out of chain degree 3
-    top_chain_kernel = rc.chain.dims[3] - sum(top.values())
-    top_graded_kernel = rc.chain.dims[3] - sum(c for (r, k), c in top.items() if r == k)
+    top_chain_kernel = rc.dims[3] - sum(top.values())
+    top_graded_kernel = rc.dims[3] - sum(c for (r, k), c in top.items() if r == k)
 
     codim2 = fan.strata[2]
     images = {
@@ -709,9 +706,9 @@ def rightmost_column_split(fan: Fan) -> bool:
     as a direct summand: the filtration gate keeps the other columns off
     level-0 rows, so it does when level-0 columns meet level-0 rows only.
     Then every differential leaving the rightmost G column vanishes."""
-    rc = real_complex(fan)
+    boundaries = [b for b, _, _ in _real_boundaries(fan)]  # every gate passed
     return all(
         not r >> (b.ncols - len(fan.strata[p]))
-        for p, b in enumerate(rc.chain.boundaries, 1)
+        for p, b in enumerate(boundaries, 1)
         for r in b.rows[: b.nrows - len(fan.strata[p - 1])]
     )

@@ -27,6 +27,7 @@ from oracles import (
     y_basis_change,
 )
 
+from realtoric import spectral
 from realtoric.analysis import (
     dim3_theorem_batch,
     m_verdict,
@@ -48,10 +49,8 @@ from realtoric.orbitalg import augmentation_filtration_dims, group_algebra_map
 from realtoric.spectral import (
     betti_real,
     complex_position_of_real,
-    e1_page,
     e2_dims,
     g_pages,
-    real_complex,
     real_position_of_complex,
 )
 
@@ -231,21 +230,21 @@ def test_criterion_7_structural_invariants(cyclic_fan):
     ]
 
     for fan in examples:
-        rc = real_complex(fan)
-        for a, b in zip(rc.chain.boundaries, rc.chain.boundaries[1:]):
+        real = list(spectral._real_boundaries(fan))
+        for (a, _, _), (b, _, _) in zip(real, real[1:]):
             assert is_zero(a @ b)
-        _, rows = e1_page(fan)
-        for cc in rows.values():
-            for a, b in zip(cc.boundaries, cc.boundaries[1:]):
-                assert is_zero(a @ b)
+        e1 = {(p, q): b for p, q, b in spectral._e1_boundaries(fan)}
+        for (p, q), b in e1.items():
+            if (p + 1, q) in e1:
+                assert is_zero(b @ e1[p + 1, q])
         for k in range(fan.rank + 1):
             graded = [
                 submatrix(
                     b,
-                    [i for i, level in enumerate(rc.levels[p]) if level == k],
-                    [i for i, level in enumerate(rc.levels[p + 1]) if level == k],
+                    [i for i, level in enumerate(row_levels) if level == k],
+                    [i for i, level in enumerate(col_levels) if level == k],
                 )
-                for p, b in enumerate(rc.chain.boundaries)
+                for b, row_levels, col_levels in real
             ]
             for a, b in zip(graded, graded[1:]):
                 assert is_zero(a @ b)

@@ -277,6 +277,28 @@ def test_compute_no_validate_skips_pair_checks(tmp_path, capsys):
     assert run_cli(capsys, "compute", str(bad), "--no-validate")[0] == 0
 
 
+def test_compute_validates_a_rank_5_file_by_default(tmp_path, capsys):
+    # the twice-wound rank-2 file times (P^1)^3: 40 cones of rank 5 that
+    # overlap, refused since pairs are validated at every rank; unvalidated,
+    # it is certified M, and stderr says that it was not validated
+    wound = [[1, 0], [-4, 3], [1, -3], [1, 3], [-4, -3]]
+    rays = [r + [0, 0, 0] for r in wound]
+    rays += [[0, 0] + [s * (i == j) for j in range(3)] for i in range(3) for s in (1, -1)]
+    cones = [
+        [a, (a + 1) % 5] + [5 + 2 * i + (bits >> i & 1) for i in range(3)]
+        for a in range(5) for bits in range(8)
+    ]
+    path = tmp_path / "twice-wound-5.json"
+    path.write_text(json.dumps({"rank": 5, "rays": rays, "maximal_cones": cones}))
+    code, out, err = run_cli(capsys, "compute", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("validation error: cones on rays "), err
+    code, out, err = run_cli(capsys, "compute", str(path), "--no-validate")
+    assert code == 0
+    assert "verdict: CertifiedM" in out
+    assert err == "realtoric compute: warning: pairs of cones were not validated\n"
+
+
 def test_pair_check_fallback_limit_exits_five(tmp_path, monkeypatch, capsys, fallback_verdicts):
     # two simplicial cones of rank 3 that meet only in 0, but the sum of
     # the inward facet normals of neither is <= 0 on every ray of the

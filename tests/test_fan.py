@@ -718,9 +718,10 @@ def test_fallback_agrees_with_the_oracle_on_non_simplicial_pairs():
 
 def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):
     # a simplicial cone's normals come from back substitution only for
-    # validation: none in a default build at rank >= 5, none for a full
-    # cone, whose normals are its walls' projection rows, and once per
-    # facet of a lower-dimensional maximal cone
+    # validation: none in an unvalidated build, none for a full cone, whose
+    # normals are its walls' projection rows, in a default build, which
+    # validates at every rank, and once per facet of a lower-dimensional
+    # maximal cone
     p1 = projective_space_fan(1)
     p1_4, p1_5 = (reduce(product_fan, [p1] * n) for n in (4, 5))
     texts = [fan_to_json(fan) for fan in (projective_space_fan(6), p1_5, p1_4)]
@@ -733,9 +734,10 @@ def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):
 
     monkeypatch.setattr(realtoric.fan, "_opposite_normal", counted)
     for text in texts[:2]:
-        fan_from_json(text)
+        fan_from_json(text, validate_pairs=False)
     assert calls == []
-    fan_from_json(texts[2], validate_pairs=True)
+    for text in texts:
+        fan_from_json(text)
     assert calls == []
     # the cone on ray 2 of P^2 has one facet, the zero cone
     from_maximal_cones(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [2]], validate_pairs=True)
@@ -745,8 +747,9 @@ def test_simplicial_facet_normals_only_for_pair_validation(monkeypatch):
 def test_wall_row_normals_are_the_facet_normals():
     """Validation reads a full-dimensional cone's facet normals off its
     walls' orbit projections (`_wall_normals`); they must be the normals
-    of `_facet_normals`, value and order, and a validated build of each
-    large fan must give the pages and verdict of the default one."""
+    of `_facet_normals`, value and order, and the default build of each
+    large fan, which validates, must give the pages and verdict of an
+    unvalidated one."""
     fans = oracle_fans() + [
         random_fan(rank, seed, profile)
         for rank in (1, 2, 3)
@@ -766,9 +769,9 @@ def test_wall_row_normals_are_the_facet_normals():
     assert full == 1978
     for fan in large:
         text = fan_to_json(fan)
-        default, validated = fan_from_json(text), fan_from_json(text, validate_pairs=True)
+        validated, unvalidated = fan_from_json(text), fan_from_json(text, validate_pairs=False)
         for f in (e2_dims, g_pages, betti_real, m_verdict):
-            assert f(validated) == f(default), (fan, f)
+            assert f(validated) == f(unvalidated), (fan, f)
 
 
 # The twice-wound rank-2 input: five cones on consecutive rays that go
@@ -873,6 +876,9 @@ def test_twice_wound_inputs_fail_the_interior_count(pair_checks, wound):
     rank, rays, cones = wound
     with pytest.raises(BadIntersection, match="both interiors hold the point"):
         from_maximal_cones(rank, rays, cones, validate_pairs=True)
+    # validated by default, the rank-5 input too
+    with pytest.raises(BadIntersection, match="both interiors hold the point"):
+        from_maximal_cones(rank, rays, cones)
     assert pair_checks == []
     # unvalidated, the same input builds, and it passes the completeness rule
     assert from_maximal_cones(rank, rays, cones, validate_pairs=False).is_complete()
@@ -949,8 +955,9 @@ def test_real_cell_limit_accepts_p1_8_and_rejects_p1_9():
     # the real complex has 2**codim cells per cone: 4**n for (P^1)^n
     fan = from_maximal_cones(8, *_p1_power(8))
     assert sum(1 << (fan.rank - c.dim) for c in fan.cones) == 4**8 <= REAL_CELL_LIMIT
+    # unvalidated: validated, its 512 maximal cones exceed the pair limit first
     with pytest.raises(ResourceLimitExceeded, match=f"more than {REAL_CELL_LIMIT} cells"):
-        from_maximal_cones(9, *_p1_power(9))
+        from_maximal_cones(9, *_p1_power(9), validate_pairs=False)
     # the zero cone alone: 2**16 cells pass, 2**17 do not
     assert len(torus_fan(16).cones) == 1
     with pytest.raises(ResourceLimitExceeded):
@@ -977,6 +984,9 @@ def test_pair_limit_admits_p1_8_and_rejects_317_cones():
     assert comb(317, 2) == 50086 > PAIR_LIMIT
     with pytest.raises(ResourceLimitExceeded, match=f"more than {PAIR_LIMIT} pairs"):
         from_maximal_cones(2, rays, cones)
+    # at every rank, complete or not: (P^1)^9 has C(512, 2) pairs
+    with pytest.raises(ResourceLimitExceeded, match=f"more than {PAIR_LIMIT} pairs"):
+        from_maximal_cones(9, *_p1_power(9))
     # unvalidated, the pairs are not bounded
     assert len(from_maximal_cones(2, rays, cones, validate_pairs=False).maximal_cones()) == 317
 

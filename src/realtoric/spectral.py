@@ -369,8 +369,8 @@ def _real_boundaries(fan: Fan) -> Iterator[Tuple[Mat2, List[int], List[int]]]:
     lists the y^S of its cones by level |S| from p down to 0, then by S in
     subset_masks order, then by cone.  Each boundary is placed from the
     distinct y-basis blocks (_place) and gated as it is placed: a row of
-    level k has no entry in a column of level above k.  After the last, d o
-    d = 0 is checked block by block from the y blocks, once per distinct
+    level k has no entry in a column of level above k.  After the last,
+    d o d = 0 is checked block by block from the y blocks, once per distinct
     signature (_composition_sums); it implies d o d = 0 in the point basis
     (the y basis is a conjugate by an involution) and on every graded piece
     (each boundary is block-triangular)."""
